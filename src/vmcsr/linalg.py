@@ -29,11 +29,11 @@ def _as_matrix(a):
 def qr_orthonormalize(a):
     """Thin QR with orthonormal Q and a nonnegative diagonal of R.
 
-    Full-rank inputs take a fast path (LAPACK QR plus a column sign fix).
-    A column whose residual after projection is below 1e-12 * ||A||_F is
-    replaced by the first canonical basis vector that stays orthonormal
-    against the columns built so far, with the matching R diagonal set to
-    zero, so Q R still reconstructs A to tolerance.
+    One path for every input: LAPACK Householder QR, a column sign fix
+    that makes diag(R) nonnegative, and every diagonal of R at or below
+    1e-12 * ||A||_F set to exactly zero. A column of Q at such a zero
+    pivot is Householder's orthonormal completion direction, so Q stays
+    orthonormal and Q R still reconstructs A to tolerance.
 
     Args:
       a: (m, n) array, m >= n. A 1-D array is treated as one column.
@@ -54,55 +54,12 @@ def qr_orthonormalize(a):
         raise ZeroMatrix(f"cannot orthonormalize a numerically zero matrix (norm {fro:.3e})")
 
     q, r = np.linalg.qr(a, mode="reduced")
-    diag = np.diagonal(r)
-    if np.min(np.abs(diag)) > DEFICIENT_COLUMN_REL * fro:
-        signs = np.where(diag < 0.0, -1.0, 1.0)
-        return q * signs, r * signs[:, None]
-    return _gram_schmidt_with_patch(a, fro)
-
-
-def _gram_schmidt_with_patch(a, fro):
-    """Two-pass modified Gram-Schmidt with canonical-vector fill-in."""
-    m, n = a.shape
-    q = np.zeros((m, n))
-    r = np.zeros((n, n))
-    tol = DEFICIENT_COLUMN_REL * fro
-    for j in range(n):
-        v = a[:, j].copy()
-        for _ in range(2):  # second pass restores orthogonality lost to rounding
-            if j:
-                coeff = q[:, :j].T @ v
-                r[:j, j] += coeff
-                v -= q[:, :j] @ coeff
-        norm = float(np.linalg.norm(v))
-        if norm > tol:
-            q[:, j] = v / norm
-            r[j, j] = norm
-        else:
-            q[:, j] = _canonical_fill(q[:, :j], m)
-            r[j, j] = 0.0
+    signs = np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+    q = q * signs
+    r = r * signs[:, None]
+    deficient = np.flatnonzero(np.diagonal(r) <= DEFICIENT_COLUMN_REL * fro)
+    r[deficient, deficient] = 0.0
     return q, r
-
-
-def _canonical_fill(q_built, m):
-    """Deterministic replacement direction orthogonal to the built columns."""
-    best = None
-    best_norm = -1.0
-    for i in range(m):
-        w = np.zeros(m)
-        w[i] = 1.0
-        for _ in range(2):
-            if q_built.shape[1]:
-                w -= q_built @ (q_built.T @ w)
-        norm = float(np.linalg.norm(w))
-        if norm > 0.5:
-            return w / norm
-        if norm > best_norm:
-            best_norm = norm
-            best = w
-    if best is None or best_norm <= 0.0:
-        raise ZeroMatrix("no canonical direction available for deficiency patch")
-    return best / best_norm
 
 
 def exact_svd(a):

@@ -115,7 +115,8 @@ def ssi_svd(ohat, rank, max_iters=3, u_init=None, residual_tol=DEFAULT_RESIDUAL_
     m, n = ohat.shape
     if rank < 1 or rank > min(m, n):
         raise RankTooLarge(f"rank {rank} outside [1, {min(m, n)}] for shape {ohat.shape}")
-    if float(np.linalg.norm(ohat)) == 0.0:
+    fro = float(np.linalg.norm(ohat))
+    if fro == 0.0:
         raise DegenerateInput("cannot factorize an all-zero matrix")
 
     warm = u_init is not None
@@ -126,20 +127,23 @@ def ssi_svd(ohat, rank, max_iters=3, u_init=None, residual_tol=DEFAULT_RESIDUAL_
     else:
         block = np.random.default_rng(_COLD_START_SEED).standard_normal((m, rank))
 
-    fro2 = float(np.linalg.norm(ohat)) ** 2
+    fro2 = fro**2
     q, _ = qr_orthonormalize(block)
+    v = ohat.T @ q               # (n, rank)
+    u = ohat @ v                 # (m, rank)
     iterations = 0
     while True:
-        v = ohat.T @ q           # (n, rank)
-        u = ohat @ v             # (m, rank)
         q, _ = qr_orthonormalize(u)
         iterations += 1
-        w = ohat @ (ohat.T @ q)
+        # the residual's products are the next iteration's v and u
+        v_next = ohat.T @ q
+        w = ohat @ v_next
         quotient = q.T @ w
         residual = float(np.linalg.norm(w - q @ quotient)) / fro2
         mixing = float(np.linalg.norm(quotient - np.diag(np.diagonal(quotient)))) / fro2
         if max(residual, mixing) < residual_tol or iterations >= max_iters:
             break
+        v, u = v_next, w
 
     q_v, r_v = qr_orthonormalize(v)
     sigma_raw = np.diagonal(r_v).copy()          # >= 0 by the QR sign convention

@@ -340,6 +340,7 @@ def test_criterion_05a_warm_start_halves_iterations():
     )
 
 
+@pytest.mark.slow
 def test_criterion_05b_desk_run_iteration_budget(helium_defaults_run):
     tail = [rec for rec in helium_defaults_run.records if rec.step > 10]
     assert tail
@@ -413,6 +414,7 @@ def test_criterion_07_method_reduction_identities():
     )
 
 
+@pytest.mark.slow
 def test_criterion_08_subspace_drift_envelope(helium_defaults_run):
     tail = [rec for rec in helium_defaults_run.records if rec.step > 100]
     assert tail
@@ -427,6 +429,7 @@ def test_criterion_08_subspace_drift_envelope(helium_defaults_run):
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_convergence_ordering_and_stability(helium_starved_runs):
     runs = helium_starved_runs
     assert runs["elapsed"] < 900.0
@@ -476,6 +479,7 @@ def test_criterion_10_schedule_and_defaults_snapshot():
     )
 
 
+@pytest.mark.slow
 @pytest.mark.xfail(
     strict=False,
     reason="at this scale the smoothed energy reaches its statistical noise "

@@ -50,6 +50,26 @@ class TestQrOrthonormalize:
         _assert_valid_qr(deficient, q, r)
         assert r[1, 1] == 0.0
 
+    def test_zero_rows_at_he_step_shape(self):
+        """Transpose of a (144, 2089) log-derivative block with 64 dead
+        parameter rows: rank 80, so 64 pivots must come out exactly zero."""
+        rng = np.random.default_rng(8)
+        o = rng.standard_normal((144, 2089))
+        o[rng.choice(144, size=64, replace=False)] = 0.0
+        a = o.T
+        q, r = qr_orthonormalize(a)
+        _assert_valid_qr(a, q, r)
+        assert np.count_nonzero(np.diagonal(r) == 0.0) == 64
+
+    def test_full_rank_matches_lapack_with_sign_fix(self):
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal((2089, 144))
+        q, r = qr_orthonormalize(a)
+        q_ref, r_ref = np.linalg.qr(a, mode="reduced")
+        signs = np.where(np.diagonal(r_ref) < 0.0, -1.0, 1.0)
+        np.testing.assert_array_equal(q, q_ref * signs)
+        np.testing.assert_array_equal(r, r_ref * signs[:, None])
+
     def test_zero_matrix_rejected(self):
         with pytest.raises(ZeroMatrix):
             qr_orthonormalize(np.zeros((4, 2)))

@@ -121,6 +121,23 @@ class TestSsiSvd:
         f2, _ = ssi_svd(a[:, perm], rank=4, max_iters=40)
         np.testing.assert_allclose(f1.sigma, f2.sigma, atol=1e-10)
 
+    def test_zero_rows_with_full_warm_block(self):
+        """He step shape: 64 dead parameter rows leave rank 80. A block
+        warm-started from the converged directions plus Gaussian fill, as
+        wssr builds it, must drop the 64 zero directions."""
+        rng = np.random.default_rng(77)
+        a = rng.standard_normal((144, 2089))
+        a[rng.choice(144, size=64, replace=False)] = 0.0
+        exact = exact_truncated_svd(a, 144)
+        nonzero = exact.sigma[exact.sigma > 1e-12 * exact.sigma[0]]
+        u_init, _ = np.linalg.qr(
+            np.concatenate([exact.u[:, :80], rng.standard_normal((144, 64))], axis=1)
+        )
+        fact, report = ssi_svd(a, rank=144, u_init=u_init)
+        assert report.warm_started
+        assert fact.rank <= 80
+        np.testing.assert_allclose(fact.sigma, nonzero, rtol=1e-8)
+
     def test_deterministic(self):
         rng = np.random.default_rng(66)
         a = rng.standard_normal((15, 10))
