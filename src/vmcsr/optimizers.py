@@ -390,12 +390,3 @@ def wssr_step(theta, bundle, eta, state, svd_backend="ssi",
     )
     return theta_next, state_next, diagnostics
 
-
-def rssr_step(theta, bundle, eta, state, ssi_max_iters=DEFAULT_SSI_MAX_ITERS,
-              rng_seed=0):
-    """Low-rank preconditioned step with a fresh random sketch each step
-    instead of a warm-started iteration (same contract as wssr_step)."""
-    return wssr_step(
-        theta, bundle, eta, state, svd_backend="randomized",
-        ssi_max_iters=ssi_max_iters, rng_seed=rng_seed,
-    )

@@ -8,9 +8,9 @@ but first re-snapshots the last good state, so a crashed run is always
 resumable from where it still made sense.
 """
 
+import dataclasses
 import os
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +62,7 @@ ABORT_ERRORS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunResult:
     exit_code: int
     steps_completed: int
@@ -74,57 +74,47 @@ class RunResult:
     records: tuple
 
 
-def _initial_optimizer_state(config, n_params):
-    opt = config.optimizer
-    if opt.name in ("wssr", "rssr"):
-        w = opt.wssr
-        return WssrState.initial(
-            n_params,
-            rank_init=w.rank_init,
-            delta=w.delta,
-            sigma_floor=w.sigma_floor,
-            sigma_floor_relative=w.sigma_floor_relative,
-            r_reg=w.r_reg,
-            eps_grow=w.eps_grow,
-        )
-    if opt.name == "spring":
-        return SpringState.initial(
-            n_params, mu=opt.spring.mu, tikhonov_eps=opt.spring.tikhonov_eps
-        )
-    return None
+def _optimizer(opt, n_params):
+    """The configured update rule: (initial state, checkpoint prefix, update).
 
-
-def _apply_update(config, theta, bundle, eta, opt_state, seed):
-    """One optimizer step; returns (theta_next, state_next, wssr_diag)."""
-    opt = config.optimizer
+    This is the one place that names the optimizers. update(theta, bundle,
+    eta, state, seed) returns (theta', state', wssr diagnostics or None).
+    The rules are looked up in this module's globals at call time, so a
+    replacement of one of those names (a tracer, a test spy) sees every
+    call. Stateless rules have neither state nor prefix.
+    """
     name = opt.name
     if name == "sgd":
-        return sgd_update(theta, bundle, eta), None, None
+        return None, None, lambda theta, bundle, eta, state, seed: (
+            sgd_update(theta, bundle, eta), None, None)
     if name == "sr":
-        theta_next = full_sr_update(
-            theta, bundle, eta, reg_mode=opt.sr.reg_mode, reg_eps=opt.sr.reg_eps
-        )
-        return theta_next, None, None
+        return None, None, lambda theta, bundle, eta, state, seed: (
+            full_sr_update(theta, bundle, eta, reg_mode=opt.sr.reg_mode,
+                           reg_eps=opt.sr.reg_eps), None, None)
     if name == "minsr":
-        return minsr_update(theta, bundle, eta, tikhonov_eps=opt.minsr.tikhonov_eps), None, None
+        return None, None, lambda theta, bundle, eta, state, seed: (
+            minsr_update(theta, bundle, eta, tikhonov_eps=opt.minsr.tikhonov_eps),
+            None, None)
     if name == "spring":
-        theta_next, state_next = spring_update(theta, bundle, eta, opt_state)
-        return theta_next, state_next, None
-    backend = "randomized" if name == "rssr" else opt.wssr.svd_backend
-    theta_next, state_next, diag = wssr_step(
-        theta,
-        bundle,
-        eta,
-        opt_state,
-        svd_backend=backend,
-        ssi_max_iters=opt.wssr.ssi_max_iters,
-        ssi_residual_tol=opt.wssr.ssi_residual_tol,
+        state = SpringState.initial(n_params, mu=opt.spring.mu,
+                                    tikhonov_eps=opt.spring.tikhonov_eps)
+        return state, "spring", lambda theta, bundle, eta, state, seed: (
+            *spring_update(theta, bundle, eta, state), None)
+    w = opt.wssr
+    state = WssrState.initial(
+        n_params, rank_init=w.rank_init, delta=w.delta, sigma_floor=w.sigma_floor,
+        sigma_floor_relative=w.sigma_floor_relative, r_reg=w.r_reg,
+        eps_grow=w.eps_grow,
+    )
+    backend = "randomized" if name == "rssr" else w.svd_backend
+    return state, "wssr", lambda theta, bundle, eta, state, seed: wssr_step(
+        theta, bundle, eta, state, svd_backend=backend,
+        ssi_max_iters=w.ssi_max_iters, ssi_residual_tol=w.ssi_residual_tol,
         rng_seed=seed,
     )
-    return theta_next, state_next, diag
 
 
-def _snapshot(path, step, config, seed, theta, ensemble, opt_state):
+def _snapshot(path, step, config, seed, theta, ensemble, opt_state, prefix):
     scalars = {
         "step": step,
         "optimizer": config.optimizer.name,
@@ -142,31 +132,26 @@ def _snapshot(path, step, config, seed, theta, ensemble, opt_state):
         "accepted": ensemble.accepted,
         "proposed": ensemble.proposed,
     }
-    if isinstance(opt_state, WssrState):
-        scalars["wssr"] = {
-            "delta": opt_state.delta,
-            "sigma_floor": opt_state.sigma_floor,
-            "sigma_floor_relative": opt_state.sigma_floor_relative,
-            "r_reg": opt_state.r_reg,
-            "eps_grow": opt_state.eps_grow,
-            "r_max": opt_state.r_max,
-            "step": opt_state.step,
-        }
-        arrays["wssr_obar"] = opt_state.obar
-        arrays["wssr_lbar"] = opt_state.lbar
-        arrays["wssr_u_prev"] = opt_state.u_prev
-    elif isinstance(opt_state, SpringState):
-        scalars["spring"] = {
-            "mu": opt_state.mu,
-            "tikhonov_eps": opt_state.tikhonov_eps,
-        }
-        arrays["spring_prev_update"] = opt_state.prev_update
+    if opt_state is not None:
+        # Array fields go to f"{prefix}_{field}", the rest to scalars[prefix].
+        section = {}
+        for f in dataclasses.fields(opt_state):
+            value = getattr(opt_state, f.name)
+            if isinstance(value, np.ndarray):
+                arrays[f"{prefix}_{f.name}"] = value
+            else:
+                section[f.name] = value
+        scalars[prefix] = section
     rng_states = [gen.bit_generator.state for gen in ensemble.rngs]
     ckpt.write_checkpoint(path, scalars, arrays, rng_states)
 
 
-def _restore(resume_path, config, system, wavefunction):
-    """Rebuild (step, theta, ensemble, opt_state, seed) from a snapshot."""
+def _restore(resume_path, config, system, wavefunction, initial_state, prefix):
+    """Rebuild (step, theta, ensemble, opt_state, seed) from a snapshot.
+
+    The optimizer state has the class of initial_state; its fields are
+    read back from the section _snapshot wrote under prefix.
+    """
     scalars, arrays, rng_states = ckpt.read_checkpoint(resume_path)
     name = scalars["optimizer"]
     if name != config.optimizer.name:
@@ -200,27 +185,14 @@ def _restore(resume_path, config, system, wavefunction):
     )
 
     opt_state = None
-    if name in ("wssr", "rssr"):
-        w = scalars["wssr"]
-        opt_state = WssrState(
-            obar=arrays["wssr_obar"],
-            lbar=arrays["wssr_lbar"],
-            u_prev=arrays["wssr_u_prev"],
-            r_max=int(w["r_max"]),
-            delta=float(w["delta"]),
-            sigma_floor=float(w["sigma_floor"]),
-            sigma_floor_relative=bool(w["sigma_floor_relative"]),
-            r_reg=float(w["r_reg"]),
-            eps_grow=float(w["eps_grow"]),
-            step=int(w["step"]),
-        )
-    elif name == "spring":
-        s = scalars["spring"]
-        opt_state = SpringState(
-            prev_update=arrays["spring_prev_update"],
-            mu=float(s["mu"]),
-            tikhonov_eps=float(s["tikhonov_eps"]),
-        )
+    if initial_state is not None:
+        section = scalars[prefix]
+        array_fields = {
+            f.name: arrays[f"{prefix}_{f.name}"]
+            for f in dataclasses.fields(initial_state)
+            if f.name not in section
+        }
+        opt_state = type(initial_state)(**section, **array_fields)
     return int(scalars["step"]), theta, ensemble, opt_state, int(scalars["seed"])
 
 
@@ -240,10 +212,11 @@ def run(config, resume_path=None):
     system = build_system(config.system)
     seed = config.run.seed
     wavefunction = build_wavefunction(config.wavefunction, system, seed)
+    opt_state, prefix, update = _optimizer(config.optimizer, wavefunction.n_params)
 
     if resume_path is not None:
         start_step, theta, ensemble, opt_state, seed = _restore(
-            resume_path, config, system, wavefunction
+            resume_path, config, system, wavefunction, opt_state, prefix
         )
         wavefunction.set_theta(theta)
         kept = []
@@ -261,7 +234,6 @@ def run(config, resume_path=None):
             seed=seed,
             proposal_std=config.sampler.proposal_std,
         )
-        opt_state = _initial_optimizer_state(config, wavefunction.n_params)
         rewrite_trace(trace_path, [])
         records = []
 
@@ -293,8 +265,8 @@ def run(config, resume_path=None):
                 if not np.isfinite(bundle.raw_loss):
                     raise NumericalAbort(f"non-finite energy at step {step}")
                 eta = schedule.eta(step - 1)
-                theta_next, opt_state_next, diag = _apply_update(
-                    config, theta, bundle, eta, opt_state, seed
+                theta_next, opt_state_next, diag = update(
+                    theta, bundle, eta, opt_state, seed
                 )
                 if not np.all(np.isfinite(theta_next)):
                     raise NumericalAbort(f"non-finite parameters at step {step}")
@@ -302,7 +274,8 @@ def run(config, resume_path=None):
                 # Re-snapshot the state before the failing step so the
                 # run can be resumed from the last good point.
                 _snapshot(
-                    checkpoint_path, step - 1, config, seed, theta, ensemble, opt_state
+                    checkpoint_path, step - 1, config, seed, theta, ensemble,
+                    opt_state, prefix,
                 )
                 aborted = True
                 message = f"aborted at step {step}: {exc}"
@@ -348,7 +321,10 @@ def run(config, resume_path=None):
             records.append(record)
 
             if (every and step % every == 0) or step == k_max:
-                _snapshot(checkpoint_path, step, config, seed, theta, ensemble, opt_state)
+                _snapshot(
+                    checkpoint_path, step, config, seed, theta, ensemble,
+                    opt_state, prefix,
+                )
 
     energies = [rec.raw_energy for rec in records]
     smoothed = float("nan")

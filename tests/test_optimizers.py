@@ -17,7 +17,6 @@ from vmcsr.optimizers import (
     WssrState,
     full_sr_update,
     minsr_update,
-    rssr_step,
     sgd_update,
     spring_update,
     wssr_step,
@@ -443,7 +442,7 @@ class TestRssr:
         theta, state, _ = wssr_step(np.zeros(12), b1, 0.01, state)
 
         t_ssi, _, diag_ssi = wssr_step(theta, b2, 0.01, state, svd_backend="ssi")
-        t_rnd, _, _ = rssr_step(theta, b2, 0.01, state)
+        t_rnd, _, _ = wssr_step(theta, b2, 0.01, state, svd_backend="randomized")
         np.testing.assert_allclose(t_ssi, t_rnd, atol=1e-8)
         assert diag_ssi.ssi.warm_started
 
@@ -458,7 +457,9 @@ class TestRssr:
             theta = np.zeros(7)
             state = WssrState.initial(7, rank_init=3)
             for b in bundles:
-                theta, state, _ = rssr_step(theta, b, 0.01, state, rng_seed=seed)
+                theta, state, _ = wssr_step(
+                    theta, b, 0.01, state, svd_backend="randomized", rng_seed=seed
+                )
             return theta
 
         np.testing.assert_array_equal(rollout(5), rollout(5))
@@ -492,7 +493,9 @@ class TestRssr:
         tail = np.linalg.svd(ohat, compute_uv=False)[r]
         bound = 10.0 * tail * eta / state.sigma_floor * max(1.0, np.linalg.norm(lhat))
         for seed in range(20):
-            t_sketch, _, _ = rssr_step(theta, bundle, eta, state, rng_seed=seed)
+            t_sketch, _, _ = wssr_step(
+                theta, bundle, eta, state, svd_backend="randomized", rng_seed=seed
+            )
             assert np.linalg.norm(t_sketch - t_exact) <= bound
 
     def test_exact_backend_every_step_equals_reference(self):

@@ -106,7 +106,7 @@ class TestHydrogenExample:
 
 
 class TestResumeDeterminism:
-    @pytest.mark.parametrize("name", ["wssr", "rssr", "spring"])
+    @pytest.mark.parametrize("name", ["sgd", "sr", "minsr", "spring", "wssr", "rssr"])
     def test_split_run_matches_uninterrupted(self, tmp_path, name):
         full = run(helium_config(tmp_path, name=name, steps=6, sub="full"))
 
@@ -134,6 +134,24 @@ class TestResumeDeterminism:
         longer = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, steps=8))
         resumed = run(longer, resume_path=str(tmp_path / "out" / "checkpoint.bin"))
         assert [r.step for r in read_trace(resumed.trace_path)] == list(range(1, 9))
+
+    def test_checkpoint_optimizer_section_names(self, tmp_path):
+        run(helium_config(tmp_path, name="wssr", steps=2, sub="wssr"))
+        scalars, arrays, _ = read_checkpoint(tmp_path / "wssr" / "checkpoint.bin")
+        assert sorted(scalars["wssr"]) == [
+            "delta", "eps_grow", "r_max", "r_reg", "sigma_floor",
+            "sigma_floor_relative", "step",
+        ]
+        assert scalars["wssr"]["step"] == 2
+        assert [k for k in arrays if k.startswith("wssr_")] == [
+            "wssr_obar", "wssr_lbar", "wssr_u_prev",
+        ]
+
+        run(helium_config(tmp_path, name="spring", steps=2, sub="spring"))
+        scalars, arrays, _ = read_checkpoint(tmp_path / "spring" / "checkpoint.bin")
+        assert sorted(scalars["spring"]) == ["mu", "tikhonov_eps"]
+        assert [k for k in arrays if k.startswith("spring_")] == ["spring_prev_update"]
+        assert "wssr" not in scalars
 
     def test_resume_rejects_optimizer_mismatch(self, tmp_path):
         cfg = helium_config(tmp_path, name="wssr", steps=2)
