@@ -17,18 +17,18 @@ from .errors import DegenerateBatch
 class SampleBatch:
     """Decorrelated draws with their local energies and log-derivatives."""
 
-    configs: tuple                 # ElectronConfiguration, length batch
+    positions: np.ndarray          # (batch, N, 3)
     local_energies: np.ndarray     # (batch,) raw values
     theta_logderivs: np.ndarray    # (batch, n_params)
 
     def __post_init__(self):
-        n = len(self.configs)
+        n = self.positions.shape[0]
         if self.local_energies.shape != (n,) or self.theta_logderivs.shape[0] != n:
             raise ValueError("batch fields disagree on the sample count")
 
     @property
     def size(self):
-        return len(self.configs)
+        return self.positions.shape[0]
 
 
 @dataclass(frozen=True)

@@ -96,18 +96,18 @@ def _optimizer(opt, n_params):
             minsr_update(theta, bundle, eta, tikhonov_eps=opt.minsr.tikhonov_eps),
             None, None)
     if name == "spring":
-        state = SpringState.initial(n_params, mu=opt.spring.mu,
-                                    tikhonov_eps=opt.spring.tikhonov_eps)
-        return state, "spring", lambda theta, bundle, eta, state, seed: (
+        initial = SpringState.initial(n_params, mu=opt.spring.mu,
+                                      tikhonov_eps=opt.spring.tikhonov_eps)
+        return initial, "spring", lambda theta, bundle, eta, state, seed: (
             *spring_update(theta, bundle, eta, state), None)
     w = opt.wssr
-    state = WssrState.initial(
+    initial = WssrState.initial(
         n_params, rank_init=w.rank_init, delta=w.delta, sigma_floor=w.sigma_floor,
         sigma_floor_relative=w.sigma_floor_relative, r_reg=w.r_reg,
         eps_grow=w.eps_grow,
     )
     backend = "randomized" if name == "rssr" else w.svd_backend
-    return state, "wssr", lambda theta, bundle, eta, state, seed: wssr_step(
+    return initial, "wssr", lambda theta, bundle, eta, state, seed: wssr_step(
         theta, bundle, eta, state, svd_backend=backend,
         ssi_max_iters=w.ssi_max_iters, ssi_residual_tol=w.ssi_residual_tol,
         rng_seed=seed,
@@ -133,7 +133,6 @@ def _snapshot(path, step, config, seed, theta, ensemble, opt_state, prefix):
         "proposed": ensemble.proposed,
     }
     if opt_state is not None:
-        # Array fields go to f"{prefix}_{field}", the rest to scalars[prefix].
         section = {}
         for f in dataclasses.fields(opt_state):
             value = getattr(opt_state, f.name)
@@ -142,7 +141,7 @@ def _snapshot(path, step, config, seed, theta, ensemble, opt_state, prefix):
             else:
                 section[f.name] = value
         scalars[prefix] = section
-    rng_states = [gen.bit_generator.state for gen in ensemble.rngs]
+    rng_states = [ensemble.rng.bit_generator.state]
     ckpt.write_checkpoint(path, scalars, arrays, rng_states)
 
 
@@ -168,16 +167,18 @@ def _restore(resume_path, config, system, wavefunction, initial_state, prefix):
     if arrays["spins"].shape[0] != system.n_electrons:
         raise ConfigError("checkpoint electron count does not match the system")
 
-    rngs = []
-    for state in rng_states:
-        gen = np.random.Generator(np.random.PCG64())
-        gen.bit_generator.state = state
-        rngs.append(gen)
+    if len(rng_states) != 1:
+        raise ConfigError(
+            f"checkpoint holds {len(rng_states)} RNG streams, expected 1 "
+            f"(the sampler draws from one ensemble-wide stream)"
+        )
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = rng_states[0]
     ensemble = WalkerEnsemble(
         positions=arrays["positions"],
         spins=arrays["spins"],
         log_abs=arrays["log_abs"],
-        rngs=rngs,
+        rng=rng,
         proposal_std=float(scalars["proposal_std"]),
         accepted=arrays["accepted"],
         proposed=arrays["proposed"],

@@ -1,18 +1,19 @@
 """Metropolis-Hastings walker ensemble over electron configurations.
 
 All-electron Gaussian moves accepted on the squared-amplitude ratio.
-Every walker owns its own counter-based RNG stream (spawned from the run
-seed), so results are bitwise reproducible and independent of how walkers
-would be scheduled across threads.
+The whole ensemble draws from one RNG stream spawned from the run seed:
+each sweep takes one (walkers, N, 3) array of proposal noise and one
+vector of acceptance uniforms. Results are bitwise reproducible, and a
+run resumes from the stream's saved state.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalAbort
 from .estimators import SampleBatch
-from .system import ElectronConfiguration, local_energy_batch
+from .system import local_energy_batch
 
 DEFAULT_PROPOSAL_STD = 0.5
 DEFAULT_WALKERS = 2048
@@ -30,7 +31,7 @@ class WalkerEnsemble:
     positions: np.ndarray        # (walkers, N, 3)
     spins: np.ndarray            # (N,)
     log_abs: np.ndarray          # (walkers,) cached log-amplitudes
-    rngs: list                   # one numpy Generator per walker
+    rng: np.random.Generator     # the one ensemble-wide stream
     proposal_std: float = DEFAULT_PROPOSAL_STD
     accepted: np.ndarray = None  # (walkers,) counters
     proposed: np.ndarray = None
@@ -57,15 +58,15 @@ class WalkerEnsemble:
     @classmethod
     def create(cls, system, wavefunction, n_walkers, seed,
                proposal_std=DEFAULT_PROPOSAL_STD):
-        """Walkers jittered around nuclei, one spawned RNG stream each.
+        """Walkers jittered around nuclei, drawing from one spawned stream.
 
         Electrons are parked on nuclei in charge-proportional order, then
-        displaced by a unit Gaussian from the walker's own stream.
+        displaced by unit Gaussians. The stream is a spawned child of the
+        run seed, apart from the seed's own stream (parameter noise).
         """
         if n_walkers < 1:
             raise ValueError("need at least one walker")
-        streams = np.random.SeedSequence(seed).spawn(n_walkers)
-        rngs = [np.random.default_rng(s) for s in streams]
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
         sites = []
         for idx, z in enumerate(system.nuclear_charges):
@@ -74,9 +75,7 @@ class WalkerEnsemble:
         anchors = np.array(
             [system.nuclear_positions[sites[i % len(sites)]] for i in range(n)]
         )
-        positions = np.stack(
-            [anchors + rng.standard_normal((n, 3)) for rng in rngs]
-        )
+        positions = anchors + rng.standard_normal((n_walkers, n, 3))
         log_abs = np.asarray(wavefunction.log_abs_batch(positions), dtype=np.float64)
         if np.any(np.isnan(log_abs)):
             raise NumericalAbort("NaN log-amplitude at walker initialization")
@@ -84,7 +83,7 @@ class WalkerEnsemble:
             positions=positions,
             spins=system.spins,
             log_abs=log_abs,
-            rngs=rngs,
+            rng=rng,
             proposal_std=float(proposal_std),
         )
 
@@ -105,8 +104,8 @@ def metropolis_step(ensemble, wavefunction, proposal_std=None):
     w = ensemble.n_walkers
     n = ensemble.positions.shape[1]
 
-    noise = np.stack([rng.standard_normal((n, 3)) for rng in ensemble.rngs])
-    uniforms = np.array([rng.random() for rng in ensemble.rngs])
+    noise = ensemble.rng.standard_normal((w, n, 3))
+    uniforms = ensemble.rng.random(w)
     proposals = ensemble.positions + std * noise
     new_log = np.asarray(wavefunction.log_abs_batch(proposals), dtype=np.float64)
     if np.any(np.isnan(new_log)):
@@ -191,11 +190,8 @@ def sample_batch(ensemble, wavefunction, system, n_samples,
         system, wavefunction, positions, include_nuclear_repulsion
     )
     logderivs = wavefunction.grad_theta_batch(positions)
-    configs = tuple(
-        ElectronConfiguration(positions=pos, spins=ensemble.spins) for pos in positions
-    )
     return SampleBatch(
-        configs=configs,
+        positions=positions,
         local_energies=np.asarray(energies, dtype=np.float64),
         theta_logderivs=np.asarray(logderivs, dtype=np.float64),
     )

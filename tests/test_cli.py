@@ -96,7 +96,7 @@ class TestInspectCommand:
         assert code == 0
         assert "step = 3" in out
         assert "optimizer = sgd" in out
-        assert "rng streams: 16" in out
+        assert "rng streams: 1" in out
 
     def test_corrupt_checkpoint_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.bin"

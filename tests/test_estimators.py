@@ -14,17 +14,13 @@ from vmcsr.estimators import (
     t_matrix,
 )
 from vmcsr.linalg import exact_svd
-from vmcsr.system import ElectronConfiguration
 
 
 def make_batch(energies, derivs):
     energies = np.asarray(energies, dtype=np.float64)
     derivs = np.asarray(derivs, dtype=np.float64)
-    configs = tuple(
-        ElectronConfiguration(positions=np.zeros((1, 3)) + i, spins=np.array([0]))
-        for i in range(len(energies))
-    )
-    return SampleBatch(configs=configs, local_energies=energies, theta_logderivs=derivs)
+    positions = np.zeros((len(energies), 1, 3))
+    return SampleBatch(positions=positions, local_energies=energies, theta_logderivs=derivs)
 
 
 def scripted_clamp(energies, n_std):
@@ -184,11 +180,10 @@ class TestStatisticalUnbiasedness:
         x = rng.normal(0.0, np.sqrt(1.0 / (2.0 * c)), size=n)
         local = c / 2.0 + (1.0 - c * c) * x * x / 2.0
         dlog = (-x * x / 2.0)[:, None]
-        configs = (None,) * n  # geometry is irrelevant to this closed-form check
-        batch = SampleBatch.__new__(SampleBatch)
-        object.__setattr__(batch, "configs", configs)
-        object.__setattr__(batch, "local_energies", local)
-        object.__setattr__(batch, "theta_logderivs", dlog)
+        # Geometry is irrelevant to this closed-form check.
+        batch = SampleBatch(
+            positions=np.zeros((n, 0, 3)), local_energies=local, theta_logderivs=dlog
+        )
         bundle = assemble(batch, clip_n_std=np.inf)
 
         analytic = 0.25 - 1.0 / (4.0 * c * c)

@@ -36,11 +36,10 @@ def raw_bundle(o, l):
 def centered_bundle(n_params, n_samples, seed):
     """Assembled bundle from random data, so centering identities hold."""
     rng = np.random.default_rng(seed)
-    batch = SampleBatch.__new__(SampleBatch)
-    object.__setattr__(batch, "configs", (None,) * n_samples)
-    object.__setattr__(batch, "local_energies", rng.normal(size=n_samples))
-    object.__setattr__(
-        batch, "theta_logderivs", rng.normal(size=(n_samples, n_params))
+    batch = SampleBatch(
+        positions=np.zeros((n_samples, 0, 3)),
+        local_energies=rng.normal(size=n_samples),
+        theta_logderivs=rng.normal(size=(n_samples, n_params)),
     )
     return assemble(batch, clip_n_std=np.inf)
 

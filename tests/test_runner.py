@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import vmcsr.sampler
-from vmcsr.checkpoint import read_checkpoint
+from vmcsr.checkpoint import read_checkpoint, write_checkpoint
 from vmcsr.config import parse_config_text
 from vmcsr.errors import ConfigError
 from vmcsr.runner import run
@@ -102,7 +102,7 @@ class TestHydrogenExample:
         assert scalars["step"] == 10
         assert scalars["optimizer"] == "sgd"
         assert arrays["theta"].shape == (1,)
-        assert len(rng_states) == 64
+        assert len(rng_states) == 1
 
 
 class TestResumeDeterminism:
@@ -152,6 +152,14 @@ class TestResumeDeterminism:
         assert sorted(scalars["spring"]) == ["mu", "tikhonov_eps"]
         assert [k for k in arrays if k.startswith("spring_")] == ["spring_prev_update"]
         assert "wssr" not in scalars
+
+    def test_resume_rejects_per_walker_rng_streams(self, tmp_path):
+        result = run(hydrogen_config(tmp_path))
+        scalars, arrays, rng_states = read_checkpoint(result.checkpoint_path)
+        two_streams = tmp_path / "two_streams.bin"
+        write_checkpoint(two_streams, scalars, arrays, rng_states * 2)
+        with pytest.raises(ConfigError, match="2 RNG streams"):
+            run(hydrogen_config(tmp_path), resume_path=str(two_streams))
 
     def test_resume_rejects_optimizer_mismatch(self, tmp_path):
         cfg = helium_config(tmp_path, name="wssr", steps=2)

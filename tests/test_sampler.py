@@ -40,7 +40,6 @@ class HardNode:
 
 
 def make_line_ensemble(n_walkers, seed, spread=1.0):
-    rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n_walkers)]
     positions = np.zeros((n_walkers, 1, 3))
     positions[:, 0, 0] = np.linspace(-spread, spread, n_walkers)
     model = GaussianLine()
@@ -49,7 +48,7 @@ def make_line_ensemble(n_walkers, seed, spread=1.0):
             positions=positions,
             spins=np.array([0]),
             log_abs=model.log_abs_batch(positions),
-            rngs=rngs,
+            rng=np.random.default_rng(seed),
             proposal_std=1.0,
         ),
         model,
@@ -84,13 +83,12 @@ class TestMetropolisStep:
     def test_node_crossings_rejected(self):
         model = HardNode()
         n = 64
-        rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(3).spawn(n)]
         positions = np.full((n, 1, 3), -0.05)
         ensemble = WalkerEnsemble(
             positions=positions.copy(),
             spins=np.array([0]),
             log_abs=model.log_abs_batch(positions),
-            rngs=rngs,
+            rng=np.random.default_rng(3),
             proposal_std=2.0,
         )
         for _ in range(20):
@@ -166,9 +164,7 @@ class TestStationaryDistribution:
             ensemble, wavefunction, system,
             n_samples=256 * 160, burn_in_steps=200, thinning=5,
         )
-        radii = np.array([
-            np.linalg.norm(c.positions[0]) for c in batch.configs
-        ])
+        radii = np.linalg.norm(batch.positions[:, 0], axis=1)
         # <r> = 3/2 for the exact 1s orbital.  Rows of the reshape are
         # collection rounds, columns are walkers; per-walker means over
         # independent chains give an honest standard error.
@@ -224,8 +220,7 @@ class TestSampleBatch:
         assert batch.size == 100
         assert batch.local_energies.shape == (100,)
         assert batch.theta_logderivs.shape == (100, wavefunction.n_params)
-        assert len(batch.configs) == 100
-        assert batch.configs[0].positions.shape == (1, 3)
+        assert batch.positions.shape == (100, 1, 3)
 
     def test_bitwise_reproducible_for_fixed_seed(self):
         system, wavefunction = hydrogen_exact()
@@ -243,8 +238,7 @@ class TestSampleBatch:
         np.testing.assert_array_equal(
             captured[0].theta_logderivs, captured[1].theta_logderivs
         )
-        for c0, c1 in zip(captured[0].configs, captured[1].configs):
-            np.testing.assert_array_equal(c0.positions, c1.positions)
+        np.testing.assert_array_equal(captured[0].positions, captured[1].positions)
 
     def test_rejects_nonpositive_request(self):
         system, wavefunction = hydrogen_exact()
