@@ -65,6 +65,9 @@ def qr_orthonormalize(a):
 def exact_svd(a):
     """Economy SVD a = u @ diag(sigma) @ vt with sigma nonincreasing.
 
+    A wide input is factored through its transpose: LAPACK's divide and
+    conquer is markedly faster on the tall orientation.
+
     Args:
       a: (m, n) array.
 
@@ -74,8 +77,10 @@ def exact_svd(a):
     a = _as_matrix(a)
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
-    u, sigma, vt = np.linalg.svd(a, full_matrices=False)
-    return u, sigma, vt
+    if a.shape[0] < a.shape[1]:
+        v, sigma, ut = np.linalg.svd(a.T, full_matrices=False)
+        return ut.T, sigma, v.T
+    return np.linalg.svd(a, full_matrices=False)
 
 
 @dataclass(frozen=True)

@@ -258,18 +258,6 @@ class WssrDiagnostics:
     projector_drift: float
 
 
-@dataclass(frozen=True)
-class _PrevFactors:
-    """Duck-typed factor pair for drift comparison against the last step."""
-
-    u: np.ndarray
-    sigma: np.ndarray
-
-    @property
-    def rank(self):
-        return self.sigma.shape[0]
-
-
 def _per_step_seed(rng_seed, step):
     return int(np.random.SeedSequence((int(rng_seed), int(step))).generate_state(1)[0])
 
@@ -363,15 +351,9 @@ def wssr_step(theta, bundle, eta, state, svd_backend="ssi",
     update = u @ (coeffs / sigma**2) + (gbar - u @ coeffs) / floor
     theta_next = theta - eta * update
 
-    if state.u_prev.shape[1] == 0:
-        sigma_drift, projector_drift = 0.0, 0.0
-    else:
-        prev = _PrevFactors(
-            u=state.u_prev, sigma=np.linalg.norm(state.obar, axis=0)
-        )
-        sigma_drift, projector_drift = subspace_drift(
-            prev, _PrevFactors(u=u, sigma=sigma)
-        )
+    sigma_drift, projector_drift = subspace_drift(
+        state.u_prev, np.linalg.norm(state.obar, axis=0), u, sigma
+    )
 
     state_next = replace(
         state,

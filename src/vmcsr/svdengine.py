@@ -1,9 +1,13 @@
-"""Truncated SVD engines for the streamed log-derivative matrix.
+"""Truncated SVD engine for the streamed log-derivative matrix.
 
-Two routes to the dominant singular triplets of a dense matrix: block
-subspace iteration that can be warm-started from the previous step's left
-singular vectors, and a one-pass Gaussian range sketch. Both are checked
-against the dense SVD in the test suite.
+One engine: block subspace iteration on the Gram operator, warm-startable
+from the previous step's left singular vectors and stopped once its block
+spans an invariant subspace or its budget is spent. It finishes with a
+Rayleigh-Ritz step, the dense SVD of the small projected matrix q.T @ ohat,
+which is exact for any basis of an invariant span. The Gaussian range
+sketch is one cold iteration of the same engine with an oversampled block
+(Halko, Martinsson & Tropp, SIAM Review 53 (2011), Alg. 5.1). Both are
+checked against the dense SVD in the test suite.
 """
 
 from dataclasses import dataclass
@@ -11,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateInput, RankTooLarge
-from .linalg import exact_svd, qr_orthonormalize
+from .linalg import DEFICIENT_COLUMN_REL, exact_svd, qr_orthonormalize
 
 DEFAULT_RESIDUAL_EXIT = 1e-10
 _COLD_START_SEED = 0x5EED
@@ -67,49 +71,50 @@ def subspace_residual(ohat, u_orthonormal):
     return float(np.linalg.norm(w - u_orthonormal @ (u_orthonormal.T @ w)) / fro2)
 
 
-def _positive_prefix(sigma, limit):
-    k = int(np.sum(sigma[:limit] > 0.0))
-    return max(k, 0)
+def _positive_prefix(sigma, limit, fro):
+    """Leading singular values above qr_orthonormalize's zero threshold,
+    DEFICIENT_COLUMN_REL * ||ohat||_F; the rest count as exact zeros."""
+    return int(np.count_nonzero(sigma[:limit] > DEFICIENT_COLUMN_REL * fro))
 
 
 def exact_truncated_svd(ohat, rank):
-    """Dense SVD truncated to the leading triplets (dropping exact zeros)."""
+    """Dense SVD truncated to the leading triplets (dropping zeros)."""
     ohat = np.asarray(ohat, dtype=np.float64)
     m, n = ohat.shape
     if rank < 1 or rank > min(m, n):
         raise RankTooLarge(f"rank {rank} outside [1, {min(m, n)}] for shape {ohat.shape}")
-    if float(np.linalg.norm(ohat)) == 0.0:
+    fro = float(np.linalg.norm(ohat))
+    if fro == 0.0:
         raise DegenerateInput("cannot factorize an all-zero matrix")
     u, sigma, vt = exact_svd(ohat)
-    k = _positive_prefix(sigma, rank)
+    k = _positive_prefix(sigma, rank, fro)
     return TruncatedSvd(u=u[:, :k], sigma=sigma[:k], v=vt[:k, :])
 
 
 def ssi_svd(ohat, rank, max_iters=3, u_init=None, residual_tol=DEFAULT_RESIDUAL_EXIT):
     """Dominant singular triplets by warm-startable block subspace iteration.
 
-    Each iteration orthonormalizes the current block, pulls it through the
-    transpose (v = ohat.T @ q), and pushes it back (u = ohat @ v). After
-    the loop, the QR of the final v block yields the singular values as
-    |diag(R)| and the right vectors as its Q columns; triplets are sorted
-    descending and the returned u is re-orthonormalized.
+    Each iteration orthonormalizes the current block q, pulls it through
+    the transpose (b_t = ohat.T @ q) and pushes it back (ohat @ b_t).
+    After the loop, the Rayleigh-Ritz finish factors the projected matrix
+    b_t.T = q.T @ ohat densely: u = q @ u_b, v = vt, truncated to `rank`.
+    The finish is exact whenever span(q) is invariant, whatever basis of
+    it the block holds.
 
     Args:
       ohat: (m, n) matrix.
       rank: number of triplets to compute, within [1, min(m, n)].
       max_iters: iteration budget; the loop exits as soon as the subspace
-        residual of the refined block drops below residual_tol. The exit
-        additionally requires the block Rayleigh quotient to be diagonal
-        to the same relative tolerance: an invariant span with still-mixed
-        columns (every full-rank cold start) would otherwise satisfy the
-        residual while the QR-diagonal sigma extraction is meaningless.
-      u_init: optional (m, rank) warm-start block (orthonormalized
-        defensively). None means a seeded random cold start.
+        residual of the block drops below residual_tol.
+      u_init: optional (m, width) warm-start block with
+        rank <= width <= min(m, n) (orthonormalized defensively); extra
+        columns oversample. None means a seeded random cold start of
+        width `rank`.
       residual_tol: early-exit threshold on the subspace residual.
 
     Returns:
       (TruncatedSvd, SsiReport). The returned rank can be below `rank`
-      when the matrix rank is smaller (exact zeros are dropped).
+      when the matrix rank is smaller (zeros are dropped).
     """
     ohat = np.asarray(ohat, dtype=np.float64)
     m, n = ohat.shape
@@ -122,38 +127,34 @@ def ssi_svd(ohat, rank, max_iters=3, u_init=None, residual_tol=DEFAULT_RESIDUAL_
     warm = u_init is not None
     if warm:
         block = np.asarray(u_init, dtype=np.float64)
-        if block.shape != (m, rank):
-            raise ValueError(f"u_init must have shape {(m, rank)}, got {block.shape}")
+        if block.ndim != 2 or block.shape[0] != m or not rank <= block.shape[1] <= min(m, n):
+            raise ValueError(
+                f"u_init must have shape ({m}, w) with {rank} <= w <= {min(m, n)}, "
+                f"got {block.shape}"
+            )
     else:
         block = np.random.default_rng(_COLD_START_SEED).standard_normal((m, rank))
 
     fro2 = fro**2
     q, _ = qr_orthonormalize(block)
-    v = ohat.T @ q               # (n, rank)
-    u = ohat @ v                 # (m, rank)
+    u = ohat @ (ohat.T @ q)
     iterations = 0
     while True:
         q, _ = qr_orthonormalize(u)
         iterations += 1
-        # the residual's products are the next iteration's v and u
-        v_next = ohat.T @ q
-        w = ohat @ v_next
-        quotient = q.T @ w
-        residual = float(np.linalg.norm(w - q @ quotient)) / fro2
-        mixing = float(np.linalg.norm(quotient - np.diag(np.diagonal(quotient)))) / fro2
-        if max(residual, mixing) < residual_tol or iterations >= max_iters:
+        # the residual's products are the next iteration's block
+        b_t = ohat.T @ q
+        w = ohat @ b_t
+        residual = float(np.linalg.norm(w - q @ (q.T @ w))) / fro2
+        if residual < residual_tol or iterations >= max_iters:
             break
-        v, u = v_next, w
+        u = w
 
-    q_v, r_v = qr_orthonormalize(v)
-    sigma_raw = np.diagonal(r_v).copy()          # >= 0 by the QR sign convention
-    order = np.argsort(-sigma_raw, kind="stable")
-    sigma = sigma_raw[order]
-    k = _positive_prefix(sigma, rank)
+    u_b, sigma, vt = exact_svd(b_t.T)
+    k = _positive_prefix(sigma, rank, fro)
     if k == 0:
         raise DegenerateInput("iteration produced no positive singular values")
-    u_final, _ = qr_orthonormalize(u[:, order[:k]])
-    factors = TruncatedSvd(u=u_final, sigma=sigma[:k], v=q_v[:, order[:k]].T)
+    factors = TruncatedSvd(u=q @ u_b[:, :k], sigma=sigma[:k], v=vt[:k, :])
     report = SsiReport(
         iterations_used=iterations,
         subspace_residual=residual,
@@ -165,10 +166,11 @@ def ssi_svd(ohat, rank, max_iters=3, u_init=None, residual_tol=DEFAULT_RESIDUAL_
 def randomized_svd(ohat, rank, oversample=10, rng_seed=0):
     """Rank-r factors from a Gaussian range sketch.
 
-    One power pass through the Gram operator: y = ohat @ (ohat.T @ omega)
-    with omega standard normal of width rank + oversample, so the captured
-    range aligns with the dominant left singular subspace; the projected
-    matrix b = q.T @ ohat is then factorized densely and truncated.
+    One cold iteration of ssi_svd from a standard normal block omega of
+    width rank + oversample: one power pass through the Gram operator
+    aligns the captured range with the dominant left singular subspace,
+    and the Rayleigh-Ritz finish factors the projected matrix and
+    truncates it.
 
     Args:
       ohat: (m, n) matrix.
@@ -186,41 +188,33 @@ def randomized_svd(ohat, rank, oversample=10, rng_seed=0):
         raise RankTooLarge(
             f"rank+oversample {width} outside [1, {min(m, n)}] for shape {ohat.shape}"
         )
-    if float(np.linalg.norm(ohat)) == 0.0:
-        raise DegenerateInput("cannot factorize an all-zero matrix")
-
     omega = np.random.default_rng(rng_seed).standard_normal((m, width))
-    y = ohat @ (ohat.T @ omega)
-    q, _ = qr_orthonormalize(y)
-    b = q.T @ ohat                               # (width, n)
-    u_b, sigma, vt = exact_svd(b)
-    k = _positive_prefix(sigma, rank)
-    if k == 0:
-        raise DegenerateInput("sketch captured no positive singular values")
-    return TruncatedSvd(u=q @ u_b[:, :k], sigma=sigma[:k], v=vt[:k, :])
+    factors, _ = ssi_svd(ohat, rank, max_iters=1, u_init=omega)
+    return factors
 
 
-def subspace_drift(prev, curr):
+def subspace_drift(u_prev, sigma_prev, u, sigma):
     """Change in singular values and in the left-subspace projector.
 
-    Both factor sets are truncated to the smaller rank. The projector
-    change ||P_prev - P_curr||_2 equals the largest principal-angle sine,
-    computed from the cross-product prev.u.T @ curr.u without forming
-    either projector; the sine is taken from the out-of-span component
-    curr.u - prev.u @ cross, which stays accurate for nearly identical
+    Both factor pairs (left vectors as columns, singular values) are
+    truncated to the smaller rank. The projector change
+    ||P_prev - P_curr||_2 equals the largest principal-angle sine,
+    computed from the cross-product u_prev.T @ u without forming either
+    projector; the sine is taken from the out-of-span component
+    u - u_prev @ cross, which stays accurate for nearly identical
     subspaces. Drifts below rounding (1e-12) report as exact zero.
 
     Returns:
       (sigma_drift, projector_drift) floats.
     """
-    r = min(prev.rank, curr.rank)
-    if prev.u.shape[0] != curr.u.shape[0]:
+    r = min(sigma_prev.shape[0], sigma.shape[0])
+    if u_prev.shape[0] != u.shape[0]:
         raise ValueError("factor sets live in different row spaces")
     if r == 0:
         return 0.0, 0.0
-    sigma_drift = float(np.linalg.norm(prev.sigma[:r] - curr.sigma[:r]))
-    u1 = prev.u[:, :r]
-    u2 = curr.u[:, :r]
+    sigma_drift = float(np.linalg.norm(sigma_prev[:r] - sigma[:r]))
+    u1 = u_prev[:, :r]
+    u2 = u[:, :r]
     out_of_span = u2 - u1 @ (u1.T @ u2)
     projector_drift = float(np.linalg.norm(out_of_span, ord=2))
     if sigma_drift < 1e-12:

@@ -392,25 +392,18 @@ def fd_gradient_and_laplacian(log_abs_fn, positions, step):
     """
     positions = np.asarray(positions, dtype=np.float64)
     w, n, _ = positions.shape
-    n_shifts = 6 * n + 1
-    stacked = np.broadcast_to(positions, (n_shifts, w, n, 3)).copy()
-    slot = 1
-    for i in range(n):
-        for axis in range(3):
-            stacked[slot, :, i, axis] += step
-            stacked[slot + 1, :, i, axis] -= step
-            slot += 2
-    values = np.asarray(log_abs_fn(stacked.reshape(-1, n, 3))).reshape(n_shifts, w)
+    # row 0 is the base point; rows 2k+1 and 2k+2 shift coordinate k
+    # (electron k // 3, axis k % 3) by +step and -step
+    offsets = step * np.eye(3 * n)
+    shifts = np.zeros((6 * n + 1, 3 * n))
+    shifts[1::2] = offsets
+    shifts[2::2] = -offsets
+    stacked = positions + shifts.reshape(-1, 1, n, 3)
+    values = np.asarray(log_abs_fn(stacked.reshape(-1, n, 3))).reshape(-1, w)
 
     base = values[0]
-    grad = np.empty((w, n, 3))
-    lap = np.zeros(w)
-    slot = 1
-    for i in range(n):
-        for axis in range(3):
-            plus = values[slot]
-            minus = values[slot + 1]
-            grad[:, i, axis] = (plus - minus) / (2.0 * step)
-            lap += (plus - 2.0 * base + minus) / (step * step)
-            slot += 2
+    plus = values[1::2]
+    minus = values[2::2]
+    grad = np.ascontiguousarray(((plus - minus) / (2.0 * step)).T).reshape(w, n, 3)
+    lap = np.sum((plus - 2.0 * base + minus) / (step * step), axis=0)
     return grad, lap

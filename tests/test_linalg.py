@@ -109,14 +109,16 @@ class TestExactSvd:
 
     def test_random_reconstruction(self):
         rng = np.random.default_rng(3)
-        a = rng.standard_normal((6, 4))
-        u, sigma, vt = exact_svd(a)
-        assert u.shape == (6, 4) and sigma.shape == (4,) and vt.shape == (4, 4)
-        assert np.all(np.diff(sigma) <= 0.0) and np.all(sigma >= 0.0)
-        np.testing.assert_allclose(u.T @ u, np.eye(4), atol=1e-12)
-        np.testing.assert_allclose(vt @ vt.T, np.eye(4), atol=1e-12)
-        rel = np.linalg.norm((u * sigma) @ vt - a) / np.linalg.norm(a)
-        assert rel < 1e-12
+        for m, n in ((6, 4), (4, 6)):  # tall, and wide (factored through a.T)
+            a = rng.standard_normal((m, n))
+            k = min(m, n)
+            u, sigma, vt = exact_svd(a)
+            assert u.shape == (m, k) and sigma.shape == (k,) and vt.shape == (k, n)
+            assert np.all(np.diff(sigma) <= 0.0) and np.all(sigma >= 0.0)
+            np.testing.assert_allclose(u.T @ u, np.eye(k), atol=1e-12)
+            np.testing.assert_allclose(vt @ vt.T, np.eye(k), atol=1e-12)
+            rel = np.linalg.norm((u * sigma) @ vt - a) / np.linalg.norm(a)
+            assert rel < 1e-12
 
     @settings(max_examples=30, deadline=None)
     @given(seed=st.integers(0, 10_000), m=st.integers(1, 10), n=st.integers(1, 10))

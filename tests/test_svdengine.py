@@ -6,7 +6,6 @@ import pytest
 from vmcsr.errors import DegenerateInput, RankTooLarge
 from vmcsr.linalg import exact_svd
 from vmcsr.svdengine import (
-    TruncatedSvd,
     exact_truncated_svd,
     randomized_svd,
     ssi_svd,
@@ -43,6 +42,18 @@ class TestSsiSvd:
         assert report.subspace_residual < 1e-12
         assert report.warm_started
         np.testing.assert_allclose(fact.sigma, [4.0, 2.0, 1.0], atol=1e-10)
+
+    def test_rotated_warm_block_is_exact_in_one_iteration(self):
+        """A block spanning the dominant subspace in mixed columns is
+        invariant, so the Rayleigh-Ritz finish separates it at once."""
+        rng = np.random.default_rng(6)
+        sigma = [5.0, 3.0, 2.0, 0.5, 0.25, 0.1]
+        a, u_true, _ = _matrix_with_spectrum(rng, 40, 25, sigma)
+        rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        fact, report = ssi_svd(a, rank=3, max_iters=50, u_init=u_true[:, :3] @ rot)
+        assert report.iterations_used == 1
+        np.testing.assert_allclose(fact.sigma, sigma[:3], atol=1e-12)
+        np.testing.assert_allclose(np.abs(fact.u.T @ u_true[:, :3]), np.eye(3), atol=1e-10)
 
     def test_geometric_spectrum_matches_dense_svd(self):
         rng = np.random.default_rng(20)
@@ -109,6 +120,14 @@ class TestSsiSvd:
         with pytest.raises(RankTooLarge):
             ssi_svd(a, rank=0)
 
+    def test_warm_block_width_bounds(self):
+        a = np.random.default_rng(67).standard_normal((12, 8))
+        fact, _ = ssi_svd(a, rank=2, u_init=np.eye(12)[:, :8])  # oversampled
+        assert fact.rank == 2
+        for width in (1, 9):
+            with pytest.raises(ValueError):
+                ssi_svd(a, rank=2, u_init=np.eye(12)[:, :width])
+
     def test_zero_matrix_rejected(self):
         with pytest.raises(DegenerateInput):
             ssi_svd(np.zeros((6, 4)), rank=2)
@@ -129,12 +148,14 @@ class TestSsiSvd:
         a = rng.standard_normal((144, 2089))
         a[rng.choice(144, size=64, replace=False)] = 0.0
         exact = exact_truncated_svd(a, 144)
+        assert exact.rank == 80
         nonzero = exact.sigma[exact.sigma > 1e-12 * exact.sigma[0]]
         u_init, _ = np.linalg.qr(
             np.concatenate([exact.u[:, :80], rng.standard_normal((144, 64))], axis=1)
         )
         fact, report = ssi_svd(a, rank=144, u_init=u_init)
         assert report.warm_started
+        assert report.iterations_used == 1
         assert fact.rank <= 80
         np.testing.assert_allclose(fact.sigma, nonzero, rtol=1e-8)
 
@@ -191,17 +212,14 @@ class TestSubspaceDrift:
         rng = np.random.default_rng(80)
         a, _, _ = _matrix_with_spectrum(rng, 20, 10, [2.0, 1.0, 0.5])
         fact = exact_truncated_svd(a, 3)
-        assert subspace_drift(fact, fact) == (0.0, 0.0)
+        assert subspace_drift(fact.u, fact.sigma, fact.u, fact.sigma) == (0.0, 0.0)
 
     def test_in_span_rotation_keeps_projector(self):
         rng = np.random.default_rng(81)
         u = _orthonormal(rng, 20, 3)
         sigma = np.array([2.0, 1.5, 1.0])
-        v = _orthonormal(rng, 12, 3).T
         rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        f1 = TruncatedSvd(u=u, sigma=sigma, v=v)
-        f2 = TruncatedSvd(u=u @ rot, sigma=sigma, v=v)
-        sdrift, pdrift = subspace_drift(f1, f2)
+        sdrift, pdrift = subspace_drift(u, sigma, u @ rot, sigma)
         assert sdrift == 0.0
         assert pdrift < 1e-7
 
@@ -210,10 +228,7 @@ class TestSubspaceDrift:
         u1 = _orthonormal(rng, 20, 3)
         u2 = _orthonormal(rng, 20, 3)
         sigma = np.array([3.0, 2.0, 1.0])
-        v = _orthonormal(rng, 15, 3).T
-        f1 = TruncatedSvd(u=u1, sigma=sigma, v=v)
-        f2 = TruncatedSvd(u=u2, sigma=sigma + 0.25, v=v)
-        sdrift, pdrift = subspace_drift(f1, f2)
+        sdrift, pdrift = subspace_drift(u1, sigma, u2, sigma + 0.25)
         brute = np.linalg.norm(u1 @ u1.T - u2 @ u2.T, ord=2)
         np.testing.assert_allclose(pdrift, brute, atol=1e-10)
         np.testing.assert_allclose(sdrift, np.linalg.norm(np.full(3, 0.25)), atol=1e-12)
@@ -221,11 +236,8 @@ class TestSubspaceDrift:
     def test_rank_mismatch_truncates(self):
         rng = np.random.default_rng(83)
         u = _orthonormal(rng, 10, 4)
-        f_big = TruncatedSvd(u=u, sigma=np.array([4.0, 3.0, 2.0, 1.0]),
-                             v=_orthonormal(rng, 8, 4).T)
-        f_small = TruncatedSvd(u=u[:, :2], sigma=np.array([4.0, 3.0]),
-                               v=_orthonormal(rng, 8, 2).T)
-        assert subspace_drift(f_big, f_small) == (0.0, 0.0)
+        sigma = np.array([4.0, 3.0, 2.0, 1.0])
+        assert subspace_drift(u, sigma, u[:, :2], sigma[:2]) == (0.0, 0.0)
 
 
 class TestResidualDiagnostic:

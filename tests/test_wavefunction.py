@@ -369,6 +369,33 @@ class TestCoordinateDerivatives:
         np.testing.assert_allclose(grad[0], expected_grad, atol=1e-6)
         assert lap[0] == pytest.approx(12.0, abs=1e-4)
 
+    def test_fd_provider_matches_per_slot_loop(self):
+        """The sliced stencil is bitwise the literal loop over the 6N + 1
+        shifted copies (slot 2k+1 / 2k+2 moves coordinate k by +/- step)."""
+        system = single_nucleus_system(4, 2, 2)
+        wf = AceWavefunction(system=system, basis=default_basis(system),
+                             correlation_order=2)
+        wf.set_theta(initial_theta(system, wf.basis, wf.feature_index, seed=3))
+        positions = np.random.default_rng(14).normal(size=(7, 4, 3))
+        step = wf.fd_step
+
+        w, n, _ = positions.shape
+        stacked = np.broadcast_to(positions, (6 * n + 1, w, n, 3)).copy()
+        for k in range(3 * n):
+            stacked[2 * k + 1, :, k // 3, k % 3] += step
+            stacked[2 * k + 2, :, k // 3, k % 3] -= step
+        values = wf.log_abs_batch(stacked.reshape(-1, n, 3)).reshape(6 * n + 1, w)
+        expected_grad = np.empty((w, n, 3))
+        expected_lap = np.zeros(w)
+        for k in range(3 * n):
+            plus, minus = values[2 * k + 1], values[2 * k + 2]
+            expected_grad[:, k // 3, k % 3] = (plus - minus) / (2.0 * step)
+            expected_lap += (plus - 2.0 * values[0] + minus) / (step * step)
+
+        grad, lap = fd_gradient_and_laplacian(wf.log_abs_batch, positions, step)
+        np.testing.assert_array_equal(grad, expected_grad)
+        np.testing.assert_array_equal(lap, expected_lap)
+
 
 class TestInitialTheta:
     def test_zero_noise_gives_bare_product_state(self):
