@@ -9,15 +9,13 @@ import sys
 
 from .checkpoint import read_checkpoint
 from .config import apply_overrides, parse_config, render_key_help
-from .errors import ConfigError, CorruptChecksum, VersionMismatch
+from .errors import ConfigError, InputError
 from .runner import run
 from .system import preset_names, preset_system
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-
-_INPUT_ERRORS = (ConfigError, CorruptChecksum, VersionMismatch)
 
 
 def build_parser():
@@ -121,7 +119,7 @@ def main(argv=None):
         if args.command == "inspect":
             return _cmd_inspect(args)
         return _cmd_presets(args)
-    except _INPUT_ERRORS as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

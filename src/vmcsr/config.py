@@ -1,7 +1,10 @@
 """INI run configuration: schema, parsing, and domain-object builders.
 
 Every key lives in the schema table below with its default and help
-text, which is also what the command line prints under --help. Unknown
+text, which is also what the command line prints under --help. The
+update-rule sections ([sr], [minsr], [spring], [wssr]) are the fields
+of the options classes in optimizers.py, which own their defaults and
+range checks; the schema reads those defaults from them. Unknown
 sections or keys fail fast with ConfigError, as do values outside their
 documented ranges, so a run never starts on a half-understood config.
 """
@@ -14,21 +17,18 @@ import numpy as np
 
 from .errors import ConfigError
 from .optimizers import (
-    DEFAULT_AVERAGING_WEIGHT,
-    DEFAULT_LEARNING_RATE,
-    DEFAULT_MOMENTUM,
-    DEFAULT_RANK_CUTOFF,
-    DEFAULT_RANK_GROWTH,
-    DEFAULT_RANK_INIT,
-    DEFAULT_RATE_DECAY,
-    DEFAULT_SIGMA_FLOOR,
-    DEFAULT_SSI_MAX_ITERS,
-    DEFAULT_TIKHONOV_EPS,
     SR_REG_MODES,
     SVD_BACKENDS,
+    LearningRateSchedule,
+    MinsrOptions,
+    SpringOptions,
+    SrOptions,
+    WssrOptions,
 )
+from .sampler import DEFAULT_BURN_IN, DEFAULT_PROPOSAL_STD, DEFAULT_THINNING, DEFAULT_WALKERS
 from .system import MolecularSystem, preset_names, preset_system
 from .wavefunction import (
+    DEFAULT_FD_STEP,
     AceWavefunction,
     OneBodyBasisSpec,
     SlaterOrbital,
@@ -38,6 +38,34 @@ from .wavefunction import (
 
 OPTIMIZER_NAMES = ("sgd", "sr", "minsr", "spring", "wssr", "rssr")
 SPIN_LABELS = ("up", "down", "either")
+
+# The sections that configure one update rule, each parsed into its
+# options class; the keys are the class's fields.
+OPTION_SECTIONS = {
+    "sr": SrOptions,
+    "minsr": MinsrOptions,
+    "spring": SpringOptions,
+    "wssr": WssrOptions,
+}
+_DEFAULT_SCHEDULE = LearningRateSchedule()
+
+
+def _shown(value):
+    """A default as the schema writes it: 'false', '1e-6', '1000'."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return format(value, "g").replace("e-0", "e-")
+    return str(value)
+
+
+def _option_keys(section, docs):
+    """Schema rows of an option section: its fields with their defaults."""
+    return {
+        f.name: (_shown(f.default), docs[f.name])
+        for f in dataclasses.fields(OPTION_SECTIONS[section])
+    }
+
 
 # section -> key -> (default string, help text). "" means optional/unset.
 CONFIG_SCHEMA = {
@@ -53,46 +81,46 @@ CONFIG_SCHEMA = {
         "degree_cap": ("", "optional cap on a feature tuple's summed polynomial degree"),
         "jastrow": ("true", "multiply by the electron-electron cusp factor"),
         "init_noise": ("0.01", "Gaussian spread around the product-state start"),
-        "fd_step": ("0.0001", "finite-difference step for kinetic derivatives"),
+        "fd_step": (_shown(DEFAULT_FD_STEP), "finite-difference step for kinetic derivatives"),
         "radial_powers": ("0, 1", "default basis: radial monomial powers"),
         "ell_max": ("1", "default basis: highest angular momentum (0 = s only)"),
         "basis": ("", "explicit rows 'center n ell m zeta spin', ';'-separated; replaces the default basis"),
     },
     "sampler": {
-        "walkers": ("2048", "parallel Metropolis walkers"),
-        "burn_in": ("1000", "equilibration steps before the first batch"),
-        "thinning": ("10", "Metropolis steps between collected samples"),
-        "proposal_std": ("0.5", "initial Gaussian proposal spread (Bohr)"),
+        "walkers": (_shown(DEFAULT_WALKERS), "parallel Metropolis walkers"),
+        "burn_in": (_shown(DEFAULT_BURN_IN), "equilibration steps before the first batch"),
+        "thinning": (_shown(DEFAULT_THINNING), "Metropolis steps between collected samples"),
+        "proposal_std": (_shown(DEFAULT_PROPOSAL_STD), "initial Gaussian proposal spread (Bohr)"),
         "samples_per_step": ("", "batch size per optimizer step (empty = walker count)"),
     },
     "optimizer": {
         "name": ("wssr", "one of " + ", ".join(OPTIMIZER_NAMES)),
-        "alpha": ("0.015", "learning-rate numerator"),
-        "beta": ("1000", "learning-rate decay constant, in steps"),
+        "alpha": (_shown(_DEFAULT_SCHEDULE.alpha), "learning-rate numerator"),
+        "beta": (_shown(_DEFAULT_SCHEDULE.beta), "learning-rate decay constant, in steps"),
         "clip_n_std": ("5", "local-energy clip width in population stds; 'inf' disables"),
     },
-    "sr": {
-        "reg_mode": ("diagonal_shift", "one of " + ", ".join(SR_REG_MODES)),
-        "reg_eps": ("0.001", "regularization strength / pseudo-inverse cutoff"),
-    },
-    "minsr": {
-        "tikhonov_eps": ("0.001", "shift on the sample-side Gram matrix (0 = pseudo-solve)"),
-    },
-    "spring": {
-        "mu": ("0.99", "momentum weight on the previous update"),
-        "tikhonov_eps": ("0.001", "shift on the regularized Gram matrix"),
-    },
-    "wssr": {
-        "delta": ("0.95", "weight of the averaged history vs the fresh batch"),
-        "sigma_floor": ("0.001", "preconditioner floor outside the kept subspace"),
-        "sigma_floor_relative": ("false", "scale the floor by the top squared singular value"),
-        "r_reg": ("1e-6", "relative squared-singular-value cutoff for the kept rank"),
-        "eps_grow": ("0.1", "rank budget growth factor when the cutoff binds"),
-        "rank_init": ("400", "initial rank budget"),
-        "ssi_max_iters": ("3", "subspace-iteration cap per step"),
-        "ssi_residual_tol": ("1e-10", "relative residual for early subspace-iteration exit"),
-        "svd_backend": ("ssi", "one of " + ", ".join(SVD_BACKENDS) + " (rssr forces randomized)"),
-    },
+    "sr": _option_keys("sr", {
+        "reg_mode": "one of " + ", ".join(SR_REG_MODES),
+        "reg_eps": "regularization strength / pseudo-inverse cutoff",
+    }),
+    "minsr": _option_keys("minsr", {
+        "tikhonov_eps": "shift on the sample-side Gram matrix (0 = pseudo-solve)",
+    }),
+    "spring": _option_keys("spring", {
+        "mu": "momentum weight on the previous update",
+        "tikhonov_eps": "shift on the regularized Gram matrix",
+    }),
+    "wssr": _option_keys("wssr", {
+        "delta": "weight of the averaged history vs the fresh batch",
+        "sigma_floor": "preconditioner floor outside the kept subspace",
+        "sigma_floor_relative": "scale the floor by the top squared singular value",
+        "r_reg": "relative squared-singular-value cutoff for the kept rank",
+        "eps_grow": "rank budget growth factor when the cutoff binds",
+        "rank_init": "initial rank budget",
+        "ssi_max_iters": "subspace-iteration cap per step",
+        "ssi_residual_tol": "relative residual for early subspace-iteration exit",
+        "svd_backend": "one of " + ", ".join(SVD_BACKENDS) + " (rssr forces randomized)",
+    }),
     "run": {
         "steps": ("2000", "optimizer steps"),
         "seed": ("0", "master seed for walkers, parameter init, and sketches"),
@@ -101,18 +129,6 @@ CONFIG_SCHEMA = {
         "checkpoint_every": ("0", "periodic checkpoint interval in steps (0 = final only)"),
     },
 }
-
-assert CONFIG_SCHEMA["sampler"]["walkers"][0] == "2048"
-assert float(CONFIG_SCHEMA["optimizer"]["alpha"][0]) == DEFAULT_LEARNING_RATE
-assert float(CONFIG_SCHEMA["optimizer"]["beta"][0]) == DEFAULT_RATE_DECAY
-assert float(CONFIG_SCHEMA["spring"]["mu"][0]) == DEFAULT_MOMENTUM
-assert float(CONFIG_SCHEMA["minsr"]["tikhonov_eps"][0]) == DEFAULT_TIKHONOV_EPS
-assert float(CONFIG_SCHEMA["wssr"]["delta"][0]) == DEFAULT_AVERAGING_WEIGHT
-assert float(CONFIG_SCHEMA["wssr"]["sigma_floor"][0]) == DEFAULT_SIGMA_FLOOR
-assert float(CONFIG_SCHEMA["wssr"]["r_reg"][0]) == DEFAULT_RANK_CUTOFF
-assert float(CONFIG_SCHEMA["wssr"]["eps_grow"][0]) == DEFAULT_RANK_GROWTH
-assert int(CONFIG_SCHEMA["wssr"]["rank_init"][0]) == DEFAULT_RANK_INIT
-assert int(CONFIG_SCHEMA["wssr"]["ssi_max_iters"][0]) == DEFAULT_SSI_MAX_ITERS
 
 
 @dataclass(frozen=True)
@@ -146,42 +162,12 @@ class SamplerConfig:
 
 
 @dataclass(frozen=True)
-class FullSrOptions:
-    reg_mode: str
-    reg_eps: float
-
-
-@dataclass(frozen=True)
-class MinsrOptions:
-    tikhonov_eps: float
-
-
-@dataclass(frozen=True)
-class SpringOptions:
-    mu: float
-    tikhonov_eps: float
-
-
-@dataclass(frozen=True)
-class WssrOptions:
-    delta: float
-    sigma_floor: float
-    sigma_floor_relative: bool
-    r_reg: float
-    eps_grow: float
-    rank_init: int
-    ssi_max_iters: int
-    ssi_residual_tol: float
-    svd_backend: str
-
-
-@dataclass(frozen=True)
 class OptimizerConfig:
     name: str
     alpha: float
     beta: float
     clip_n_std: float
-    sr: FullSrOptions
+    sr: SrOptions
     minsr: MinsrOptions
     spring: SpringOptions
     wssr: WssrOptions
@@ -233,21 +219,18 @@ class _Section:
             return None
         return self.get_int(key, minimum)
 
-    def get_float(self, key, minimum=None, exclusive=False, below_one=False):
+    def get_float(self, key, minimum=None, exclusive=False):
         text = self.raw(key)
         try:
             value = float(text)
         except ValueError:
             self._fail(key, f"expected a number, got {text!r}")
-        if value != value:
-            self._fail(key, "must not be NaN")
+        # Written so that NaN fails the range check.
         if minimum is not None:
             if exclusive and not value > minimum:
                 self._fail(key, f"must be > {minimum}, got {value}")
-            if not exclusive and value < minimum:
+            if not exclusive and not value >= minimum:
                 self._fail(key, f"must be >= {minimum}, got {value}")
-        if below_one and not value < 1.0:
-            self._fail(key, f"must be < 1, got {value}")
         return value
 
     def get_bool(self, key):
@@ -258,11 +241,19 @@ class _Section:
             return False
         self._fail(key, f"expected a boolean, got {self.raw(key)!r}")
 
-    def get_choice(self, key, choices):
-        value = self.raw(key)
-        if value not in choices:
-            self._fail(key, f"unknown value {value!r}; valid choices: " + ", ".join(choices))
-        return value
+    def build(self, cls):
+        """cls from the keys this section sets; the other fields keep
+        their defaults, and cls.__post_init__ checks every range."""
+        read = {float: self.get_float, int: self.get_int, bool: self.get_bool, str: self.raw}
+        given = {
+            f.name: read[f.type](f.name)
+            for f in dataclasses.fields(cls)
+            if f.name in self.values
+        }
+        try:
+            return cls(**given)
+        except ValueError as exc:
+            raise ConfigError(f"[{self.name}] {exc}") from exc
 
 
 def _split_rows(text):
@@ -369,34 +360,13 @@ def _parse_optimizer(sections):
         raise ConfigError(
             f"unknown optimizer {name!r}; valid optimizers: " + ", ".join(OPTIMIZER_NAMES)
         )
-    wssr = sections["wssr"]
+    schedule = opt.build(LearningRateSchedule)
     return OptimizerConfig(
         name=name,
-        alpha=opt.get_float("alpha", 0.0, exclusive=True),
-        beta=opt.get_float("beta", 0.0, exclusive=True),
+        alpha=schedule.alpha,
+        beta=schedule.beta,
         clip_n_std=opt.get_float("clip_n_std", 0.0, exclusive=True),
-        sr=FullSrOptions(
-            reg_mode=sections["sr"].get_choice("reg_mode", SR_REG_MODES),
-            reg_eps=sections["sr"].get_float("reg_eps", 0.0),
-        ),
-        minsr=MinsrOptions(
-            tikhonov_eps=sections["minsr"].get_float("tikhonov_eps", 0.0),
-        ),
-        spring=SpringOptions(
-            mu=sections["spring"].get_float("mu", 0.0, below_one=True),
-            tikhonov_eps=sections["spring"].get_float("tikhonov_eps", 0.0),
-        ),
-        wssr=WssrOptions(
-            delta=wssr.get_float("delta", 0.0, below_one=True),
-            sigma_floor=wssr.get_float("sigma_floor", 0.0, exclusive=True),
-            sigma_floor_relative=wssr.get_bool("sigma_floor_relative"),
-            r_reg=wssr.get_float("r_reg", 0.0, exclusive=True, below_one=True),
-            eps_grow=wssr.get_float("eps_grow", 0.0),
-            rank_init=wssr.get_int("rank_init", 1),
-            ssi_max_iters=wssr.get_int("ssi_max_iters", 1),
-            ssi_residual_tol=wssr.get_float("ssi_residual_tol", 0.0, exclusive=True),
-            svd_backend=wssr.get_choice("svd_backend", SVD_BACKENDS),
-        ),
+        **{section: sections[section].build(cls) for section, cls in OPTION_SECTIONS.items()},
     )
 
 

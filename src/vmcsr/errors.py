@@ -1,31 +1,44 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every error is either a numerical failure, which aborts a run with exit
+code 3 after keeping the last good checkpoint, or an input error (bad
+configuration or checkpoint), which exits with code 2.
+"""
 
 
 class VmcError(Exception):
     """Base class for package-specific errors."""
 
 
-class ZeroMatrix(VmcError):
+class NumericalError(VmcError):
+    """A computation failed on the data it was given (exit 3)."""
+
+
+class InputError(VmcError):
+    """A configuration or checkpoint the program cannot use (exit 2)."""
+
+
+class ZeroMatrix(NumericalError):
     """Matrix is numerically zero where a nonzero one is required."""
 
 
-class RankTooLarge(VmcError):
+class RankTooLarge(NumericalError):
     """Requested rank exceeds what the matrix dimensions admit."""
 
 
-class DegenerateInput(VmcError):
+class DegenerateInput(NumericalError):
     """Matrix carries no signal to factorize (zero Frobenius norm)."""
 
 
-class NotPositiveDefinite(VmcError):
+class NotPositiveDefinite(NumericalError):
     """Symmetric factorization hit a nonpositive pivot."""
 
 
-class SingularMatrix(VmcError):
+class SingularMatrix(NumericalError):
     """Regularized system is singular to working precision."""
 
 
-class RankCollapse(VmcError):
+class RankCollapse(NumericalError):
     """Effective rank fell to zero.
 
     Unreachable under the relative-spectrum rank rule (the leading mode
@@ -34,29 +47,29 @@ class RankCollapse(VmcError):
     """
 
 
-class CoalescencePoint(VmcError):
+class CoalescencePoint(NumericalError):
     """Two charged particles are closer than the coalescence guard."""
 
 
-class NodeProximity(VmcError):
+class NodeProximity(NumericalError):
     """Log-amplitude underflowed; derivatives are unreliable near a node."""
 
 
-class DegenerateBatch(VmcError):
+class DegenerateBatch(NumericalError):
     """Sample batch too small to center."""
 
 
-class NumericalAbort(VmcError):
+class NumericalAbort(NumericalError):
     """Non-finite quantity reached the optimization loop."""
 
 
-class ConfigError(VmcError):
+class ConfigError(InputError):
     """Malformed, unknown, or inconsistent run-configuration content."""
 
 
-class VersionMismatch(VmcError):
+class VersionMismatch(InputError):
     """Checkpoint written by an incompatible format version."""
 
 
-class CorruptChecksum(VmcError):
+class CorruptChecksum(InputError):
     """Checkpoint payload does not match its checksum."""

@@ -10,7 +10,7 @@ and applies the inverse through two projections.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,16 +25,6 @@ from .svdengine import (
     subspace_drift,
 )
 
-DEFAULT_LEARNING_RATE = 0.015
-DEFAULT_RATE_DECAY = 1000.0
-DEFAULT_TIKHONOV_EPS = 1e-3
-DEFAULT_MOMENTUM = 0.99
-DEFAULT_AVERAGING_WEIGHT = 0.95
-DEFAULT_SIGMA_FLOOR = 1e-3
-DEFAULT_RANK_CUTOFF = 1e-6
-DEFAULT_RANK_GROWTH = 0.1
-DEFAULT_RANK_INIT = 400
-DEFAULT_SSI_MAX_ITERS = 3
 SR_REG_MODES = ("diagonal_shift", "diagonal_scale", "pseudo_inverse")
 SVD_BACKENDS = ("ssi", "randomized", "exact")
 
@@ -43,21 +33,95 @@ SVD_BACKENDS = ("ssi", "randomized", "exact")
 PSEUDO_SOLVE_RTOL = 1e-12
 
 
+def _require(options, name, ok, rule):
+    """Raise ValueError naming the field unless ok. Every check is written
+    so that NaN fails it (a comparison with NaN is False)."""
+    if not ok:
+        raise ValueError(f"{name}: must {rule}, got {getattr(options, name)!r}")
+
+
 @dataclass(frozen=True)
 class LearningRateSchedule:
     """Hyperbolic decay: rate(k) = alpha / (1 + k / beta)."""
 
-    alpha: float = DEFAULT_LEARNING_RATE
-    beta: float = DEFAULT_RATE_DECAY
+    alpha: float = 0.015
+    beta: float = 1000.0
 
     def __post_init__(self):
-        if not (self.alpha > 0.0 and self.beta > 0.0):
-            raise ValueError("schedule constants must be positive")
+        _require(self, "alpha", self.alpha > 0.0, "be > 0")
+        _require(self, "beta", self.beta > 0.0, "be > 0")
 
     def eta(self, step):
         if step < 0:
             raise ValueError("step index must be nonnegative")
         return self.alpha / (1.0 + step / self.beta)
+
+
+# Hyperparameters of each update rule, one frozen dataclass per method.
+# A field default is the only place that default is written and
+# __post_init__ the only place its range is checked; the configuration
+# layer builds these from their fields.
+
+
+@dataclass(frozen=True)
+class SrOptions:
+    """Settings of full_sr_update ([sr])."""
+
+    reg_mode: str = "diagonal_shift"
+    reg_eps: float = 1e-3
+
+    def __post_init__(self):
+        _require(self, "reg_mode", self.reg_mode in SR_REG_MODES,
+                 "be one of " + ", ".join(SR_REG_MODES))
+        _require(self, "reg_eps", self.reg_eps >= 0.0, "be >= 0")
+
+
+@dataclass(frozen=True)
+class MinsrOptions:
+    """Settings of minsr_update ([minsr])."""
+
+    tikhonov_eps: float = 1e-3
+
+    def __post_init__(self):
+        _require(self, "tikhonov_eps", self.tikhonov_eps >= 0.0, "be >= 0")
+
+
+@dataclass(frozen=True)
+class SpringOptions:
+    """Settings of spring_update ([spring])."""
+
+    mu: float = 0.99
+    tikhonov_eps: float = 1e-3
+
+    def __post_init__(self):
+        _require(self, "mu", 0.0 <= self.mu < 1.0, "lie in [0, 1)")
+        _require(self, "tikhonov_eps", self.tikhonov_eps >= 0.0, "be >= 0")
+
+
+@dataclass(frozen=True)
+class WssrOptions:
+    """Settings of wssr_step ([wssr]; rssr is svd_backend = randomized)."""
+
+    delta: float = 0.95
+    sigma_floor: float = 1e-3
+    sigma_floor_relative: bool = False
+    r_reg: float = 1e-6
+    eps_grow: float = 0.1
+    rank_init: int = 400
+    ssi_max_iters: int = 3
+    ssi_residual_tol: float = 1e-10
+    svd_backend: str = "ssi"
+
+    def __post_init__(self):
+        _require(self, "delta", 0.0 <= self.delta < 1.0, "lie in [0, 1)")
+        _require(self, "sigma_floor", self.sigma_floor > 0.0, "be > 0")
+        _require(self, "r_reg", 0.0 < self.r_reg < 1.0, "lie in (0, 1)")
+        _require(self, "eps_grow", self.eps_grow >= 0.0, "be >= 0")
+        _require(self, "rank_init", self.rank_init >= 1, "be >= 1")
+        _require(self, "ssi_max_iters", self.ssi_max_iters >= 1, "be >= 1")
+        _require(self, "ssi_residual_tol", self.ssi_residual_tol > 0.0, "be > 0")
+        _require(self, "svd_backend", self.svd_backend in SVD_BACKENDS,
+                 "be one of " + ", ".join(SVD_BACKENDS))
 
 
 def sgd_update(theta, bundle, eta):
@@ -77,22 +141,19 @@ def _pseudo_inverse_apply(matrix, rhs, rel_tol):
     return eigvecs @ (inv * (eigvecs.T @ rhs))
 
 
-def full_sr_update(theta, bundle, eta, reg_mode="diagonal_shift",
-                   reg_eps=DEFAULT_TIKHONOV_EPS):
+def full_sr_update(theta, bundle, eta, options=SrOptions()):
     """Covariance-preconditioned step on the parameter-square matrix.
 
     Reference path for small parameter counts: forms S explicitly and
-    solves S_reg x = gradient.  reg_mode picks the regularization:
+    solves S_reg x = gradient.  options.reg_mode picks the regularization:
     'diagonal_shift' adds reg_eps * I, 'diagonal_scale' multiplies the
     diagonal by (1 + reg_eps), 'pseudo_inverse' inverts only eigenvalues
     at least reg_eps * |lam_max| in magnitude and zeroes the rest.
 
     Raises:
       SingularMatrix: a diagonal-mode factorization failed.
-      ValueError: unknown reg_mode.
     """
-    if reg_mode not in SR_REG_MODES:
-        raise ValueError(f"reg_mode must be one of {SR_REG_MODES}, got {reg_mode!r}")
+    reg_mode, reg_eps = options.reg_mode, options.reg_eps
     theta = np.asarray(theta, dtype=np.float64)
     s = s_matrix(bundle)
     g = bundle.gradient
@@ -123,7 +184,7 @@ def _dual_solve(t, shift, rhs):
     return _pseudo_inverse_apply(t, rhs, PSEUDO_SOLVE_RTOL)
 
 
-def minsr_update(theta, bundle, eta, tikhonov_eps=DEFAULT_TIKHONOV_EPS):
+def minsr_update(theta, bundle, eta, options=MinsrOptions()):
     """Dual-form preconditioned step: 2 O (T + eps I)^-1 L.
 
     Solves in the batch dimension instead of the parameter dimension;
@@ -133,35 +194,19 @@ def minsr_update(theta, bundle, eta, tikhonov_eps=DEFAULT_TIKHONOV_EPS):
     Raises:
       NotPositiveDefinite: the shifted dual factorization failed.
     """
-    if tikhonov_eps < 0.0:
-        raise ValueError("tikhonov_eps must be nonnegative")
     theta = np.asarray(theta, dtype=np.float64)
-    x = _dual_solve(t_matrix(bundle), tikhonov_eps, bundle.l_vector)
+    x = _dual_solve(t_matrix(bundle), options.tikhonov_eps, bundle.l_vector)
     return theta - eta * 2.0 * (bundle.o_matrix @ x)
 
 
 @dataclass(frozen=True)
 class SpringState:
-    """Carry-over for the momentum-corrected dual update."""
+    """Carry-over for the momentum-corrected dual update (zeros at first)."""
 
     prev_update: np.ndarray
-    mu: float = DEFAULT_MOMENTUM
-    tikhonov_eps: float = DEFAULT_TIKHONOV_EPS
-
-    def __post_init__(self):
-        if not 0.0 <= self.mu < 1.0:
-            raise ValueError("momentum decay must lie in [0, 1)")
-        if self.tikhonov_eps < 0.0:
-            raise ValueError("tikhonov_eps must be nonnegative")
-
-    @classmethod
-    def initial(cls, n_params, mu=DEFAULT_MOMENTUM,
-                tikhonov_eps=DEFAULT_TIKHONOV_EPS):
-        return cls(prev_update=np.zeros(n_params), mu=mu,
-                   tikhonov_eps=tikhonov_eps)
 
 
-def spring_update(theta, bundle, eta, state):
+def spring_update(theta, bundle, eta, state, options=SpringOptions()):
     """Dual step with the previous update recycled as momentum.
 
     The residual target removes the part of the momentum already
@@ -177,12 +222,13 @@ def spring_update(theta, bundle, eta, state):
     theta = np.asarray(theta, dtype=np.float64)
     o = bundle.o_matrix
     n = bundle.batch_size
-    ltilde = bundle.l_vector - state.mu * (o.T @ state.prev_update)
+    mu = options.mu
+    ltilde = bundle.l_vector - mu * (o.T @ state.prev_update)
     t_reg = t_matrix(bundle) + np.full((n, n), 1.0 / n)
-    x = _dual_solve(t_reg, state.tikhonov_eps, ltilde)
+    x = _dual_solve(t_reg, options.tikhonov_eps, ltilde)
     phi = -eta * 2.0 * (o @ x)
-    delta = phi + state.mu * state.prev_update
-    return theta + delta, replace(state, prev_update=delta)
+    delta = phi + mu * state.prev_update
+    return theta + delta, SpringState(prev_update=delta)
 
 
 @dataclass(frozen=True)
@@ -200,11 +246,6 @@ class WssrState:
     lbar: np.ndarray
     u_prev: np.ndarray
     r_max: int
-    delta: float = DEFAULT_AVERAGING_WEIGHT
-    sigma_floor: float = DEFAULT_SIGMA_FLOOR
-    sigma_floor_relative: bool = False
-    r_reg: float = DEFAULT_RANK_CUTOFF
-    eps_grow: float = DEFAULT_RANK_GROWTH
     step: int = 0
 
     def __post_init__(self):
@@ -214,36 +255,14 @@ class WssrState:
             raise ValueError("history rank mismatch between obar and lbar")
         if self.r_max < 1:
             raise ValueError("r_max must be at least 1")
-        if not 0.0 <= self.delta < 1.0:
-            raise ValueError("averaging weight must lie in [0, 1)")
-        if self.sigma_floor <= 0.0:
-            raise ValueError("sigma_floor must be positive")
-        if not 0.0 < self.r_reg < 1.0:
-            raise ValueError("rank cutoff must lie in (0, 1)")
-        if self.eps_grow < 0.0:
-            raise ValueError("rank growth factor must be nonnegative")
-
-    @property
-    def history_rank(self):
-        return self.obar.shape[1]
 
     @classmethod
-    def initial(cls, n_params, rank_init=DEFAULT_RANK_INIT,
-                delta=DEFAULT_AVERAGING_WEIGHT,
-                sigma_floor=DEFAULT_SIGMA_FLOOR,
-                sigma_floor_relative=False,
-                r_reg=DEFAULT_RANK_CUTOFF,
-                eps_grow=DEFAULT_RANK_GROWTH):
+    def initial(cls, n_params, rank_init):
         return cls(
             obar=np.zeros((n_params, 0)),
             lbar=np.zeros(0),
             u_prev=np.zeros((n_params, 0)),
             r_max=int(rank_init),
-            delta=delta,
-            sigma_floor=sigma_floor,
-            sigma_floor_relative=sigma_floor_relative,
-            r_reg=r_reg,
-            eps_grow=eps_grow,
         )
 
 
@@ -277,9 +296,7 @@ def _prepare_warm_start(u_prev, requested, n_rows, seed):
     return q
 
 
-def wssr_step(theta, bundle, eta, state, svd_backend="ssi",
-              ssi_max_iters=DEFAULT_SSI_MAX_ITERS, ssi_residual_tol=1e-10,
-              rng_seed=0):
+def wssr_step(theta, bundle, eta, state, options=WssrOptions(), rng_seed=0):
     """One step of the warm-started low-rank preconditioned descent.
 
     The current batch columns are appended to the carried history with
@@ -294,20 +311,18 @@ def wssr_step(theta, bundle, eta, state, svd_backend="ssi",
 
     with gbar built from the stacked matrices before truncation.  The
     working rank grows by eps_grow for the next step whenever the cut
-    was binding at r_max (never beyond the parameter count).
+    was binding at r_max (never beyond the parameter count).  delta,
+    r_reg, sigma_floor, eps_grow and the backend come from options.
 
     Returns:
       (theta', state', WssrDiagnostics).
     """
-    if svd_backend not in SVD_BACKENDS:
-        raise ValueError(
-            f"svd_backend must be one of {SVD_BACKENDS}, got {svd_backend!r}"
-        )
+    svd_backend = options.svd_backend
     theta = np.asarray(theta, dtype=np.float64)
     o = bundle.o_matrix
     m = o.shape[0]
-    sq_old = math.sqrt(state.delta)
-    sq_new = math.sqrt(1.0 - state.delta)
+    sq_old = math.sqrt(options.delta)
+    sq_new = math.sqrt(1.0 - options.delta)
     ohat = np.concatenate([sq_old * state.obar, sq_new * o], axis=1)
     lhat = np.concatenate([sq_old * state.lbar, sq_new * bundle.l_vector])
 
@@ -329,25 +344,25 @@ def wssr_step(theta, bundle, eta, state, svd_backend="ssi",
             state.u_prev, requested, m, _per_step_seed(rng_seed, state.step)
         )
         factors, report = ssi_svd(
-            ohat, requested, max_iters=ssi_max_iters, u_init=u_init,
-            residual_tol=ssi_residual_tol,
+            ohat, requested, max_iters=options.ssi_max_iters, u_init=u_init,
+            residual_tol=options.ssi_residual_tol,
         )
 
     top_sq = factors.sigma[0] ** 2
-    r_eff = int(np.count_nonzero(factors.sigma**2 >= state.r_reg * top_sq))
+    r_eff = int(np.count_nonzero(factors.sigma**2 >= options.r_reg * top_sq))
     if r_eff < 1:
         raise RankCollapse("no singular value passed the relative cutoff")
     binding = factors.rank == requested == state.r_max and r_eff == state.r_max
     next_r_max = state.r_max
     if binding:
-        next_r_max = min(math.ceil((1.0 + state.eps_grow) * state.r_max), m)
+        next_r_max = min(math.ceil((1.0 + options.eps_grow) * state.r_max), m)
 
     u = factors.u[:, :r_eff]
     sigma = factors.sigma[:r_eff]
     gbar = ohat @ lhat
 
     coeffs = u.T @ gbar
-    floor = state.sigma_floor * (top_sq if state.sigma_floor_relative else 1.0)
+    floor = options.sigma_floor * (top_sq if options.sigma_floor_relative else 1.0)
     update = u @ (coeffs / sigma**2) + (gbar - u @ coeffs) / floor
     theta_next = theta - eta * update
 
@@ -355,8 +370,7 @@ def wssr_step(theta, bundle, eta, state, svd_backend="ssi",
         state.u_prev, np.linalg.norm(state.obar, axis=0), u, sigma
     )
 
-    state_next = replace(
-        state,
+    state_next = WssrState(
         obar=u * sigma,
         lbar=factors.v[:r_eff, :] @ lhat,
         u_prev=u,

@@ -15,19 +15,7 @@ import time
 import numpy as np
 
 from . import checkpoint as ckpt
-from .errors import (
-    CoalescencePoint,
-    ConfigError,
-    DegenerateBatch,
-    DegenerateInput,
-    NodeProximity,
-    NotPositiveDefinite,
-    NumericalAbort,
-    RankCollapse,
-    RankTooLarge,
-    SingularMatrix,
-    ZeroMatrix,
-)
+from .errors import ConfigError, NumericalAbort, NumericalError
 from .config import build_system, build_wavefunction
 from .estimators import assemble
 from .optimizers import (
@@ -45,21 +33,6 @@ from .trace import TraceRecord, TraceWriter, read_trace, rewrite_trace, smooth_t
 
 TRACE_FILENAME = "trace.csv"
 CHECKPOINT_FILENAME = "checkpoint.bin"
-
-# Numerical failures that abort a run (exit 3); config problems are not
-# in this set and keep raising ConfigError (exit 2).
-ABORT_ERRORS = (
-    NumericalAbort,
-    NodeProximity,
-    CoalescencePoint,
-    DegenerateBatch,
-    DegenerateInput,
-    RankCollapse,
-    RankTooLarge,
-    SingularMatrix,
-    NotPositiveDefinite,
-    ZeroMatrix,
-)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -81,7 +54,8 @@ def _optimizer(opt, n_params):
     eta, state, seed) returns (theta', state', wssr diagnostics or None).
     The rules are looked up in this module's globals at call time, so a
     replacement of one of those names (a tracer, a test spy) sees every
-    call. Stateless rules have neither state nor prefix.
+    call. Stateless rules have neither state nor prefix. Each rule gets
+    its options object as configured; rssr is wssr with the sketch backend.
     """
     name = opt.name
     if name == "sgd":
@@ -89,29 +63,20 @@ def _optimizer(opt, n_params):
             sgd_update(theta, bundle, eta), None, None)
     if name == "sr":
         return None, None, lambda theta, bundle, eta, state, seed: (
-            full_sr_update(theta, bundle, eta, reg_mode=opt.sr.reg_mode,
-                           reg_eps=opt.sr.reg_eps), None, None)
+            full_sr_update(theta, bundle, eta, opt.sr), None, None)
     if name == "minsr":
         return None, None, lambda theta, bundle, eta, state, seed: (
-            minsr_update(theta, bundle, eta, tikhonov_eps=opt.minsr.tikhonov_eps),
-            None, None)
+            minsr_update(theta, bundle, eta, opt.minsr), None, None)
     if name == "spring":
-        initial = SpringState.initial(n_params, mu=opt.spring.mu,
-                                      tikhonov_eps=opt.spring.tikhonov_eps)
+        initial = SpringState(prev_update=np.zeros(n_params))
         return initial, "spring", lambda theta, bundle, eta, state, seed: (
-            *spring_update(theta, bundle, eta, state), None)
-    w = opt.wssr
-    initial = WssrState.initial(
-        n_params, rank_init=w.rank_init, delta=w.delta, sigma_floor=w.sigma_floor,
-        sigma_floor_relative=w.sigma_floor_relative, r_reg=w.r_reg,
-        eps_grow=w.eps_grow,
-    )
-    backend = "randomized" if name == "rssr" else w.svd_backend
+            *spring_update(theta, bundle, eta, state, opt.spring), None)
+    options = opt.wssr
+    if name == "rssr":
+        options = dataclasses.replace(options, svd_backend="randomized")
+    initial = WssrState.initial(n_params, options.rank_init)
     return initial, "wssr", lambda theta, bundle, eta, state, seed: wssr_step(
-        theta, bundle, eta, state, svd_backend=backend,
-        ssi_max_iters=w.ssi_max_iters, ssi_residual_tol=w.ssi_residual_tol,
-        rng_seed=seed,
-    )
+        theta, bundle, eta, state, options, rng_seed=seed)
 
 
 def _snapshot(path, step, config, seed, theta, ensemble, opt_state, prefix):
@@ -149,9 +114,13 @@ def _restore(resume_path, config, system, wavefunction, initial_state, prefix):
     """Rebuild (step, theta, ensemble, opt_state, seed) from a snapshot.
 
     The optimizer state has the class of initial_state; its fields are
-    read back from the section _snapshot wrote under prefix.
+    read back from the section _snapshot wrote under prefix, which must
+    hold exactly those fields. Hyperparameters always come from config.
     """
-    scalars, arrays, rng_states = ckpt.read_checkpoint(resume_path)
+    try:
+        scalars, arrays, rng_states = ckpt.read_checkpoint(resume_path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read checkpoint {resume_path}: {exc}") from exc
     name = scalars["optimizer"]
     if name != config.optimizer.name:
         raise ConfigError(
@@ -187,13 +156,20 @@ def _restore(resume_path, config, system, wavefunction, initial_state, prefix):
 
     opt_state = None
     if initial_state is not None:
-        section = scalars[prefix]
-        array_fields = {
-            f.name: arrays[f"{prefix}_{f.name}"]
-            for f in dataclasses.fields(initial_state)
-            if f.name not in section
-        }
-        opt_state = type(initial_state)(**section, **array_fields)
+        section = dict(scalars.get(prefix, {}))
+        head = f"{prefix}_"
+        section.update((k[len(head):], v) for k, v in arrays.items() if k.startswith(head))
+        expected = {f.name for f in dataclasses.fields(initial_state)}
+        if set(section) != expected:
+            raise ConfigError(
+                f"checkpoint {prefix} state does not match this version: "
+                f"unknown fields {sorted(set(section) - expected)}, "
+                f"missing fields {sorted(expected - set(section))}"
+            )
+        try:
+            opt_state = type(initial_state)(**section)
+        except ValueError as exc:
+            raise ConfigError(f"checkpoint {prefix} state is malformed: {exc}") from exc
     return int(scalars["step"]), theta, ensemble, opt_state, int(scalars["seed"])
 
 
@@ -271,7 +247,7 @@ def run(config, resume_path=None):
                 )
                 if not np.all(np.isfinite(theta_next)):
                     raise NumericalAbort(f"non-finite parameters at step {step}")
-            except ABORT_ERRORS as exc:
+            except NumericalError as exc:
                 # Re-snapshot the state before the failing step so the
                 # run can be resumed from the last good point.
                 _snapshot(

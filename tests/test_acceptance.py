@@ -16,7 +16,11 @@ from vmcsr.estimators import EstimatorBundle, SampleBatch, assemble, clip_local_
 from vmcsr.linalg import qr_orthonormalize
 from vmcsr.optimizers import (
     LearningRateSchedule,
+    MinsrOptions,
+    SpringOptions,
     SpringState,
+    SrOptions,
+    WssrOptions,
     WssrState,
     full_sr_update,
     minsr_update,
@@ -355,16 +359,15 @@ def test_criterion_06_history_averaging_recursion():
     rng = np.random.default_rng(606)
     delta = 0.9
     n_params = 8
-    state = WssrState.initial(n_params, rank_init=n_params, delta=delta, r_reg=1e-30)
+    state = WssrState.initial(n_params, rank_init=n_params)
+    options = WssrOptions(delta=delta, r_reg=1e-30, svd_backend="exact")
     theta = np.zeros(n_params)
     s_ref = np.zeros((n_params, n_params))
     g_ref = np.zeros(n_params)
     for _ in range(3):
         o = rng.standard_normal((n_params, 20))
         l = rng.standard_normal(20)
-        theta, state, _ = wssr_step(
-            theta, raw_bundle(o, l), 0.01, state, svd_backend="exact"
-        )
+        theta, state, _ = wssr_step(theta, raw_bundle(o, l), 0.01, state, options)
         s_ref = delta * s_ref + (1.0 - delta) * (o @ o.T)
         g_ref = delta * g_ref + (1.0 - delta) * (o @ l)
     np.testing.assert_allclose(state.obar @ state.obar.T, s_ref, atol=1e-10)
@@ -381,17 +384,18 @@ def test_criterion_07_method_reduction_identities():
     # momentum-free spring collapses to minsr
     bundle = centered_bundle(n_params=7, n_samples=15, seed=71)
     theta = rng.standard_normal(7)
-    state = SpringState.initial(7, mu=0.0, tikhonov_eps=1e-3)
-    via_spring, _ = spring_update(theta, bundle, 0.12, state)
-    via_minsr = minsr_update(theta, bundle, 0.12, tikhonov_eps=1e-3)
+    state = SpringState(np.zeros(7))
+    via_spring, _ = spring_update(
+        theta, bundle, 0.12, state, SpringOptions(mu=0.0, tikhonov_eps=1e-3))
+    via_minsr = minsr_update(theta, bundle, 0.12, MinsrOptions(tikhonov_eps=1e-3))
     np.testing.assert_allclose(via_spring, via_minsr, atol=1e-12)
 
     # unregularized minsr equals the primal solve on a full-rank instance
     o = rng.standard_normal((6, 14))
     full_rank = raw_bundle(o, rng.standard_normal(14))
     theta2 = rng.standard_normal(6)
-    via_dual = minsr_update(theta2, full_rank, 0.3, tikhonov_eps=0.0)
-    via_primal = full_sr_update(theta2, full_rank, 0.3, "pseudo_inverse", 1e-12)
+    via_dual = minsr_update(theta2, full_rank, 0.3, MinsrOptions(tikhonov_eps=0.0))
+    via_primal = full_sr_update(theta2, full_rank, 0.3, SrOptions("pseudo_inverse", 1e-12))
     np.testing.assert_allclose(via_dual, via_primal, atol=1e-10)
 
     # full-rank warm-started update equals the pseudo-inverse oracle; a
@@ -400,11 +404,12 @@ def test_criterion_07_method_reduction_identities():
     o3 = rng.standard_normal((5, 12))
     l3 = rng.standard_normal(12)
     theta3 = rng.standard_normal(5)
-    state3 = WssrState.initial(5, rank_init=5, delta=0.0)
-    via_wssr, _, diag = wssr_step(theta3, raw_bundle(o3, l3), 0.2, state3)
+    state3 = WssrState.initial(5, rank_init=5)
+    via_wssr, _, diag = wssr_step(
+        theta3, raw_bundle(o3, l3), 0.2, state3, WssrOptions(delta=0.0))
     assert diag.effective_rank == 5
     oracle = full_sr_update(
-        theta3, raw_bundle(o3, l3 / 2.0), 0.2, "pseudo_inverse", 1e-12
+        theta3, raw_bundle(o3, l3 / 2.0), 0.2, SrOptions("pseudo_inverse", 1e-12)
     )
     np.testing.assert_allclose(via_wssr, oracle, atol=1e-10)
     print(

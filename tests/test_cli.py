@@ -83,6 +83,13 @@ class TestRunCommand:
         assert code == 0
         assert "completed 5 steps" in capsys.readouterr().out
 
+    def test_resume_from_missing_checkpoint_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        missing = tmp_path / "none.bin"
+        code = main(["run", "--config", str(config), "--resume", str(missing)])
+        assert code == 2
+        assert "cannot read checkpoint" in capsys.readouterr().err
+
 
 class TestInspectCommand:
     def test_prints_summary(self, tmp_path, capsys):

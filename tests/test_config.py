@@ -7,6 +7,7 @@ from numpy.testing import assert_array_equal
 from vmcsr.config import (
     CONFIG_SCHEMA,
     OPTIMIZER_NAMES,
+    OPTION_SECTIONS,
     apply_overrides,
     build_system,
     build_wavefunction,
@@ -19,6 +20,25 @@ from vmcsr.system import preset_system
 from vmcsr.wavefunction import SlaterOrbital, initial_theta
 
 MINIMAL = "[system]\npreset = he\n"
+
+# Per update-rule key: a NaN, a value of the wrong type, and the nearest
+# value outside the key's range (a near-miss name for a choice).
+BAD_OPTION_VALUES = {
+    ("sr", "reg_mode"): ("nan", "0.5", "diagonal_shifts"),
+    ("sr", "reg_eps"): ("nan", "small", "-5e-324"),
+    ("minsr", "tikhonov_eps"): ("nan", "small", "-5e-324"),
+    ("spring", "mu"): ("nan", "high", "1"),
+    ("spring", "tikhonov_eps"): ("nan", "small", "-5e-324"),
+    ("wssr", "delta"): ("nan", "most", "1"),
+    ("wssr", "sigma_floor"): ("nan", "tiny", "0"),
+    ("wssr", "sigma_floor_relative"): ("nan", "0.5", "2"),
+    ("wssr", "r_reg"): ("nan", "tiny", "0", "1"),
+    ("wssr", "eps_grow"): ("nan", "some", "-5e-324"),
+    ("wssr", "rank_init"): ("nan", "2.5", "0"),
+    ("wssr", "ssi_max_iters"): ("nan", "3.0", "0"),
+    ("wssr", "ssi_residual_tol"): ("nan", "tight", "0"),
+    ("wssr", "svd_backend"): ("nan", "3", "exacts"),
+}
 
 
 class TestDefaultsSnapshot:
@@ -43,6 +63,17 @@ class TestDefaultsSnapshot:
         assert cfg.optimizer.sr.reg_eps == 0.001
         assert cfg.run.steps == 2000
         assert cfg.run.seed == 0
+
+    @pytest.mark.parametrize("section", sorted(OPTION_SECTIONS))
+    def test_help_shows_option_field_defaults(self, section):
+        text = render_key_help()
+        fields = dataclasses.fields(OPTION_SECTIONS[section])
+        assert list(CONFIG_SCHEMA[section]) == [f.name for f in fields]
+        for f in fields:
+            shown = CONFIG_SCHEMA[section][f.name][0]
+            assert f"    {f.name} [{shown}]: " in text
+            cfg = parse_config_text(f"{MINIMAL}[{section}]\n{f.name} = {shown}\n")
+            assert getattr(getattr(cfg.optimizer, section), f.name) == f.default
 
     def test_help_covers_every_key(self):
         text = render_key_help()
@@ -87,6 +118,16 @@ class TestRejection:
         for snippet in bad:
             with pytest.raises(ConfigError):
                 parse_config_text(MINIMAL + snippet)
+
+    def test_bad_values_cover_every_option_key(self):
+        keys = {(s, k) for s in OPTION_SECTIONS for k in CONFIG_SCHEMA[s]}
+        assert set(BAD_OPTION_VALUES) == keys
+
+    @pytest.mark.parametrize("section,key", sorted(BAD_OPTION_VALUES))
+    def test_option_key_rejects_bad_values(self, section, key):
+        for value in BAD_OPTION_VALUES[section, key]:
+            with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: "):
+                parse_config_text(f"{MINIMAL}[{section}]\n{key} = {value}\n")
 
     def test_clip_accepts_inf(self):
         cfg = parse_config_text(MINIMAL + "[optimizer]\nclip_n_std = inf\n")

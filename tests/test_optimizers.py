@@ -1,7 +1,7 @@
 """Update rules: reduction identities, low-rank averaging, rank adaptation."""
 
+import dataclasses
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,10 +10,12 @@ from vmcsr.errors import SingularMatrix
 from vmcsr.estimators import EstimatorBundle, SampleBatch, assemble, s_matrix
 from vmcsr.linalg import qr_orthonormalize
 from vmcsr.optimizers import (
-    DEFAULT_MOMENTUM,
-    DEFAULT_TIKHONOV_EPS,
     LearningRateSchedule,
+    MinsrOptions,
+    SpringOptions,
     SpringState,
+    SrOptions,
+    WssrOptions,
     WssrState,
     full_sr_update,
     minsr_update,
@@ -70,6 +72,17 @@ class TestSchedule:
             LearningRateSchedule().eta(-1)
 
 
+@pytest.mark.parametrize(
+    "cls", [LearningRateSchedule, SrOptions, MinsrOptions, SpringOptions, WssrOptions]
+)
+def test_options_reject_nan_in_every_float_field(cls):
+    floats = [f.name for f in dataclasses.fields(cls) if f.type is float]
+    assert floats
+    for name in floats:
+        with pytest.raises(ValueError, match=f"^{name}: "):
+            cls(**{name: float("nan")})
+
+
 class TestSgd:
     def test_zero_gradient_is_identity(self):
         bundle = raw_bundle(np.zeros((3, 4)), np.zeros(4))
@@ -92,7 +105,7 @@ class TestFullSr:
         bundle = raw_bundle(o, l)
         theta = rng.standard_normal(5)
         np.testing.assert_allclose(
-            full_sr_update(theta, bundle, 0.05, "pseudo_inverse", 0.5),
+            full_sr_update(theta, bundle, 0.05, SrOptions("pseudo_inverse", 0.5)),
             sgd_update(theta, bundle, 0.05),
             atol=1e-12,
         )
@@ -105,7 +118,7 @@ class TestFullSr:
         l = rng.standard_normal(9)
         bundle = raw_bundle(o, l)
         theta = np.zeros(6)
-        got = full_sr_update(theta, bundle, 1.0, "pseudo_inverse", 1.0)
+        got = full_sr_update(theta, bundle, 1.0, SrOptions("pseudo_inverse", 1.0))
         # Only the top eigenpair (lam = 4) survives the cutoff at tol = 1.
         expected = -u[:, 0] * (u[:, 0] @ bundle.gradient) / 4.0
         np.testing.assert_allclose(got - theta, expected, atol=1e-12)
@@ -116,7 +129,7 @@ class TestFullSr:
         bundle = raw_bundle(o, rng.standard_normal(12))
         theta = rng.standard_normal(6)
         tol = 0.05
-        got = full_sr_update(theta, bundle, 0.3, "pseudo_inverse", tol)
+        got = full_sr_update(theta, bundle, 0.3, SrOptions("pseudo_inverse", tol))
 
         s = s_matrix(bundle)
         u_s, sig, vt_s = np.linalg.svd(s)
@@ -131,7 +144,7 @@ class TestFullSr:
         bundle = raw_bundle(rng.standard_normal((4, 10)), rng.standard_normal(10))
         theta = np.zeros(4)
         eps = 0.07
-        got = full_sr_update(theta, bundle, 1.0, "diagonal_shift", eps)
+        got = full_sr_update(theta, bundle, 1.0, SrOptions("diagonal_shift", eps))
         s = s_matrix(bundle)
         expected = -np.linalg.solve(s + eps * np.eye(4), bundle.gradient)
         np.testing.assert_allclose(got, expected, atol=1e-10)
@@ -141,7 +154,7 @@ class TestFullSr:
         bundle = raw_bundle(rng.standard_normal((4, 10)), rng.standard_normal(10))
         theta = np.zeros(4)
         eps = 0.2
-        got = full_sr_update(theta, bundle, 1.0, "diagonal_scale", eps)
+        got = full_sr_update(theta, bundle, 1.0, SrOptions("diagonal_scale", eps))
         s = s_matrix(bundle)
         s_reg = s + eps * np.diag(np.diag(s))
         expected = -np.linalg.solve(s_reg, bundle.gradient)
@@ -151,12 +164,11 @@ class TestFullSr:
         rng = np.random.default_rng(5)
         bundle = raw_bundle(rng.standard_normal((6, 3)), rng.standard_normal(3))
         with pytest.raises(SingularMatrix):
-            full_sr_update(np.zeros(6), bundle, 0.1, "diagonal_shift", 0.0)
+            full_sr_update(np.zeros(6), bundle, 0.1, SrOptions("diagonal_shift", 0.0))
 
     def test_unknown_mode(self):
-        bundle = raw_bundle(np.eye(2), np.zeros(2))
         with pytest.raises(ValueError, match="diagonal_shift"):
-            full_sr_update(np.zeros(2), bundle, 0.1, "ridge", 0.1)
+            SrOptions("ridge", 0.1)
 
 
 class TestMinsr:
@@ -171,7 +183,7 @@ class TestMinsr:
         o = rng.standard_normal((5, 10))  # rank 5: S invertible, T singular
         bundle = raw_bundle(o, rng.standard_normal(10))
         theta = rng.standard_normal(5)
-        via_dual = minsr_update(theta, bundle, 0.4, tikhonov_eps=0.0)
+        via_dual = minsr_update(theta, bundle, 0.4, MinsrOptions(tikhonov_eps=0.0))
         direction = np.linalg.solve(s_matrix(bundle), bundle.gradient)
         np.testing.assert_allclose(via_dual, theta - 0.4 * direction, atol=1e-10)
 
@@ -181,33 +193,34 @@ class TestMinsr:
         l = rng.standard_normal(9)
         bundle = raw_bundle(o, l)
         eps = 0.01
-        got = minsr_update(np.zeros(6), bundle, 1.0, tikhonov_eps=eps)
+        got = minsr_update(np.zeros(6), bundle, 1.0, MinsrOptions(tikhonov_eps=eps))
         x = np.linalg.solve(o.T @ o + eps * np.eye(9), l)
         np.testing.assert_allclose(got, -2.0 * (o @ x), atol=1e-10)
 
     def test_default_shift(self):
-        assert DEFAULT_TIKHONOV_EPS == 0.001
+        assert MinsrOptions().tikhonov_eps == 0.001
 
     def test_negative_shift_rejected(self):
-        bundle = raw_bundle(np.eye(2), np.zeros(2))
         with pytest.raises(ValueError):
-            minsr_update(np.zeros(2), bundle, 0.1, tikhonov_eps=-0.1)
+            MinsrOptions(tikhonov_eps=-0.1)
 
 
 class TestSpring:
     def test_zero_momentum_equals_minsr(self):
         bundle = centered_bundle(n_params=6, n_samples=11, seed=9)
         theta = np.random.default_rng(10).standard_normal(6)
-        state = SpringState.initial(6, mu=0.0, tikhonov_eps=0.001)
-        got, _ = spring_update(theta, bundle, 0.15, state)
-        want = minsr_update(theta, bundle, 0.15, tikhonov_eps=0.001)
+        state = SpringState(np.zeros(6))
+        got, _ = spring_update(theta, bundle, 0.15, state,
+                               SpringOptions(mu=0.0, tikhonov_eps=0.001))
+        want = minsr_update(theta, bundle, 0.15, MinsrOptions(tikhonov_eps=0.001))
         np.testing.assert_allclose(got, want, atol=1e-12)
 
     def test_first_step_ignores_momentum_in_residual(self):
         bundle = centered_bundle(n_params=5, n_samples=9, seed=11)
         theta = np.zeros(5)
-        low, _ = spring_update(theta, bundle, 0.1, SpringState.initial(5, mu=0.0))
-        high, _ = spring_update(theta, bundle, 0.1, SpringState.initial(5, mu=0.99))
+        state = SpringState(np.zeros(5))
+        low, _ = spring_update(theta, bundle, 0.1, state, SpringOptions(mu=0.0))
+        high, _ = spring_update(theta, bundle, 0.1, state, SpringOptions(mu=0.99))
         # prev_update = 0 makes the residual identical; mu scales only the
         # (zero) momentum term, so the first steps coincide.
         np.testing.assert_allclose(low, high, atol=1e-14)
@@ -215,7 +228,7 @@ class TestSpring:
     def test_state_carries_exact_parameter_delta(self):
         bundle = centered_bundle(n_params=4, n_samples=8, seed=12)
         theta = np.ones(4)
-        state = SpringState.initial(4)
+        state = SpringState(np.zeros(4))
         theta1, state1 = spring_update(theta, bundle, 0.05, state)
         # theta + delta - theta reassociates, so exactness is one ulp off
         np.testing.assert_allclose(state1.prev_update, theta1 - theta, atol=1e-15)
@@ -231,24 +244,24 @@ class TestSpring:
 
         prev = np.zeros(4)
         theta = np.zeros(4)
-        state = SpringState.initial(4, mu=mu, tikhonov_eps=eps)
+        state = SpringState(np.zeros(4))
+        options = SpringOptions(mu=mu, tikhonov_eps=eps)
         for _ in range(3):
             ltilde = l - mu * (o.T @ prev)
             phi = -eta * 2.0 * (o @ np.linalg.solve(t_reg, ltilde))
             prev = phi + mu * prev
             theta_expect = theta + prev
-            theta, state = spring_update(theta, bundle, eta, state)
+            theta, state = spring_update(theta, bundle, eta, state, options)
             np.testing.assert_allclose(theta, theta_expect, atol=1e-10)
 
     def test_default_momentum(self):
-        assert DEFAULT_MOMENTUM == 0.99
-        assert SpringState.initial(3).mu == 0.99
+        assert SpringOptions().mu == 0.99
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            SpringState.initial(3, mu=1.0)
+            SpringOptions(mu=1.0)
         with pytest.raises(ValueError):
-            SpringState.initial(3, tikhonov_eps=-1e-3)
+            SpringOptions(tikhonov_eps=-1e-3)
 
 
 class TestWssrState:
@@ -261,11 +274,13 @@ class TestWssrState:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            WssrState.initial(3, delta=1.0)
+            WssrOptions(delta=1.0)
         with pytest.raises(ValueError):
-            WssrState.initial(3, r_reg=0.0)
+            WssrOptions(r_reg=0.0)
         with pytest.raises(ValueError):
-            WssrState.initial(3, sigma_floor=0.0)
+            WssrOptions(sigma_floor=0.0)
+        with pytest.raises(ValueError):
+            WssrOptions(rank_init=0)
         with pytest.raises(ValueError):
             WssrState.initial(3, rank_init=0)
 
@@ -276,8 +291,8 @@ class TestWssrStep:
         o = rng.standard_normal((5, 12))
         l = rng.standard_normal(12)
         bundle = raw_bundle(o, l)
-        state = WssrState.initial(5, rank_init=5, delta=0.95)
-        _, state1, diag = wssr_step(np.zeros(5), bundle, 0.01, state)
+        state = WssrState.initial(5, rank_init=5)
+        _, state1, diag = wssr_step(np.zeros(5), bundle, 0.01, state, WssrOptions(delta=0.95))
 
         s_bar = state1.obar @ state1.obar.T
         np.testing.assert_allclose(s_bar, 0.05 * (o @ o.T), atol=1e-10)
@@ -289,7 +304,8 @@ class TestWssrStep:
     def test_three_step_recursion_matches_reference_averaging(self):
         rng = np.random.default_rng(15)
         delta = 0.7
-        state = WssrState.initial(5, rank_init=5, delta=delta, r_reg=1e-30)
+        state = WssrState.initial(5, rank_init=5)
+        options = WssrOptions(delta=delta, r_reg=1e-30, svd_backend="exact")
         theta = np.zeros(5)
         s_ref = np.zeros((5, 5))
         g_ref = np.zeros(5)
@@ -297,9 +313,7 @@ class TestWssrStep:
             step_rng = np.random.default_rng(seed)
             o = step_rng.standard_normal((5, 12))
             l = step_rng.standard_normal(12)
-            theta, state, _ = wssr_step(
-                theta, raw_bundle(o, l), 0.01, state, svd_backend="exact"
-            )
+            theta, state, _ = wssr_step(theta, raw_bundle(o, l), 0.01, state, options)
             s_ref = delta * s_ref + (1.0 - delta) * (o @ o.T)
             g_ref = delta * g_ref + (1.0 - delta) * (o @ l)
         np.testing.assert_allclose(state.obar @ state.obar.T, s_ref, atol=1e-10)
@@ -310,15 +324,15 @@ class TestWssrStep:
         o = rng.standard_normal((5, 12))  # rank 5 = parameter count
         l = rng.standard_normal(12)
         theta = rng.standard_normal(5)
-        state = WssrState.initial(5, rank_init=5, delta=0.0)
-        got, _, diag = wssr_step(theta, raw_bundle(o, l), 0.2, state)
+        state = WssrState.initial(5, rank_init=5)
+        got, _, diag = wssr_step(theta, raw_bundle(o, l), 0.2, state, WssrOptions(delta=0.0))
         assert diag.effective_rank == 5
 
         # At full rank the complement branch vanishes and the step is the
         # pseudo-inverse of the covariance applied to o @ l; a bundle with
         # halved residuals gives full_sr exactly that gradient.
         halved = raw_bundle(o, l / 2.0)
-        want = full_sr_update(theta, halved, 0.2, "pseudo_inverse", 1e-12)
+        want = full_sr_update(theta, halved, 0.2, SrOptions("pseudo_inverse", 1e-12))
         np.testing.assert_allclose(got, want, atol=1e-10)
 
     def test_complement_branch_scales_by_floor(self):
@@ -328,9 +342,9 @@ class TestWssrStep:
         ])
         l = np.array([0.0, 0.0, 0.5, -0.5])  # o @ l = (0, 1): orthogonal to u1
         theta = np.zeros(2)
-        state = WssrState.initial(2, rank_init=2, delta=0.0, r_reg=0.1,
-                                  sigma_floor=1e-3)
-        got, _, diag = wssr_step(theta, raw_bundle(o, l), 0.01, state)
+        state = WssrState.initial(2, rank_init=2)
+        options = WssrOptions(delta=0.0, r_reg=0.1, sigma_floor=1e-3)
+        got, _, diag = wssr_step(theta, raw_bundle(o, l), 0.01, state, options)
         assert diag.effective_rank == 1  # s^2 = (50, 2), cutoff at 5
         np.testing.assert_allclose(
             got, -0.01 * np.array([0.0, 1.0]) / 1e-3, atol=1e-10
@@ -342,9 +356,10 @@ class TestWssrStep:
             [0.0, 0.0, 1.0, -1.0],
         ])
         l = np.array([0.0, 0.0, 0.5, -0.5])
-        state = WssrState.initial(2, rank_init=2, delta=0.0, r_reg=0.1,
-                                  sigma_floor=1e-3, sigma_floor_relative=True)
-        got, _, _ = wssr_step(np.zeros(2), raw_bundle(o, l), 0.01, state)
+        state = WssrState.initial(2, rank_init=2)
+        options = WssrOptions(delta=0.0, r_reg=0.1, sigma_floor=1e-3,
+                              sigma_floor_relative=True)
+        got, _, _ = wssr_step(np.zeros(2), raw_bundle(o, l), 0.01, state, options)
         np.testing.assert_allclose(
             got, -0.01 * np.array([0.0, 1.0]) / (1e-3 * 50.0), atol=1e-10
         )
@@ -355,13 +370,14 @@ class TestWssrStep:
             m = 6
             o = rng.standard_normal((m, 14))
             l = rng.standard_normal(14)
-            state = WssrState.initial(m, rank_init=4, r_reg=1e-3)
+            state = WssrState.initial(m, rank_init=4)
+            options = WssrOptions(r_reg=1e-3)
             theta = np.zeros(m)
-            theta1, state1, diag = wssr_step(theta, raw_bundle(o, l), 1.0, state)
+            theta1, state1, diag = wssr_step(theta, raw_bundle(o, l), 1.0, state, options)
 
             u = state1.u_prev
             sig = np.linalg.norm(state1.obar, axis=0)
-            floor = state.sigma_floor
+            floor = options.sigma_floor
             p = u @ np.diag(sig**-2) @ u.T + (np.eye(m) - u @ u.T) / floor
             eigs = np.linalg.eigvalsh(p)
             lo = min(1.0 / floor, sig[0] ** -2)
@@ -375,12 +391,13 @@ class TestWssrStep:
 
     def test_rank_grows_only_when_binding_and_caps_at_params(self):
         rng = np.random.default_rng(18)
-        state = WssrState.initial(8, rank_init=2, r_reg=1e-6, eps_grow=0.5)
+        state = WssrState.initial(8, rank_init=2)
+        options = WssrOptions(r_reg=1e-6, eps_grow=0.5)
         theta = np.zeros(8)
         seen = [state.r_max]
         for _ in range(6):
             bundle = raw_bundle(rng.standard_normal((8, 12)), rng.standard_normal(12))
-            theta, state, diag = wssr_step(theta, bundle, 0.01, state)
+            theta, state, diag = wssr_step(theta, bundle, 0.01, state, options)
             assert diag.effective_rank >= 1
             assert state.r_max >= seen[-1]
             if state.r_max > seen[-1]:
@@ -394,21 +411,19 @@ class TestWssrStep:
         # so r_max must stay put.
         rng = np.random.default_rng(19)
         u = rng.standard_normal(6)
-        state = WssrState.initial(6, rank_init=2, r_reg=1e-6)
+        state = WssrState.initial(6, rank_init=2)
         theta = np.zeros(6)
         for _ in range(3):
             o = np.outer(u, rng.standard_normal(9))
             o += 1e-9 * rng.standard_normal(o.shape)
             theta, state, diag = wssr_step(theta, raw_bundle(o, rng.standard_normal(9)),
-                                           0.01, state)
+                                           0.01, state, WssrOptions(r_reg=1e-6))
             assert diag.effective_rank == 1
         assert state.r_max == 2
 
     def test_unknown_backend(self):
-        bundle = raw_bundle(np.eye(3), np.zeros(3))
-        state = WssrState.initial(3, rank_init=2)
         with pytest.raises(ValueError, match="randomized"):
-            wssr_step(np.zeros(3), bundle, 0.1, state, svd_backend="lanczos")
+            WssrOptions(svd_backend="lanczos")
 
     def test_warm_start_engages_after_first_step(self):
         rng = np.random.default_rng(20)
@@ -437,11 +452,13 @@ class TestRssr:
         w, _ = qr_orthonormalize(rng.standard_normal((12, 3)))
         b1 = shared_left_space_bundle(w, [4.0, 2.0, 1.0], 9, seed=30)
         b2 = shared_left_space_bundle(w, [3.5, 2.2, 0.9], 9, seed=31)
-        state = WssrState.initial(12, rank_init=3, delta=0.6)
-        theta, state, _ = wssr_step(np.zeros(12), b1, 0.01, state)
+        state = WssrState.initial(12, rank_init=3)
+        ssi = WssrOptions(delta=0.6, svd_backend="ssi")
+        theta, state, _ = wssr_step(np.zeros(12), b1, 0.01, state, ssi)
 
-        t_ssi, _, diag_ssi = wssr_step(theta, b2, 0.01, state, svd_backend="ssi")
-        t_rnd, _, _ = wssr_step(theta, b2, 0.01, state, svd_backend="randomized")
+        t_ssi, _, diag_ssi = wssr_step(theta, b2, 0.01, state, ssi)
+        t_rnd, _, _ = wssr_step(
+            theta, b2, 0.01, state, WssrOptions(delta=0.6, svd_backend="randomized"))
         np.testing.assert_allclose(t_ssi, t_rnd, atol=1e-8)
         assert diag_ssi.ssi.warm_started
 
@@ -457,7 +474,8 @@ class TestRssr:
             state = WssrState.initial(7, rank_init=3)
             for b in bundles:
                 theta, state, _ = wssr_step(
-                    theta, b, 0.01, state, svd_backend="randomized", rng_seed=seed
+                    theta, b, 0.01, state, WssrOptions(svd_backend="randomized"),
+                    rng_seed=seed,
                 )
             return theta
 
@@ -473,7 +491,6 @@ class TestRssr:
             lbar=rng.standard_normal(r),
             u_prev=w.copy(),
             r_max=r,
-            delta=0.5,
             step=1,
         )
         z, _ = qr_orthonormalize(rng.standard_normal((n, r)))
@@ -482,7 +499,8 @@ class TestRssr:
         theta = np.zeros(m)
         eta = 0.01
 
-        t_exact, _, _ = wssr_step(theta, bundle, eta, state, svd_backend="exact")
+        t_exact, _, _ = wssr_step(
+            theta, bundle, eta, state, WssrOptions(delta=0.5, svd_backend="exact"))
         ohat = np.concatenate(
             [math.sqrt(0.5) * state.obar, math.sqrt(0.5) * o], axis=1
         )
@@ -490,27 +508,26 @@ class TestRssr:
             [math.sqrt(0.5) * state.lbar, math.sqrt(0.5) * bundle.l_vector]
         )
         tail = np.linalg.svd(ohat, compute_uv=False)[r]
-        bound = 10.0 * tail * eta / state.sigma_floor * max(1.0, np.linalg.norm(lhat))
+        sketch = WssrOptions(delta=0.5, svd_backend="randomized")
+        bound = 10.0 * tail * eta / sketch.sigma_floor * max(1.0, np.linalg.norm(lhat))
         for seed in range(20):
-            t_sketch, _, _ = wssr_step(
-                theta, bundle, eta, state, svd_backend="randomized", rng_seed=seed
-            )
+            t_sketch, _, _ = wssr_step(theta, bundle, eta, state, sketch, rng_seed=seed)
             assert np.linalg.norm(t_sketch - t_exact) <= bound
 
     def test_exact_backend_every_step_equals_reference(self):
         # svd_backend="exact" must behave like the dense factorization at
         # every step, not only the first.
         rng = np.random.default_rng(24)
-        state = WssrState.initial(5, rank_init=5, r_reg=1e-30)
+        state = WssrState.initial(5, rank_init=5)
+        options = WssrOptions(r_reg=1e-30, svd_backend="exact")
         theta = np.zeros(5)
         s_ref = np.zeros((5, 5))
         for seed in range(4):
             srng = np.random.default_rng(100 + seed)
             o = srng.standard_normal((5, 11))
             theta, state, diag = wssr_step(
-                theta, raw_bundle(o, srng.standard_normal(11)), 0.01, state,
-                svd_backend="exact",
+                theta, raw_bundle(o, srng.standard_normal(11)), 0.01, state, options,
             )
-            s_ref = state.delta * s_ref + (1 - state.delta) * (o @ o.T)
+            s_ref = options.delta * s_ref + (1 - options.delta) * (o @ o.T)
             assert diag.ssi.iterations_used == 0
         np.testing.assert_allclose(state.obar @ state.obar.T, s_ref, atol=1e-9)

@@ -138,10 +138,7 @@ class TestResumeDeterminism:
     def test_checkpoint_optimizer_section_names(self, tmp_path):
         run(helium_config(tmp_path, name="wssr", steps=2, sub="wssr"))
         scalars, arrays, _ = read_checkpoint(tmp_path / "wssr" / "checkpoint.bin")
-        assert sorted(scalars["wssr"]) == [
-            "delta", "eps_grow", "r_max", "r_reg", "sigma_floor",
-            "sigma_floor_relative", "step",
-        ]
+        assert sorted(scalars["wssr"]) == ["r_max", "step"]
         assert scalars["wssr"]["step"] == 2
         assert [k for k in arrays if k.startswith("wssr_")] == [
             "wssr_obar", "wssr_lbar", "wssr_u_prev",
@@ -149,7 +146,7 @@ class TestResumeDeterminism:
 
         run(helium_config(tmp_path, name="spring", steps=2, sub="spring"))
         scalars, arrays, _ = read_checkpoint(tmp_path / "spring" / "checkpoint.bin")
-        assert sorted(scalars["spring"]) == ["mu", "tikhonov_eps"]
+        assert scalars["spring"] == {}
         assert [k for k in arrays if k.startswith("spring_")] == ["spring_prev_update"]
         assert "wssr" not in scalars
 
@@ -160,6 +157,27 @@ class TestResumeDeterminism:
         write_checkpoint(two_streams, scalars, arrays, rng_states * 2)
         with pytest.raises(ConfigError, match="2 RNG streams"):
             run(hydrogen_config(tmp_path), resume_path=str(two_streams))
+
+    def test_resume_rejects_mismatched_optimizer_state(self, tmp_path):
+        # Checkpoints once carried wssr hyperparameters such as delta; the
+        # state now holds only what evolves, and a resume refuses (exit 2)
+        # rather than half-reading such a section.
+        result = run(helium_config(tmp_path, name="wssr", steps=2))
+        scalars, arrays, rng_states = read_checkpoint(result.checkpoint_path)
+        stale = tmp_path / "stale.bin"
+
+        def resume_fails(match):
+            write_checkpoint(stale, scalars, arrays, rng_states)
+            with pytest.raises(ConfigError, match=match):
+                run(helium_config(tmp_path, name="wssr", steps=4), resume_path=str(stale))
+
+        scalars["wssr"]["delta"] = 0.95
+        resume_fails(r"unknown fields \['delta'\]")
+        del scalars["wssr"]["delta"]
+        lbar = arrays.pop("wssr_lbar")
+        resume_fails(r"missing fields \['lbar'\]")
+        arrays["wssr_lbar"] = lbar[:-1]
+        resume_fails("malformed")
 
     def test_resume_rejects_optimizer_mismatch(self, tmp_path):
         cfg = helium_config(tmp_path, name="wssr", steps=2)

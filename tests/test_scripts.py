@@ -20,3 +20,13 @@ def test_warm_start_demo_warm_beats_cold(capsys):
     for row in rows:
         _, warm, cold, _ = (float(x) for x in row.split())
         assert warm < cold
+
+
+def test_compare_optimizers_runs_every_rule(tmp_path, capsys):
+    names = ("sgd", "sr", "minsr", "spring", "wssr", "rssr")
+    argv = ["--steps", "2", "--optimizers", ",".join(names), "--out", str(tmp_path)]
+    assert _load_script("compare_optimizers").main(argv) == 0
+    out = capsys.readouterr().out
+    assert "aborted" not in out
+    rows = [line.split() for line in out.splitlines()[2:]]
+    assert [row[0] for row in rows] == list(names)
