@@ -14,8 +14,6 @@ from .runner import run
 from .system import preset_names, preset_system
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_NUMERICAL = 3
 
 
 def build_parser():
@@ -121,7 +119,7 @@ def main(argv=None):
         return _cmd_presets(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -37,7 +37,6 @@ from .wavefunction import (
 )
 
 OPTIMIZER_NAMES = ("sgd", "sr", "minsr", "spring", "wssr", "rssr")
-SPIN_LABELS = ("up", "down", "either")
 
 # The sections that configure one update rule, each parsed into its
 # options class; the keys are the class's fields.
@@ -310,10 +309,7 @@ def _parse_basis_rows(section):
         tokens = row.split()
         if len(tokens) != 6:
             section._fail("basis", f"row {row!r}: expected 'center n ell m zeta spin'")
-        center, n, ell, m = tokens[:4]
-        zeta, spin = tokens[4], tokens[5]
-        if spin not in SPIN_LABELS:
-            section._fail("basis", f"row {row!r}: spin must be one of " + ", ".join(SPIN_LABELS))
+        center, n, ell, m, zeta, spin = tokens
         try:
             rows.append(
                 SlaterOrbital(int(center), int(n), int(ell), int(m), float(zeta), spin)

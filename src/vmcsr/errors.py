@@ -13,9 +13,13 @@ class VmcError(Exception):
 class NumericalError(VmcError):
     """A computation failed on the data it was given (exit 3)."""
 
+    exit_code = 3
+
 
 class InputError(VmcError):
     """A configuration or checkpoint the program cannot use (exit 2)."""
+
+    exit_code = 2
 
 
 class ZeroMatrix(NumericalError):

@@ -18,9 +18,6 @@ DEFICIENT_COLUMN_REL = 1e-12
 
 def _as_matrix(a):
     a = np.asarray(a, dtype=np.float64)
-    if a.ndim == 1:
-        # single-column convenience
-        a = a[:, None]
     if a.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={a.ndim}")
     return a
@@ -36,7 +33,7 @@ def qr_orthonormalize(a):
     orthonormal and Q R still reconstructs A to tolerance.
 
     Args:
-      a: (m, n) array, m >= n. A 1-D array is treated as one column.
+      a: (m, n) array, m >= n.
 
     Returns:
       (q, r): q of shape (m, n) with orthonormal columns, r of shape
@@ -89,16 +86,9 @@ class SpdFactorization:
 
     chol_lower: np.ndarray  # lower triangular, T + shift*I = L @ L.T
 
-    @property
-    def dim(self):
-        return self.chol_lower.shape[0]
-
     def solve(self, b):
         """Solve (T + shift*I) x = b for one or many right-hand sides."""
         return cho_solve((self.chol_lower, True), np.asarray(b, dtype=np.float64))
-
-    def reconstruct(self):
-        return self.chol_lower @ self.chol_lower.T
 
 
 def spd_factorize(t, shift=0.0):
@@ -127,8 +117,3 @@ def spd_factorize(t, shift=0.0):
             f"shifted matrix (shift={shift:g}) is not positive definite"
         ) from exc
     return SpdFactorization(chol_lower=lower)
-
-
-def spd_solve(t, shift, b):
-    """Solve (T + shift*I) X = B through a fresh Cholesky factorization."""
-    return spd_factorize(t, shift).solve(b)

@@ -121,21 +121,6 @@ def _restore(resume_path, config, system, wavefunction, initial_state, prefix):
         scalars, arrays, rng_states = ckpt.read_checkpoint(resume_path)
     except OSError as exc:
         raise ConfigError(f"cannot read checkpoint {resume_path}: {exc}") from exc
-    name = scalars["optimizer"]
-    if name != config.optimizer.name:
-        raise ConfigError(
-            f"checkpoint was written by optimizer {name!r}, config asks for "
-            f"{config.optimizer.name!r}"
-        )
-    theta = arrays["theta"]
-    if theta.shape != (wavefunction.n_params,):
-        raise ConfigError(
-            f"checkpoint has {theta.shape[0]} parameters, the configured "
-            f"wavefunction has {wavefunction.n_params}"
-        )
-    if arrays["spins"].shape[0] != system.n_electrons:
-        raise ConfigError("checkpoint electron count does not match the system")
-
     if len(rng_states) != 1:
         raise ConfigError(
             f"checkpoint holds {len(rng_states)} RNG streams, expected 1 "
@@ -143,16 +128,34 @@ def _restore(resume_path, config, system, wavefunction, initial_state, prefix):
         )
     rng = np.random.Generator(np.random.PCG64())
     rng.bit_generator.state = rng_states[0]
-    ensemble = WalkerEnsemble(
-        positions=arrays["positions"],
-        spins=arrays["spins"],
-        log_abs=arrays["log_abs"],
-        rng=rng,
-        proposal_std=float(scalars["proposal_std"]),
-        accepted=arrays["accepted"],
-        proposed=arrays["proposed"],
-        burned_in=bool(scalars["burned_in"]),
-    )
+    try:
+        name = scalars["optimizer"]
+        step, seed = int(scalars["step"]), int(scalars["seed"])
+        theta = arrays["theta"]
+        ensemble = WalkerEnsemble(
+            positions=arrays["positions"],
+            spins=arrays["spins"],
+            log_abs=arrays["log_abs"],
+            rng=rng,
+            proposal_std=float(scalars["proposal_std"]),
+            accepted=arrays["accepted"],
+            proposed=arrays["proposed"],
+            burned_in=bool(scalars["burned_in"]),
+        )
+    except KeyError as exc:
+        raise ConfigError(f"checkpoint lacks the entry {exc.args[0]!r}") from None
+    if name != config.optimizer.name:
+        raise ConfigError(
+            f"checkpoint was written by optimizer {name!r}, config asks for "
+            f"{config.optimizer.name!r}"
+        )
+    if theta.shape != (wavefunction.n_params,):
+        raise ConfigError(
+            f"checkpoint has {theta.shape[0]} parameters, the configured "
+            f"wavefunction has {wavefunction.n_params}"
+        )
+    if ensemble.spins.shape[0] != system.n_electrons:
+        raise ConfigError("checkpoint electron count does not match the system")
 
     opt_state = None
     if initial_state is not None:
@@ -170,7 +173,7 @@ def _restore(resume_path, config, system, wavefunction, initial_state, prefix):
             opt_state = type(initial_state)(**section)
         except ValueError as exc:
             raise ConfigError(f"checkpoint {prefix} state is malformed: {exc}") from exc
-    return int(scalars["step"]), theta, ensemble, opt_state, int(scalars["seed"])
+    return step, theta, ensemble, opt_state, seed
 
 
 def run(config, resume_path=None):
@@ -308,7 +311,7 @@ def run(config, resume_path=None):
     if energies:
         smoothed = float(smooth_trace(energies, config.run.smooth_window)[-1])
     return RunResult(
-        exit_code=3 if aborted else 0,
+        exit_code=NumericalError.exit_code if aborted else 0,
         steps_completed=step,
         trace_path=trace_path,
         checkpoint_path=checkpoint_path,

@@ -48,13 +48,6 @@ class WalkerEnsemble:
     def n_walkers(self):
         return self.positions.shape[0]
 
-    @property
-    def acceptance_rate(self):
-        total = int(np.sum(self.proposed))
-        if total == 0:
-            return 0.0
-        return float(np.sum(self.accepted)) / total
-
     @classmethod
     def create(cls, system, wavefunction, n_walkers, seed,
                proposal_std=DEFAULT_PROPOSAL_STD):
@@ -88,7 +81,7 @@ class WalkerEnsemble:
         )
 
 
-def metropolis_step(ensemble, wavefunction, proposal_std=None):
+def metropolis_step(ensemble, wavefunction):
     """One all-electron Metropolis move per walker, in place.
 
     Proposals are x + std * xi with xi standard normal; acceptance uses
@@ -98,7 +91,7 @@ def metropolis_step(ensemble, wavefunction, proposal_std=None):
 
     Returns the ensemble (the same, mutated, object).
     """
-    std = ensemble.proposal_std if proposal_std is None else float(proposal_std)
+    std = ensemble.proposal_std
     if std < 0.0:
         raise ValueError("proposal spread must be nonnegative")
     w = ensemble.n_walkers
@@ -126,8 +119,7 @@ def metropolis_step(ensemble, wavefunction, proposal_std=None):
     return ensemble
 
 
-def burn_in(ensemble, wavefunction, steps,
-            target_acceptance=TARGET_ACCEPTANCE, adapt_interval=ADAPT_INTERVAL):
+def burn_in(ensemble, wavefunction, steps):
     """Equilibrate once per run, tuning the proposal spread.
 
     The spread is nudged multiplicatively toward the target acceptance on
@@ -140,7 +132,7 @@ def burn_in(ensemble, wavefunction, steps,
         return ensemble
     done = 0
     while done < steps:
-        chunk = min(adapt_interval, steps - done)
+        chunk = min(ADAPT_INTERVAL, steps - done)
         before_acc = int(np.sum(ensemble.accepted))
         for _ in range(chunk):
             metropolis_step(ensemble, wavefunction)
@@ -148,7 +140,7 @@ def burn_in(ensemble, wavefunction, steps,
         window_rate = (int(np.sum(ensemble.accepted)) - before_acc) / (
             chunk * ensemble.n_walkers
         )
-        factor = float(np.exp(window_rate - target_acceptance))
+        factor = float(np.exp(window_rate - TARGET_ACCEPTANCE))
         lo, hi = PROPOSAL_STD_BOUNDS
         ensemble.proposal_std = float(np.clip(ensemble.proposal_std * factor, lo, hi))
     ensemble.burned_in = True
@@ -156,8 +148,7 @@ def burn_in(ensemble, wavefunction, steps,
 
 
 def sample_batch(ensemble, wavefunction, system, n_samples,
-                 burn_in_steps=DEFAULT_BURN_IN, thinning=DEFAULT_THINNING,
-                 include_nuclear_repulsion=True):
+                 burn_in_steps=DEFAULT_BURN_IN, thinning=DEFAULT_THINNING):
     """Collect decorrelated samples with energies and log-derivatives.
 
     Burn-in runs only if the ensemble has not equilibrated yet (once per
@@ -186,9 +177,7 @@ def sample_batch(ensemble, wavefunction, system, n_samples,
         remaining -= take
     positions = np.concatenate(collected, axis=0)
 
-    energies = local_energy_batch(
-        system, wavefunction, positions, include_nuclear_repulsion
-    )
+    energies = local_energy_batch(system, wavefunction, positions)
     logderivs = wavefunction.grad_theta_batch(positions)
     return SampleBatch(
         positions=positions,

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import DegenerateInput, RankTooLarge
 from .linalg import DEFICIENT_COLUMN_REL, exact_svd, qr_orthonormalize
 
-DEFAULT_RESIDUAL_EXIT = 1e-10
 _COLD_START_SEED = 0x5EED
 
 
@@ -44,9 +43,6 @@ class TruncatedSvd:
     def rank(self):
         return self.sigma.shape[0]
 
-    def reconstruct(self):
-        return (self.u * self.sigma) @ self.v
-
 
 @dataclass(frozen=True)
 class SsiReport:
@@ -55,20 +51,6 @@ class SsiReport:
     iterations_used: int
     subspace_residual: float
     warm_started: bool
-
-
-def subspace_residual(ohat, u_orthonormal):
-    """Invariance defect of a left subspace under the Gram operator.
-
-    ||G U - U (U^T G U)||_F / ||ohat||_F^2 with G = ohat @ ohat.T; zero
-    exactly when span(U) is an invariant subspace, i.e. a set of left
-    singular directions.
-    """
-    fro2 = float(np.linalg.norm(ohat)) ** 2
-    if fro2 == 0.0:
-        raise DegenerateInput("residual undefined for a zero matrix")
-    w = ohat @ (ohat.T @ u_orthonormal)
-    return float(np.linalg.norm(w - u_orthonormal @ (u_orthonormal.T @ w)) / fro2)
 
 
 def _positive_prefix(sigma, limit, fro):
@@ -91,7 +73,7 @@ def exact_truncated_svd(ohat, rank):
     return TruncatedSvd(u=u[:, :k], sigma=sigma[:k], v=vt[:k, :])
 
 
-def ssi_svd(ohat, rank, max_iters=3, u_init=None, residual_tol=DEFAULT_RESIDUAL_EXIT):
+def ssi_svd(ohat, rank, *, max_iters, residual_tol, u_init=None):
     """Dominant singular triplets by warm-startable block subspace iteration.
 
     Each iteration orthonormalizes the current block q, pulls it through
@@ -106,11 +88,13 @@ def ssi_svd(ohat, rank, max_iters=3, u_init=None, residual_tol=DEFAULT_RESIDUAL_
       rank: number of triplets to compute, within [1, min(m, n)].
       max_iters: iteration budget; the loop exits as soon as the subspace
         residual of the block drops below residual_tol.
+      residual_tol: early-exit threshold on the subspace residual
+        ||G q - q (q^T G q)||_F / ||ohat||_F^2 with G = ohat @ ohat.T,
+        which is zero exactly when span(q) is invariant.
       u_init: optional (m, width) warm-start block with
         rank <= width <= min(m, n) (orthonormalized defensively); extra
         columns oversample. None means a seeded random cold start of
         width `rank`.
-      residual_tol: early-exit threshold on the subspace residual.
 
     Returns:
       (TruncatedSvd, SsiReport). The returned rank can be below `rank`
@@ -189,7 +173,7 @@ def randomized_svd(ohat, rank, oversample=10, rng_seed=0):
             f"rank+oversample {width} outside [1, {min(m, n)}] for shape {ohat.shape}"
         )
     omega = np.random.default_rng(rng_seed).standard_normal((m, width))
-    factors, _ = ssi_svd(ohat, rank, max_iters=1, u_init=omega)
+    factors, _ = ssi_svd(ohat, rank, max_iters=1, residual_tol=1e-10, u_init=omega)
     return factors
 
 

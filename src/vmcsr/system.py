@@ -1,8 +1,10 @@
 """Molecular geometry and the local-energy functional, in Hartree atomic units.
 
 Electrons carry a fixed spin label (all up electrons first); nuclei are
-clamped point charges. The kinetic part of the local energy is evaluated
-through the log-derivative identity, so any object exposing batched
+clamped point charges. Energies are evaluated for a batch of
+configurations, positions of shape (W, N, 3); one configuration x is the
+batch x[None]. The kinetic part of the local energy is evaluated through
+the log-derivative identity, so any object exposing batched
 log-amplitudes and their coordinate derivatives can be plugged in.
 """
 
@@ -65,40 +67,13 @@ class MolecularSystem:
         return total
 
 
-@dataclass(frozen=True)
-class ElectronConfiguration:
-    """One point in configuration space."""
-
-    positions: np.ndarray  # (N, 3), Bohr
-    spins: np.ndarray      # (N,), SPIN_UP/SPIN_DOWN
-
-    def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=np.float64)
-        spins = np.asarray(self.spins, dtype=np.int64)
-        if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] != spins.shape[0]:
-            raise ValueError(f"inconsistent shapes {pos.shape} / {spins.shape}")
-        if not np.all(np.isfinite(pos)):
-            raise ValueError("positions must be finite")
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "spins", spins)
-
-    @property
-    def n_electrons(self):
-        return self.positions.shape[0]
-
-
-def _pair_indices(n):
-    return np.triu_indices(n, k=1)
-
-
-def potential_energy_batch(system, positions, include_nuclear_repulsion=True):
-    """Coulomb potential for a batch of configurations.
+def potential_energy_batch(system, positions):
+    """Coulomb potential for a batch of configurations, the internuclear
+    constant included.
 
     Args:
       system: MolecularSystem.
       positions: (W, N, 3) electron coordinates.
-      include_nuclear_repulsion: add the internuclear constant (on by
-        default; turning it off shifts every energy by the same constant).
 
     Returns:
       (W,) potential energies.
@@ -119,7 +94,7 @@ def potential_energy_batch(system, positions, include_nuclear_repulsion=True):
     attraction = np.sort((-charges[None, None, :] / dist_en).reshape(w, -1), axis=1)
     energy = np.sum(attraction, axis=1)
 
-    iu, ju = _pair_indices(n)
+    iu, ju = np.triu_indices(n, k=1)
     if iu.size:
         diff = positions[:, iu, :] - positions[:, ju, :]
         dist_ee = np.sqrt(np.sum(diff * diff, axis=-1))  # (W, n_pairs)
@@ -127,21 +102,10 @@ def potential_energy_batch(system, positions, include_nuclear_repulsion=True):
             raise CoalescencePoint("two electrons coincide")
         energy += np.sum(np.sort(1.0 / dist_ee, axis=1), axis=1)
 
-    if include_nuclear_repulsion:
-        energy += system.nuclear_repulsion()
-    return energy
+    return energy + system.nuclear_repulsion()
 
 
-def potential_energy(system, config, include_nuclear_repulsion=True):
-    """Coulomb potential of a single configuration."""
-    return float(
-        potential_energy_batch(
-            system, config.positions[None], include_nuclear_repulsion
-        )[0]
-    )
-
-
-def local_energy_batch(system, wavefunction, positions, include_nuclear_repulsion=True):
+def local_energy_batch(system, wavefunction, positions):
     """Local energy E_L = -(1/2) sum_i [lap_i log|psi| + |grad_i log|psi||^2] + V.
 
     The identity evaluates the kinetic term from log-amplitude derivatives
@@ -167,16 +131,7 @@ def local_energy_batch(system, wavefunction, positions, include_nuclear_repulsio
         raise NodeProximity("log-amplitude underflow; derivatives unreliable near a node")
     grad, lap = wavefunction.gradient_and_laplacian_batch(positions)
     kinetic = -0.5 * (lap + np.sum(grad * grad, axis=(1, 2)))
-    return kinetic + potential_energy_batch(system, positions, include_nuclear_repulsion)
-
-
-def local_energy(system, wavefunction, config, include_nuclear_repulsion=True):
-    """Local energy of a single configuration."""
-    return float(
-        local_energy_batch(
-            system, wavefunction, config.positions[None], include_nuclear_repulsion
-        )[0]
-    )
+    return kinetic + potential_energy_batch(system, positions)
 
 
 _PRESET_TABLE = {

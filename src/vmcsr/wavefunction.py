@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NodeProximity
-from .system import LOG_ABS_UNDERFLOW, SPIN_DOWN, SPIN_UP
+from .system import LOG_ABS_UNDERFLOW, SPIN_UP
 
 SPIN_GATES = ("up", "down", "either")
 _SPIN_ORDER = {"up": 0, "down": 1, "either": 2}
@@ -272,11 +272,6 @@ class AceWavefunction:
             feats[:, :, slots] *= prod
         return feats
 
-    def pooled_basis(self, positions, electron):
-        """Feature vector of one configuration with `electron` highlighted."""
-        positions = np.asarray(positions, dtype=np.float64)
-        return self.pooled_features_batch(positions[None])[0, electron, :]
-
     def orbital_matrix_batch(self, positions):
         feats = self.pooled_features_batch(positions)
         return np.einsum("wit,kt->wik", feats, self.coefficients), feats
@@ -297,11 +292,6 @@ class AceWavefunction:
     def log_abs_batch(self, positions):
         return self.log_abs_sign_batch(positions)[0]
 
-    def log_psi(self, positions):
-        """(log|psi|, sign) of a single (N, 3) configuration."""
-        log_abs, sign = self.log_abs_sign_batch(np.asarray(positions)[None])
-        return float(log_abs[0]), float(sign[0])
-
     # derivatives
 
     def grad_theta_batch(self, positions):
@@ -320,21 +310,9 @@ class AceWavefunction:
         grad = np.einsum("wki,wit->wkt", inv, feats)
         return grad.reshape(positions.shape[0], self.n_params)
 
-    def grad_theta(self, positions):
-        return self.grad_theta_batch(np.asarray(positions)[None])[0]
-
     def gradient_and_laplacian_batch(self, positions):
         """Electron-coordinate gradient and summed Laplacian of log|psi|."""
         return fd_gradient_and_laplacian(self.log_abs_batch, positions, self.fd_step)
-
-    def gradient_and_laplacian(self, positions):
-        positions = np.asarray(positions, dtype=np.float64)
-        log_abs = self.log_abs_batch(positions[None])
-        if np.any(~np.isfinite(log_abs)) or np.any(log_abs < LOG_ABS_UNDERFLOW):
-            raise NodeProximity("coordinate derivatives requested near a node")
-        grad, lap = self.gradient_and_laplacian_batch(positions[None])
-        return grad[0], float(lap[0])
-
 
 def initial_theta(system, basis, feature_index, noise_scale=1e-2, seed=0):
     """Near-Slater start: unit weight on one single-orbital feature per column.

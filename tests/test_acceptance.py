@@ -219,11 +219,11 @@ def test_criterion_02_antisymmetry_under_same_spin_exchange():
             wavefunction.theta + 0.3 * rng.standard_normal(wavefunction.n_params)
         )
         positions = rng.normal(size=(system.n_electrons, 3), scale=1.0)
-        base_log, base_sign = wavefunction.log_psi(positions)
+        (base_log,), (base_sign,) = wavefunction.log_abs_sign_batch(positions[None])
         assert np.isfinite(base_log)
         for _ in range(n_perms):
             perm = random_block_permutation(system.n_up, system.n_down, rng)
-            log_abs, sign = wavefunction.log_psi(positions[perm])
+            (log_abs,), (sign,) = wavefunction.log_abs_sign_batch(positions[perm][None])
             assert sign == base_sign * permutation_parity(perm)
             assert log_abs == pytest.approx(base_log, abs=1e-12)
             checked += 1
@@ -245,16 +245,16 @@ def test_criterion_03_gradient_fidelity():
             wavefunction.theta + 0.05 * rng.standard_normal(wavefunction.n_params)
         )
         positions = rng.normal(size=(system.n_electrons, 3))
-        grad = wavefunction.grad_theta(positions)
+        grad = wavefunction.grad_theta_batch(positions[None])[0]
         base_theta = wavefunction.theta.copy()
         for slot in rng.choice(wavefunction.n_params, size=6, replace=False):
             bumped = base_theta.copy()
             bumped[slot] += step
             wavefunction.set_theta(bumped)
-            up = wavefunction.log_psi(positions)[0]
+            up = wavefunction.log_abs_batch(positions[None])[0]
             bumped[slot] -= 2 * step
             wavefunction.set_theta(bumped)
-            down = wavefunction.log_psi(positions)[0]
+            down = wavefunction.log_abs_batch(positions[None])[0]
             wavefunction.set_theta(base_theta)
             fd = (up - down) / (2 * step)
             assert grad[slot] == pytest.approx(fd, rel=1e-6, abs=1e-8)
@@ -283,6 +283,9 @@ def test_criterion_03_gradient_fidelity():
 
 
 def test_criterion_04_svd_backends_match_exact_truncation():
+    def rebuild(fact):
+        return (fact.u * fact.sigma) @ fact.v
+
     rng = np.random.default_rng(404)
     worst_iterative = 0.0
     worst_sketch = 0.0
@@ -295,12 +298,12 @@ def test_criterion_04_svd_backends_match_exact_truncation():
 
         exact = exact_truncated_svd(matrix, rank)
         cold, _ = ssi_svd(matrix, rank, max_iters=30, residual_tol=0.0)
-        diff = np.linalg.norm(cold.reconstruct() - exact.reconstruct())
+        diff = np.linalg.norm(rebuild(cold) - rebuild(exact))
         worst_iterative = max(worst_iterative, diff)
 
         low_rank = u[:, :rank] @ np.diag(spectrum[:rank]) @ v[:, :rank].T
         sketched = randomized_svd(low_rank, rank, rng_seed=trial)
-        diff = np.linalg.norm(sketched.reconstruct() - low_rank)
+        diff = np.linalg.norm(rebuild(sketched) - low_rank)
         worst_sketch = max(worst_sketch, diff)
     assert worst_iterative < 1e-8
     assert worst_sketch < 1e-10

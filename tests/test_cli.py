@@ -1,5 +1,6 @@
 import pytest
 
+from vmcsr.checkpoint import read_checkpoint, write_checkpoint
 from vmcsr.cli import main
 
 SMALL_RUN = """
@@ -89,6 +90,20 @@ class TestRunCommand:
         code = main(["run", "--config", str(config), "--resume", str(missing)])
         assert code == 2
         assert "cannot read checkpoint" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("table, entry", [("arrays", "log_abs"), ("scalars", "proposal_std")])
+    def test_resume_from_checkpoint_lacking_an_entry_exits_2(
+        self, tmp_path, capsys, table, entry
+    ):
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config)]) == 0
+        scalars, arrays, rng_states = read_checkpoint(tmp_path / "artifacts" / "checkpoint.bin")
+        del {"arrays": arrays, "scalars": scalars}[table][entry]
+        partial = tmp_path / "partial.bin"
+        write_checkpoint(partial, scalars, arrays, rng_states)
+        code = main(["run", "--config", str(config), "--steps", "5", "--resume", str(partial)])
+        assert code == 2
+        assert f"checkpoint lacks the entry '{entry}'" in capsys.readouterr().err
 
 
 class TestInspectCommand:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vmcsr.errors import NotPositiveDefinite, ZeroMatrix
-from vmcsr.linalg import exact_svd, qr_orthonormalize, spd_factorize, spd_solve
+from vmcsr.linalg import exact_svd, qr_orthonormalize, spd_factorize
 
 
 def _assert_valid_qr(a, q, r, tol=1e-12):
@@ -31,10 +31,9 @@ class TestQrOrthonormalize:
         np.testing.assert_allclose(q, [[0.6], [0.8]], atol=1e-15)
         np.testing.assert_allclose(r, [[5.0]], atol=1e-15)
 
-    def test_one_dimensional_input_treated_as_column(self):
-        q, r = qr_orthonormalize(np.array([3.0, 4.0]))
-        np.testing.assert_allclose(q, [[0.6], [0.8]], atol=1e-15)
-        np.testing.assert_allclose(r, [[5.0]], atol=1e-15)
+    def test_one_dimensional_input_rejected(self):
+        with pytest.raises(ValueError):
+            qr_orthonormalize(np.array([3.0, 4.0]))
 
     def test_random_tall_matrix_reconstructs(self):
         rng = np.random.default_rng(42)
@@ -137,18 +136,18 @@ class TestExactSvd:
 class TestSpdSolve:
     def test_identity_returns_rhs(self):
         b = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_allclose(spd_solve(np.eye(3), 0.0, b), b, atol=1e-15)
+        np.testing.assert_allclose(spd_factorize(np.eye(3)).solve(b), b, atol=1e-15)
 
     def test_scaled_identity_halves_rhs(self):
         b = np.array([2.0, 4.0])
-        np.testing.assert_allclose(spd_solve(2.0 * np.eye(2), 0.0, b), b / 2.0, atol=1e-15)
+        np.testing.assert_allclose(spd_factorize(2.0 * np.eye(2)).solve(b), b / 2.0, atol=1e-15)
 
     def test_random_spd_residual(self):
         rng = np.random.default_rng(11)
         g = rng.standard_normal((10, 10))
         t = g @ g.T + np.eye(10)
         b = rng.standard_normal(10)
-        x = spd_solve(t, 0.0, b)
+        x = spd_factorize(t).solve(b)
         assert np.linalg.norm(t @ x - b) < 1e-10
 
     def test_shift_is_applied(self):
@@ -156,22 +155,22 @@ class TestSpdSolve:
         g = rng.standard_normal((5, 5))
         t = g @ g.T
         b = rng.standard_normal(5)
-        x = spd_solve(t, 0.5, b)
+        x = spd_factorize(t, 0.5).solve(b)
         assert np.linalg.norm((t + 0.5 * np.eye(5)) @ x - b) < 1e-10
 
     def test_indefinite_rejected(self):
         with pytest.raises(NotPositiveDefinite):
-            spd_solve(np.diag([1.0, -1.0]), 0.0, np.ones(2))
+            spd_factorize(np.diag([1.0, -1.0]))
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
-            spd_solve(np.array([[1.0, 2.0], [0.0, 1.0]]), 0.0, np.ones(2))
+            spd_factorize(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     def test_matrix_rhs_gives_inverse(self):
         rng = np.random.default_rng(13)
         g = rng.standard_normal((6, 6))
         t = g @ g.T + 2.0 * np.eye(6)
-        x = spd_solve(t, 0.0, np.eye(6))
+        x = spd_factorize(t).solve(np.eye(6))
         np.testing.assert_allclose(x @ t, np.eye(6), atol=1e-10)
 
     def test_factorization_reconstructs(self):
@@ -179,4 +178,5 @@ class TestSpdSolve:
         g = rng.standard_normal((4, 4))
         t = g @ g.T + np.eye(4)
         fact = spd_factorize(t, 0.25)
-        np.testing.assert_allclose(fact.reconstruct(), t + 0.25 * np.eye(4), atol=1e-12)
+        lower = fact.chol_lower
+        np.testing.assert_allclose(lower @ lower.T, t + 0.25 * np.eye(4), atol=1e-12)

@@ -192,11 +192,9 @@ class TestAbortPath:
         calls = {"n": 0}
         original = vmcsr.sampler.local_energy_batch
 
-        def poisoned(system, wavefunction, positions, include_nuclear_repulsion=True):
+        def poisoned(system, wavefunction, positions):
             calls["n"] += 1
-            energies = original(
-                system, wavefunction, positions, include_nuclear_repulsion
-            )
+            energies = original(system, wavefunction, positions)
             if calls["n"] >= 3:
                 energies = np.asarray(energies).copy()
                 energies[0] = np.nan

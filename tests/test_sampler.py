@@ -73,12 +73,12 @@ def hydrogen_exact():
 class TestMetropolisStep:
     def test_zero_std_moves_nothing_and_accepts_everything(self):
         ensemble, model = make_line_ensemble(32, seed=0)
+        ensemble.proposal_std = 0.0
         before = ensemble.positions.copy()
-        metropolis_step(ensemble, model, proposal_std=0.0)
+        metropolis_step(ensemble, model)
         np.testing.assert_array_equal(ensemble.positions, before)
         assert int(ensemble.accepted.sum()) == 32
         assert int(ensemble.proposed.sum()) == 32
-        assert ensemble.acceptance_rate == 1.0
 
     def test_node_crossings_rejected(self):
         model = HardNode()
@@ -196,7 +196,7 @@ class TestBurnIn:
         ensemble.proposed = np.zeros_like(ensemble.proposed)
         for _ in range(200):
             metropolis_step(ensemble, model)
-        assert 0.3 < ensemble.acceptance_rate < 0.7
+        assert 0.3 < ensemble.accepted.sum() / ensemble.proposed.sum() < 0.7
         assert ensemble.proposal_std == frozen
 
         # A second burn-in call must be a no-op.

@@ -30,3 +30,13 @@ def test_compare_optimizers_runs_every_rule(tmp_path, capsys):
     assert "aborted" not in out
     rows = [line.split() for line in out.splitlines()[2:]]
     assert [row[0] for row in rows] == list(names)
+
+
+def test_trajectory_digest_split_matches_straight(capsys):
+    argv = ["--optimizers", "wssr,minsr", "--steps", "2"]
+    assert _load_script("trajectory_digest").main(argv) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[0] for row in rows] == ["wssr", "minsr"]
+    for row in rows:
+        assert row[1] == "trace" and row[3] == "checkpoint"
+        assert len(row[2]) == len(row[4]) == 64

@@ -10,13 +10,16 @@ from vmcsr.svdengine import (
     randomized_svd,
     ssi_svd,
     subspace_drift,
-    subspace_residual,
 )
 
 
 def _orthonormal(rng, m, r):
     q, _ = np.linalg.qr(rng.standard_normal((m, r)))
     return q
+
+
+def _rebuild(fact):
+    return (fact.u * fact.sigma) @ fact.v
 
 
 def _matrix_with_spectrum(rng, m, n, sigma):
@@ -28,7 +31,7 @@ def _matrix_with_spectrum(rng, m, n, sigma):
 class TestSsiSvd:
     def test_diagonal_matrix_dominant_pair(self):
         a = np.diag([5.0, 4.0, 3.0, 2.0, 1.0])
-        fact, report = ssi_svd(a, rank=2, max_iters=60)
+        fact, report = ssi_svd(a, rank=2, max_iters=60, residual_tol=1e-10)
         np.testing.assert_allclose(fact.sigma, [5.0, 4.0], atol=1e-8)
         np.testing.assert_allclose(np.abs(fact.u), np.eye(5)[:, :2], atol=1e-6)
         assert report.iterations_used <= 60
@@ -37,7 +40,7 @@ class TestSsiSvd:
     def test_exact_fixed_point_converges_in_one_iteration(self):
         rng = np.random.default_rng(5)
         a, u_true, _ = _matrix_with_spectrum(rng, 30, 20, [4.0, 2.0, 1.0])
-        fact, report = ssi_svd(a, rank=3, max_iters=1, u_init=u_true)
+        fact, report = ssi_svd(a, rank=3, max_iters=1, residual_tol=1e-10, u_init=u_true)
         assert report.iterations_used == 1
         assert report.subspace_residual < 1e-12
         assert report.warm_started
@@ -50,7 +53,9 @@ class TestSsiSvd:
         sigma = [5.0, 3.0, 2.0, 0.5, 0.25, 0.1]
         a, u_true, _ = _matrix_with_spectrum(rng, 40, 25, sigma)
         rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        fact, report = ssi_svd(a, rank=3, max_iters=50, u_init=u_true[:, :3] @ rot)
+        fact, report = ssi_svd(
+            a, rank=3, max_iters=50, residual_tol=1e-10, u_init=u_true[:, :3] @ rot
+        )
         assert report.iterations_used == 1
         np.testing.assert_allclose(fact.sigma, sigma[:3], atol=1e-12)
         np.testing.assert_allclose(np.abs(fact.u.T @ u_true[:, :3]), np.eye(3), atol=1e-10)
@@ -59,18 +64,18 @@ class TestSsiSvd:
         rng = np.random.default_rng(20)
         sigma = 2.0 ** -np.arange(1, 21)
         a, _, _ = _matrix_with_spectrum(rng, 200, 120, sigma)
-        fact, _ = ssi_svd(a, rank=10, max_iters=30)
+        fact, _ = ssi_svd(a, rank=10, max_iters=30, residual_tol=1e-10)
         _, dense_sigma, _ = exact_svd(a)
         np.testing.assert_allclose(fact.sigma, dense_sigma[:10], atol=1e-8)
 
     def test_factor_contract(self):
         rng = np.random.default_rng(21)
         a, _, _ = _matrix_with_spectrum(rng, 40, 25, [3.0, 1.0, 0.3, 0.1])
-        fact, _ = ssi_svd(a, rank=4, max_iters=50)
+        fact, _ = ssi_svd(a, rank=4, max_iters=50, residual_tol=1e-10)
         np.testing.assert_allclose(fact.u.T @ fact.u, np.eye(4), atol=1e-10)
         np.testing.assert_allclose(fact.v @ fact.v.T, np.eye(4), atol=1e-10)
         assert np.all(fact.sigma > 0.0) and np.all(np.diff(fact.sigma) <= 0.0)
-        np.testing.assert_allclose(fact.reconstruct(), a, atol=1e-8)
+        np.testing.assert_allclose(_rebuild(fact), a, atol=1e-8)
 
     def test_residual_monotone_in_iteration_budget(self):
         rng = np.random.default_rng(33)
@@ -116,28 +121,31 @@ class TestSsiSvd:
     def test_rank_bounds_enforced(self):
         a = np.eye(4)
         with pytest.raises(RankTooLarge):
-            ssi_svd(a, rank=5)
+            ssi_svd(a, rank=5, max_iters=3, residual_tol=1e-10)
         with pytest.raises(RankTooLarge):
-            ssi_svd(a, rank=0)
+            ssi_svd(a, rank=0, max_iters=3, residual_tol=1e-10)
 
     def test_warm_block_width_bounds(self):
         a = np.random.default_rng(67).standard_normal((12, 8))
-        fact, _ = ssi_svd(a, rank=2, u_init=np.eye(12)[:, :8])  # oversampled
+        fact, _ = ssi_svd(  # oversampled
+            a, rank=2, max_iters=3, residual_tol=1e-10, u_init=np.eye(12)[:, :8]
+        )
         assert fact.rank == 2
         for width in (1, 9):
             with pytest.raises(ValueError):
-                ssi_svd(a, rank=2, u_init=np.eye(12)[:, :width])
+                ssi_svd(a, rank=2, max_iters=3, residual_tol=1e-10,
+                        u_init=np.eye(12)[:, :width])
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(DegenerateInput):
-            ssi_svd(np.zeros((6, 4)), rank=2)
+            ssi_svd(np.zeros((6, 4)), rank=2, max_iters=3, residual_tol=1e-10)
 
     def test_column_permutation_leaves_sigma_unchanged(self):
         rng = np.random.default_rng(55)
         a, _, _ = _matrix_with_spectrum(rng, 30, 12, [4.0, 3.0, 2.0, 1.0])
         perm = rng.permutation(12)
-        f1, _ = ssi_svd(a, rank=4, max_iters=40)
-        f2, _ = ssi_svd(a[:, perm], rank=4, max_iters=40)
+        f1, _ = ssi_svd(a, rank=4, max_iters=40, residual_tol=1e-10)
+        f2, _ = ssi_svd(a[:, perm], rank=4, max_iters=40, residual_tol=1e-10)
         np.testing.assert_allclose(f1.sigma, f2.sigma, atol=1e-10)
 
     def test_zero_rows_with_full_warm_block(self):
@@ -153,7 +161,7 @@ class TestSsiSvd:
         u_init, _ = np.linalg.qr(
             np.concatenate([exact.u[:, :80], rng.standard_normal((144, 64))], axis=1)
         )
-        fact, report = ssi_svd(a, rank=144, u_init=u_init)
+        fact, report = ssi_svd(a, rank=144, max_iters=3, residual_tol=1e-10, u_init=u_init)
         assert report.warm_started
         assert report.iterations_used == 1
         assert fact.rank <= 80
@@ -162,8 +170,8 @@ class TestSsiSvd:
     def test_deterministic(self):
         rng = np.random.default_rng(66)
         a = rng.standard_normal((15, 10))
-        f1, r1 = ssi_svd(a, rank=3)
-        f2, r2 = ssi_svd(a, rank=3)
+        f1, r1 = ssi_svd(a, rank=3, max_iters=3, residual_tol=1e-10)
+        f2, r2 = ssi_svd(a, rank=3, max_iters=3, residual_tol=1e-10)
         np.testing.assert_array_equal(f1.u, f2.u)
         np.testing.assert_array_equal(f1.sigma, f2.sigma)
         np.testing.assert_array_equal(f1.v, f2.v)
@@ -178,7 +186,7 @@ class TestRandomizedSvd:
         for seed in (0, 1, 7, 123, 99999):
             fact = randomized_svd(a, rank=3, oversample=5, rng_seed=seed)
             np.testing.assert_allclose(fact.sigma, dense_sigma[:3], atol=1e-10)
-            np.testing.assert_allclose(fact.reconstruct(), a, atol=1e-9)
+            np.testing.assert_allclose(_rebuild(fact), a, atol=1e-9)
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(DegenerateInput):
@@ -191,7 +199,7 @@ class TestRandomizedSvd:
         tail = exact_svd(a)[1][20]
         for seed in range(50):
             fact = randomized_svd(a, rank=20, oversample=10, rng_seed=seed)
-            err = np.linalg.norm(a - fact.reconstruct(), ord=2)
+            err = np.linalg.norm(a - _rebuild(fact), ord=2)
             assert err <= 10.0 * tail
 
     def test_sketch_width_bound(self):
@@ -241,13 +249,17 @@ class TestSubspaceDrift:
 
 
 class TestResidualDiagnostic:
+    """The subspace residual ssi_svd reports for its final block."""
+
     def test_invariant_subspace_gives_zero(self):
         rng = np.random.default_rng(90)
         a, u_true, _ = _matrix_with_spectrum(rng, 25, 15, [3.0, 1.0])
-        assert subspace_residual(a, u_true) < 1e-14
+        _, report = ssi_svd(a, rank=2, max_iters=1, residual_tol=0.0, u_init=u_true)
+        assert report.subspace_residual < 1e-14
 
     def test_generic_subspace_gives_positive(self):
         rng = np.random.default_rng(91)
         a = rng.standard_normal((25, 15))
         q = _orthonormal(rng, 25, 3)
-        assert subspace_residual(a, q) > 1e-4
+        _, report = ssi_svd(a, rank=3, max_iters=1, residual_tol=0.0, u_init=q)
+        assert report.subspace_residual > 1e-4

@@ -5,11 +5,8 @@ import pytest
 
 from vmcsr.errors import CoalescencePoint, NodeProximity
 from vmcsr.system import (
-    ElectronConfiguration,
     MolecularSystem,
-    local_energy,
     local_energy_batch,
-    potential_energy,
     potential_energy_batch,
     preset_names,
     preset_system,
@@ -48,21 +45,20 @@ def brute_force_potential(charges, nuclei, electrons, include_nn=True):
     return total
 
 
-def _config(system, positions):
-    return ElectronConfiguration(
-        positions=np.asarray(positions, dtype=np.float64), spins=system.spins
-    )
+def potential(system, positions):
+    """Potential energy of one (N, 3) configuration, as a batch of one."""
+    return potential_energy_batch(system, np.asarray(positions, dtype=np.float64)[None])[0]
 
 
 class TestPotentialEnergy:
     def test_helium_axis_pair(self):
         system = preset_system("he")
-        value = potential_energy(system, _config(system, [[0, 0, 1.0], [0, 0, -1.0]]))
+        value = potential(system, [[0, 0, 1.0], [0, 0, -1.0]])
         assert value == pytest.approx(-3.5, abs=1e-14)
 
     def test_single_electron_at_distance_two(self):
         system = preset_system("h")
-        value = potential_energy(system, _config(system, [[0.0, 0.0, 2.0]]))
+        value = potential(system, [[0.0, 0.0, 2.0]])
         assert value == pytest.approx(-0.5, abs=1e-15)
 
     def test_lih_matches_brute_force_oracle(self):
@@ -72,18 +68,18 @@ class TestPotentialEnergy:
         expected = brute_force_potential(
             (3, 1), [(0, 0, 0), (0, 0, 3.015)], electrons
         )
-        value = potential_energy(system, _config(system, electrons))
+        value = potential(system, electrons)
         assert value == pytest.approx(expected, rel=1e-13)
 
-    def test_nuclear_repulsion_flag(self):
+    def test_nuclear_repulsion_term(self):
         system = preset_system("lih")
         rng = np.random.default_rng(18)
         electrons = rng.normal(0.0, 1.5, size=(4, 3))
-        with_nn = potential_energy(system, _config(system, electrons))
-        without = potential_energy(
-            system, _config(system, electrons), include_nuclear_repulsion=False
+        electronic = brute_force_potential(
+            (3, 1), [(0, 0, 0), (0, 0, 3.015)], electrons, include_nn=False
         )
-        assert with_nn - without == pytest.approx(3.0 / 3.015, rel=1e-13)
+        value = potential(system, electrons)
+        assert value - electronic == pytest.approx(3.0 / 3.015, rel=1e-13)
 
     def test_permutation_symmetry_is_bitwise(self):
         system = preset_system("ne")
@@ -106,18 +102,16 @@ class TestPotentialEnergy:
             n_up=2,
             n_down=2,
         )
-        v0 = potential_energy(base_sys, _config(base_sys, electrons))
-        v1 = potential_energy(moved_sys, _config(moved_sys, electrons + shift))
+        v0 = potential(base_sys, electrons)
+        v1 = potential(moved_sys, electrons + shift)
         assert v1 == pytest.approx(v0, abs=1e-8)
 
     def test_coalescence_guard(self):
         system = preset_system("he")
         with pytest.raises(CoalescencePoint):
-            potential_energy(system, _config(system, [[0, 0, 1e-14], [0, 0, -1.0]]))
+            potential(system, [[0, 0, 1e-14], [0, 0, -1.0]])
         with pytest.raises(CoalescencePoint):
-            potential_energy(
-                system, _config(system, [[0, 0, 1.0], [0, 0, 1.0 + 1e-14]])
-            )
+            potential(system, [[0, 0, 1.0], [0, 0, 1.0 + 1e-14]])
 
 
 class TestLocalEnergy:
@@ -169,17 +163,7 @@ class TestLocalEnergy:
         system = preset_system("h")
         psi = AnalyticLogAmplitude(lambda p: np.full(p.shape[0], -800.0))
         with pytest.raises(NodeProximity):
-            local_energy(system, psi, _config(system, [[0.0, 0.0, 1.0]]))
-
-    def test_single_config_wrapper_matches_batch(self):
-        system = preset_system("he")
-        psi = AnalyticLogAmplitude(
-            lambda p: -1.6875 * np.sum(np.linalg.norm(p, axis=-1), axis=-1)
-        )
-        positions = np.array([[0.2, 0.4, -0.3], [-0.5, 0.1, 0.9]])
-        single = local_energy(system, psi, _config(system, positions))
-        batch = local_energy_batch(system, psi, positions[None])[0]
-        assert single == batch
+            local_energy_batch(system, psi, np.array([[[0.0, 0.0, 1.0]]]))
 
 
 class TestPresets:

@@ -118,8 +118,8 @@ class TestPooledFeatures:
         rng = np.random.default_rng(1)
         positions = rng.normal(size=(2, 3))
         phi = orbital_values(basis, system.nuclear_positions, positions[None], system.spins)[0]
-        for i in range(2):
-            np.testing.assert_allclose(wf.pooled_basis(positions, i), phi[i], atol=1e-15)
+        feats = wf.pooled_features_batch(positions[None])[0]
+        np.testing.assert_allclose(feats, phi, atol=1e-15)
 
     def test_two_electron_single_orbital_product(self):
         system = single_nucleus_system(2, 2, 0)
@@ -129,7 +129,7 @@ class TestPooledFeatures:
         rng = np.random.default_rng(2)
         positions = rng.normal(size=(2, 3))
         r = np.linalg.norm(positions, axis=1)
-        feats = wf.pooled_basis(positions, 0)
+        feats = wf.pooled_features_batch(positions[None])[0, 0]
         # slots: (head, ()) then (head, (head,))
         assert feats[0] == pytest.approx(np.exp(-r[0]), abs=1e-15)
         assert feats[1] == pytest.approx(np.exp(-r[0]) * np.exp(-r[1]), rel=1e-14)
@@ -150,11 +150,11 @@ class TestPooledFeatures:
         wf = AceWavefunction(system=system, basis=basis, correlation_order=3)
         rng = np.random.default_rng(4)
         positions = rng.normal(size=(4, 3))
-        base = wf.pooled_basis(positions, 0)
         # permute the two non-highlighted up electrons (slots 1 and 2)
         swapped = positions.copy()
         swapped[[1, 2]] = swapped[[2, 1]]
-        np.testing.assert_allclose(wf.pooled_basis(swapped, 0), base, rtol=1e-12)
+        feats = wf.pooled_features_batch(np.stack([positions, swapped]))[:, 0]
+        np.testing.assert_allclose(feats[1], feats[0], rtol=1e-12)
 
 
 class TestJastrow:
@@ -199,9 +199,9 @@ class TestLogPsi:
         wf = AceWavefunction(system=system, basis=basis, correlation_order=1,
                              theta=np.array([1.0]))
         point = np.array([[0.3, -0.4, 1.2]])
-        log_abs, sign = wf.log_psi(point)
-        assert sign == 1.0
-        assert log_abs == pytest.approx(-np.linalg.norm(point), rel=1e-14)
+        log_abs, sign = wf.log_abs_sign_batch(point[None])
+        assert sign[0] == 1.0
+        assert log_abs[0] == pytest.approx(-np.linalg.norm(point), rel=1e-14)
 
     def test_same_spin_swap_flips_sign(self):
         system = single_nucleus_system(3, 2, 1)
@@ -211,8 +211,7 @@ class TestLogPsi:
         positions = rng.normal(size=(3, 3))
         swapped = positions.copy()
         swapped[[0, 1]] = swapped[[1, 0]]  # both spin-up slots
-        la0, s0 = wf.log_psi(positions)
-        la1, s1 = wf.log_psi(swapped)
+        (la0, la1), (s0, s1) = wf.log_abs_sign_batch(np.stack([positions, swapped]))
         assert s1 == -s0
         assert la1 == pytest.approx(la0, abs=1e-12)
 
@@ -235,9 +234,9 @@ class TestLogPsi:
         phi2 = r * np.exp(-r)
         det = phi1[0] * phi2[1] - phi2[0] * phi1[1]
         expected = np.log(abs(det)) + brute_force_jastrow(positions, system.spins)
-        log_abs, sign = wf.log_psi(positions)
-        assert log_abs == pytest.approx(expected, rel=1e-12)
-        assert sign == np.sign(det)
+        log_abs, sign = wf.log_abs_sign_batch(positions[None])
+        assert log_abs[0] == pytest.approx(expected, rel=1e-12)
+        assert sign[0] == np.sign(det)
 
     def test_exact_node_sentinel(self):
         system = single_nucleus_system(2, 2, 0)
@@ -250,9 +249,9 @@ class TestLogPsi:
         # equal determinant columns: psi vanishes identically
         wf = AceWavefunction(system=system, basis=basis, correlation_order=1,
                              theta=np.array([1.0, 0.5, 1.0, 0.5]))
-        log_abs, sign = wf.log_psi(np.random.default_rng(8).normal(size=(2, 3)))
-        assert log_abs == -np.inf
-        assert sign == 0.0
+        log_abs, sign = wf.log_abs_sign_batch(np.random.default_rng(8).normal(size=(1, 2, 3)))
+        assert log_abs[0] == -np.inf
+        assert sign[0] == 0.0
 
     def test_antisymmetry_over_block_permutations(self):
         """Spin labels are slot-fixed, so the symmetry group is the product
@@ -262,14 +261,14 @@ class TestLogPsi:
         wf = AceWavefunction(system=system, basis=basis, correlation_order=2)
         rng = np.random.default_rng(9)
         positions = rng.normal(size=(7, 3)) * 1.3
-        base_log, base_sign = wf.log_psi(positions)
+        (base_log,), (base_sign,) = wf.log_abs_sign_batch(positions[None])
         assert np.isfinite(base_log)
 
         perms = list(block_permutations(4, 3))
         picks = rng.choice(len(perms), size=100, replace=True)
         for pick in picks:
             perm = perms[pick]
-            log_abs, sign = wf.log_psi(positions[perm])
+            (log_abs,), (sign,) = wf.log_abs_sign_batch(positions[perm][None])
             assert sign == base_sign * permutation_parity(perm)
             assert log_abs == pytest.approx(base_log, abs=1e-12)
 
@@ -284,16 +283,16 @@ class TestThetaGradient:
         for _ in range(20):
             wf.set_theta(wf.theta + 0.05 * rng.standard_normal(wf.n_params))
             positions = rng.normal(size=(3, 3))
-            grad = wf.grad_theta(positions)
+            grad = wf.grad_theta_batch(positions[None])[0]
             base_theta = wf.theta.copy()
             for slot in rng.choice(wf.n_params, size=6, replace=False):
                 bumped = base_theta.copy()
                 bumped[slot] += step
                 wf.set_theta(bumped)
-                up = wf.log_psi(positions)[0]
+                up = wf.log_abs_batch(positions[None])[0]
                 bumped[slot] -= 2 * step
                 wf.set_theta(bumped)
-                down = wf.log_psi(positions)[0]
+                down = wf.log_abs_batch(positions[None])[0]
                 wf.set_theta(base_theta)
                 fd = (up - down) / (2 * step)
                 assert grad[slot] == pytest.approx(fd, rel=1e-6, abs=1e-8)
@@ -304,7 +303,7 @@ class TestThetaGradient:
         for c in (0.5, 1.0, 2.5):
             wf = AceWavefunction(system=system, basis=basis, correlation_order=1,
                                  theta=np.array([c]))
-            grad = wf.grad_theta(np.array([[0.1, 0.2, -0.4]]))
+            grad = wf.grad_theta_batch(np.array([[[0.1, 0.2, -0.4]]]))[0]
             assert grad[0] == pytest.approx(1.0 / c, rel=1e-12)
 
     def test_euler_homogeneity(self):
@@ -315,7 +314,7 @@ class TestThetaGradient:
         wf = AceWavefunction(system=system, basis=basis, correlation_order=2)
         rng = np.random.default_rng(11)
         positions = rng.normal(size=(4, 3))
-        grad = wf.grad_theta(positions)
+        grad = wf.grad_theta_batch(positions[None])[0]
         assert float(grad @ wf.theta) == pytest.approx(4.0, rel=1e-10)
 
 
@@ -327,9 +326,9 @@ class TestCoordinateDerivatives:
                              theta=np.array([1.0]), jastrow_enabled=False)
         point = np.array([[0.6, -0.3, 0.9]])
         r = float(np.linalg.norm(point))
-        grad, lap = wf.gradient_and_laplacian(point)
-        np.testing.assert_allclose(grad[0], -point[0] / r, atol=1e-7)
-        assert lap == pytest.approx(-2.0 / r, rel=1e-6)
+        grad, lap = wf.gradient_and_laplacian_batch(point[None])
+        np.testing.assert_allclose(grad[0, 0], -point[0] / r, atol=1e-7)
+        assert lap[0] == pytest.approx(-2.0 / r, rel=1e-6)
 
     def test_matches_higher_order_stencil(self):
         """Second-order stencil vs a fourth-order oracle at the same step:
