@@ -1,16 +1,20 @@
-"""INI run configuration: schema, parsing, and domain-object builders.
+"""INI run configuration: one frozen dataclass per section, parsing, builders.
 
-Every key lives in the schema table below with its default and help
-text, which is also what the command line prints under --help. The
-update-rule sections ([sr], [minsr], [spring], [wssr]) are the fields
-of the options classes in optimizers.py, which own their defaults and
-range checks; the schema reads those defaults from them. Unknown
-sections or keys fail fast with ConfigError, as do values outside their
-documented ranges, so a run never starts on a half-understood config.
+Each INI section is a dataclass whose fields are the section's keys: a
+field default is the only place that default is written, and the class's
+__post_init__ is the only place its range is checked. The update-rule
+sections ([sr], [minsr], [spring], [wssr]) are the options classes of
+optimizers.py; the others are defined here. RunConfig holds one of each,
+in --help order, and the parser, --help and the command-line overrides
+all go through these classes. Unknown sections or keys fail fast with
+ConfigError, as do values outside their documented ranges, so a run
+never starts on a half-understood config. A default of None marks a key
+as unset; an empty INI value leaves such a key unset.
 """
 
 import configparser
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +28,8 @@ from .optimizers import (
     SpringOptions,
     SrOptions,
     WssrOptions,
+    _require,
 )
-from .sampler import DEFAULT_BURN_IN, DEFAULT_PROPOSAL_STD, DEFAULT_THINNING, DEFAULT_WALKERS
 from .system import MolecularSystem, preset_names, preset_system
 from .wavefunction import (
     DEFAULT_FD_STEP,
@@ -37,79 +41,191 @@ from .wavefunction import (
 )
 
 OPTIMIZER_NAMES = ("sgd", "sr", "minsr", "spring", "wssr", "rssr")
-
-# The sections that configure one update rule, each parsed into its
-# options class; the keys are the class's fields.
-OPTION_SECTIONS = {
-    "sr": SrOptions,
-    "minsr": MinsrOptions,
-    "spring": SpringOptions,
-    "wssr": WssrOptions,
-}
-_DEFAULT_SCHEDULE = LearningRateSchedule()
+_EXPLICIT_KEYS = ("charges", "positions", "n_up", "n_down")
 
 
-def _shown(value):
-    """A default as the schema writes it: 'false', '1e-6', '1000'."""
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return format(value, "g").replace("e-0", "e-")
-    return str(value)
+@dataclass(frozen=True)
+class SystemConfig:
+    """[system]: a preset name, or the explicit route (the other four keys)."""
+
+    preset: str = None
+    charges: tuple[int, ...] = None
+    positions: np.ndarray = None
+    n_up: int = None
+    n_down: int = None
+
+    def __post_init__(self):
+        given = [k for k in _EXPLICIT_KEYS if getattr(self, k) is not None]
+        if self.preset is not None:
+            if given:
+                raise ValueError(
+                    "give either preset or the explicit route "
+                    f"({', '.join(_EXPLICIT_KEYS)}), not both"
+                )
+            _require(self, "preset", self.preset in preset_names(),
+                     "be one of the valid presets: " + ", ".join(preset_names()))
+            return
+        missing = [k for k in _EXPLICIT_KEYS if k not in given]
+        if missing:
+            raise ValueError(
+                "needs a preset or all of the explicit keys; missing: " + ", ".join(missing)
+            )
+        if np.shape(self.positions) != (len(self.charges), 3):
+            raise ValueError(
+                f"positions: need one 'x y z' triple per charge "
+                f"({len(self.charges)}), got shape {np.shape(self.positions)}"
+            )
+        _require(self, "n_up", self.n_up >= 0, "be >= 0")
+        _require(self, "n_down", self.n_down >= 0, "be >= 0")
 
 
-def _option_keys(section, docs):
-    """Schema rows of an option section: its fields with their defaults."""
-    return {
-        f.name: (_shown(f.default), docs[f.name])
-        for f in dataclasses.fields(OPTION_SECTIONS[section])
-    }
+@dataclass(frozen=True)
+class WavefunctionConfig:
+    """[wavefunction]: the ansatz, its start and its basis."""
+
+    correlation_order: int = 2
+    degree_cap: int = None
+    jastrow: bool = True
+    init_noise: float = 0.01
+    fd_step: float = DEFAULT_FD_STEP
+    radial_powers: tuple[int, ...] = (0, 1)
+    ell_max: int = 1
+    basis: tuple[SlaterOrbital, ...] = None
+
+    def __post_init__(self):
+        _require(self, "correlation_order", self.correlation_order >= 1, "be >= 1")
+        _require(self, "degree_cap", self.degree_cap is None or self.degree_cap >= 1,
+                 "be >= 1")
+        _require(self, "init_noise", 0.0 <= self.init_noise < math.inf,
+                 "be finite and >= 0")
+        _require(self, "fd_step", 0.0 < self.fd_step < math.inf, "be finite and > 0")
+        _require(self, "radial_powers",
+                 self.radial_powers and min(self.radial_powers) >= 0,
+                 "hold at least one nonnegative power")
+        _require(self, "ell_max", self.ell_max >= 0, "be >= 0")
 
 
-# section -> key -> (default string, help text). "" means optional/unset.
-CONFIG_SCHEMA = {
+@dataclass(frozen=True)
+class SamplerConfig:
+    """[sampler]: the Metropolis walker ensemble and its batches."""
+
+    walkers: int = 2048
+    burn_in: int = 1000
+    thinning: int = 10
+    proposal_std: float = 0.5
+    samples_per_step: int = None
+
+    def __post_init__(self):
+        _require(self, "walkers", self.walkers >= 1, "be >= 1")
+        _require(self, "burn_in", self.burn_in >= 0, "be >= 0")
+        _require(self, "thinning", self.thinning >= 0, "be >= 0")
+        _require(self, "proposal_std", 0.0 < self.proposal_std < math.inf,
+                 "be finite and > 0")
+        _require(self, "samples_per_step",
+                 self.samples_per_step is None or self.samples_per_step >= 1, "be >= 1")
+
+
+@dataclass(frozen=True)
+class OptimizerConfig:
+    """[optimizer]: the update rule, its learning rate and the energy clip."""
+
+    name: str = "wssr"
+    alpha: float = LearningRateSchedule.alpha
+    beta: float = LearningRateSchedule.beta
+    clip_n_std: float = 5.0
+
+    def __post_init__(self):
+        _require(self, "name", self.name in OPTIMIZER_NAMES,
+                 "be one of the valid optimizers: " + ", ".join(OPTIMIZER_NAMES))
+        self.schedule  # building it checks alpha and beta
+        _require(self, "clip_n_std", self.clip_n_std > 0.0, "be > 0")
+
+    @property
+    def schedule(self):
+        return LearningRateSchedule(alpha=self.alpha, beta=self.beta)
+
+
+@dataclass(frozen=True)
+class RunSettings:
+    """[run]: length, seed, artifacts and reporting."""
+
+    steps: int = 2000
+    seed: int = 0
+    out_dir: str = "vmc_out"
+    smooth_window: int = 50
+    checkpoint_every: int = 0
+
+    def __post_init__(self):
+        _require(self, "steps", self.steps >= 1, "be >= 1")
+        _require(self, "seed", self.seed >= 0, "be >= 0")
+        _require(self, "out_dir", self.out_dir != "", "be non-empty")
+        _require(self, "smooth_window", self.smooth_window >= 1, "be >= 1")
+        _require(self, "checkpoint_every", self.checkpoint_every >= 0, "be >= 0")
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """A whole run: one field per INI section, in --help order."""
+
+    system: SystemConfig
+    wavefunction: WavefunctionConfig
+    sampler: SamplerConfig
+    optimizer: OptimizerConfig
+    sr: SrOptions
+    minsr: MinsrOptions
+    spring: SpringOptions
+    wssr: WssrOptions
+    run: RunSettings
+
+
+# section name -> its dataclass
+SECTIONS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
+
+# section -> key -> help text; the defaults come from the field defaults.
+KEY_HELP = {
     "system": {
-        "preset": ("", "built-in system name (run the presets subcommand for the list)"),
-        "charges": ("", "explicit route: nuclear charges, e.g. '1, 1'"),
-        "positions": ("", "explicit route: 'x y z' per nucleus in Bohr, ';'-separated"),
-        "n_up": ("", "explicit route: spin-up electron count"),
-        "n_down": ("", "explicit route: spin-down electron count"),
+        "preset": "built-in system name (run the presets subcommand for the list)",
+        "charges": "explicit route: nuclear charges, e.g. '1, 1'",
+        "positions": "explicit route: 'x y z' per nucleus in Bohr, ';'-separated",
+        "n_up": "explicit route: spin-up electron count",
+        "n_down": "explicit route: spin-down electron count",
     },
     "wavefunction": {
-        "correlation_order": ("2", "pooled-feature tuple order (1 = bare orbitals)"),
-        "degree_cap": ("", "optional cap on a feature tuple's summed polynomial degree"),
-        "jastrow": ("true", "multiply by the electron-electron cusp factor"),
-        "init_noise": ("0.01", "Gaussian spread around the product-state start"),
-        "fd_step": (_shown(DEFAULT_FD_STEP), "finite-difference step for kinetic derivatives"),
-        "radial_powers": ("0, 1", "default basis: radial monomial powers"),
-        "ell_max": ("1", "default basis: highest angular momentum (0 = s only)"),
-        "basis": ("", "explicit rows 'center n ell m zeta spin', ';'-separated; replaces the default basis"),
+        "correlation_order": "pooled-feature tuple order (1 = bare orbitals)",
+        "degree_cap": "optional cap on a feature tuple's summed polynomial degree",
+        "jastrow": "multiply by the electron-electron cusp factor",
+        "init_noise": "Gaussian spread around the product-state start",
+        "fd_step": "finite-difference step for kinetic derivatives",
+        "radial_powers": "default basis: radial monomial powers",
+        "ell_max": "default basis: highest angular momentum (0 = s only)",
+        "basis": "explicit rows 'center n ell m zeta spin', ';'-separated; "
+                 "replaces the default basis",
     },
     "sampler": {
-        "walkers": (_shown(DEFAULT_WALKERS), "parallel Metropolis walkers"),
-        "burn_in": (_shown(DEFAULT_BURN_IN), "equilibration steps before the first batch"),
-        "thinning": (_shown(DEFAULT_THINNING), "Metropolis steps between collected samples"),
-        "proposal_std": (_shown(DEFAULT_PROPOSAL_STD), "initial Gaussian proposal spread (Bohr)"),
-        "samples_per_step": ("", "batch size per optimizer step (empty = walker count)"),
+        "walkers": "parallel Metropolis walkers",
+        "burn_in": "equilibration steps before the first batch",
+        "thinning": "Metropolis steps between collected samples",
+        "proposal_std": "initial Gaussian proposal spread (Bohr)",
+        "samples_per_step": "batch size per optimizer step (empty = walker count)",
     },
     "optimizer": {
-        "name": ("wssr", "one of " + ", ".join(OPTIMIZER_NAMES)),
-        "alpha": (_shown(_DEFAULT_SCHEDULE.alpha), "learning-rate numerator"),
-        "beta": (_shown(_DEFAULT_SCHEDULE.beta), "learning-rate decay constant, in steps"),
-        "clip_n_std": ("5", "local-energy clip width in population stds; 'inf' disables"),
+        "name": "one of " + ", ".join(OPTIMIZER_NAMES),
+        "alpha": "learning-rate numerator",
+        "beta": "learning-rate decay constant, in steps",
+        "clip_n_std": "local-energy clip width in population stds; 'inf' disables",
     },
-    "sr": _option_keys("sr", {
+    "sr": {
         "reg_mode": "one of " + ", ".join(SR_REG_MODES),
         "reg_eps": "regularization strength / pseudo-inverse cutoff",
-    }),
-    "minsr": _option_keys("minsr", {
+    },
+    "minsr": {
         "tikhonov_eps": "shift on the sample-side Gram matrix (0 = pseudo-solve)",
-    }),
-    "spring": _option_keys("spring", {
+    },
+    "spring": {
         "mu": "momentum weight on the previous update",
         "tikhonov_eps": "shift on the regularized Gram matrix",
-    }),
-    "wssr": _option_keys("wssr", {
+    },
+    "wssr": {
         "delta": "weight of the averaged history vs the fresh batch",
         "sigma_floor": "preconditioner floor outside the kept subspace",
         "sigma_floor_relative": "scale the floor by the top squared singular value",
@@ -119,251 +235,90 @@ CONFIG_SCHEMA = {
         "ssi_max_iters": "subspace-iteration cap per step",
         "ssi_residual_tol": "relative residual for early subspace-iteration exit",
         "svd_backend": "one of " + ", ".join(SVD_BACKENDS) + " (rssr forces randomized)",
-    }),
+    },
     "run": {
-        "steps": ("2000", "optimizer steps"),
-        "seed": ("0", "master seed for walkers, parameter init, and sketches"),
-        "out_dir": ("vmc_out", "artifact directory (trace.csv, checkpoint.bin)"),
-        "smooth_window": ("50", "trailing window for the reported smoothed energy"),
-        "checkpoint_every": ("0", "periodic checkpoint interval in steps (0 = final only)"),
+        "steps": "optimizer steps",
+        "seed": "master seed for walkers, parameter init, and sketches",
+        "out_dir": "artifact directory (trace.csv, checkpoint.bin)",
+        "smooth_window": "trailing window for the reported smoothed energy",
+        "checkpoint_every": "periodic checkpoint interval in steps (0 = final only)",
     },
 }
 
 
-@dataclass(frozen=True)
-class SystemConfig:
-    preset: str
-    charges: tuple
-    positions: np.ndarray
-    n_up: int
-    n_down: int
+def _expecting(what, convert):
+    """A parser that reports a failed convert(text) as 'expected <what>'."""
 
-
-@dataclass(frozen=True)
-class WavefunctionConfig:
-    correlation_order: int
-    degree_cap: int
-    jastrow: bool
-    init_noise: float
-    fd_step: float
-    radial_powers: tuple
-    ell_max: int
-    basis_rows: tuple
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    walkers: int
-    burn_in: int
-    thinning: int
-    proposal_std: float
-    samples_per_step: int
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    name: str
-    alpha: float
-    beta: float
-    clip_n_std: float
-    sr: SrOptions
-    minsr: MinsrOptions
-    spring: SpringOptions
-    wssr: WssrOptions
-
-
-@dataclass(frozen=True)
-class RunSettings:
-    steps: int
-    seed: int
-    out_dir: str
-    smooth_window: int
-    checkpoint_every: int
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    system: SystemConfig
-    wavefunction: WavefunctionConfig
-    sampler: SamplerConfig
-    optimizer: OptimizerConfig
-    run: RunSettings
-
-
-class _Section:
-    """One schema-backed section: typed getters with range checks."""
-
-    def __init__(self, name, values):
-        self.name = name
-        self.values = values
-
-    def raw(self, key):
-        return self.values.get(key, CONFIG_SCHEMA[self.name][key][0]).strip()
-
-    def _fail(self, key, message):
-        raise ConfigError(f"[{self.name}] {key}: {message}")
-
-    def get_int(self, key, minimum=None):
-        text = self.raw(key)
+    def parse(text):
         try:
-            value = int(text)
-        except ValueError:
-            self._fail(key, f"expected an integer, got {text!r}")
-        if minimum is not None and value < minimum:
-            self._fail(key, f"must be >= {minimum}, got {value}")
-        return value
+            return convert(text)
+        except (ValueError, KeyError):
+            raise ValueError(f"expected {what}, got {text!r}") from None
 
-    def get_optional_int(self, key, minimum=None):
-        if self.raw(key) == "":
-            return None
-        return self.get_int(key, minimum)
+    return parse
 
-    def get_float(self, key, minimum=None, exclusive=False):
-        text = self.raw(key)
-        try:
-            value = float(text)
-        except ValueError:
-            self._fail(key, f"expected a number, got {text!r}")
-        # Written so that NaN fails the range check.
-        if minimum is not None:
-            if exclusive and not value > minimum:
-                self._fail(key, f"must be > {minimum}, got {value}")
-            if not exclusive and not value >= minimum:
-                self._fail(key, f"must be >= {minimum}, got {value}")
-        return value
 
-    def get_bool(self, key):
-        text = self.raw(key).lower()
-        if text in ("true", "yes", "on", "1"):
-            return True
-        if text in ("false", "no", "off", "0"):
-            return False
-        self._fail(key, f"expected a boolean, got {self.raw(key)!r}")
-
-    def build(self, cls):
-        """cls from the keys this section sets; the other fields keep
-        their defaults, and cls.__post_init__ checks every range."""
-        read = {float: self.get_float, int: self.get_int, bool: self.get_bool, str: self.raw}
-        given = {
-            f.name: read[f.type](f.name)
-            for f in dataclasses.fields(cls)
-            if f.name in self.values
-        }
-        try:
-            return cls(**given)
-        except ValueError as exc:
-            raise ConfigError(f"[{self.name}] {exc}") from exc
+_BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
+             "false": False, "no": False, "off": False, "0": False}
 
 
 def _split_rows(text):
     return [row.strip() for row in text.replace("\n", ";").split(";") if row.strip()]
 
 
-def _parse_system(section):
-    preset = section.raw("preset")
-    explicit_keys = ("charges", "positions", "n_up", "n_down")
-    explicit_given = [k for k in explicit_keys if section.raw(k) != ""]
-    if preset and explicit_given:
-        raise ConfigError(
-            "[system] give either preset or the explicit route "
-            f"({', '.join(explicit_keys)}), not both"
-        )
-    if preset:
-        if preset not in preset_names():
-            raise ConfigError(
-                f"[system] preset: unknown system {preset!r}; "
-                "valid presets: " + ", ".join(preset_names())
-            )
-        return SystemConfig(preset, (), None, 0, 0)
-    missing = [k for k in explicit_keys if k not in explicit_given]
-    if missing:
-        raise ConfigError(
-            "[system] needs a preset or all of the explicit keys; missing: "
-            + ", ".join(missing)
-        )
-    try:
-        charges = tuple(int(c) for c in section.raw("charges").replace(",", " ").split())
-    except ValueError:
-        raise ConfigError("[system] charges: expected integers") from None
-    rows = _split_rows(section.raw("positions"))
-    try:
-        positions = np.array([[float(c) for c in row.split()] for row in rows])
-    except ValueError:
-        raise ConfigError("[system] positions: expected 'x y z' triples") from None
-    if positions.ndim != 2 or positions.shape != (len(charges), 3):
-        raise ConfigError(
-            f"[system] positions: need one 'x y z' triple per charge "
-            f"({len(charges)}), got shape {positions.shape}"
-        )
-    return SystemConfig(
-        "", charges, positions, section.get_int("n_up", 0), section.get_int("n_down", 0)
-    )
-
-
-def _parse_basis_rows(section):
-    text = section.raw("basis")
-    if not text:
-        return None
+def _basis_rows(text):
     rows = []
     for row in _split_rows(text):
         tokens = row.split()
         if len(tokens) != 6:
-            section._fail("basis", f"row {row!r}: expected 'center n ell m zeta spin'")
+            raise ValueError(f"row {row!r}: expected 'center n ell m zeta spin'")
         center, n, ell, m, zeta, spin = tokens
         try:
-            rows.append(
-                SlaterOrbital(int(center), int(n), int(ell), int(m), float(zeta), spin)
-            )
+            rows.append(SlaterOrbital(int(center), int(n), int(ell), int(m), float(zeta), spin))
         except ValueError as exc:
-            section._fail("basis", f"row {row!r}: {exc}")
+            raise ValueError(f"row {row!r}: {exc}") from None
     return tuple(rows)
 
 
-def _parse_wavefunction(section):
-    powers_text = section.raw("radial_powers").replace(",", " ").split()
+# field type -> parser of one stripped INI value
+_PARSERS = {
+    int: _expecting("an integer", int),
+    float: _expecting("a number", float),
+    bool: _expecting("a boolean", lambda text: _BOOLEANS[text.lower()]),
+    str: str,
+    tuple[int, ...]: _expecting(
+        "integers", lambda text: tuple(int(p) for p in text.replace(",", " ").split())),
+    np.ndarray: _expecting("'x y z' triples", lambda text: np.array(
+        [[float(c) for c in row.split()] for row in _split_rows(text)])),
+    tuple[SlaterOrbital, ...]: _basis_rows,
+}
+
+
+def _checked(section, make, *args, **kwargs):
+    """make(*args, **kwargs), reporting a failed range check as a ConfigError."""
     try:
-        radial_powers = tuple(int(p) for p in powers_text)
-    except ValueError:
-        section._fail("radial_powers", "expected integers")
-    if not radial_powers or any(p < 0 for p in radial_powers):
-        section._fail("radial_powers", "need at least one nonnegative power")
-    return WavefunctionConfig(
-        correlation_order=section.get_int("correlation_order", 1),
-        degree_cap=section.get_optional_int("degree_cap", 1),
-        jastrow=section.get_bool("jastrow"),
-        init_noise=section.get_float("init_noise", 0.0),
-        fd_step=section.get_float("fd_step", 0.0, exclusive=True),
-        radial_powers=radial_powers,
-        ell_max=section.get_int("ell_max", 0),
-        basis_rows=_parse_basis_rows(section),
-    )
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"[{section}] {exc}") from exc
 
 
-def _parse_sampler(section):
-    return SamplerConfig(
-        walkers=section.get_int("walkers", 1),
-        burn_in=section.get_int("burn_in", 0),
-        thinning=section.get_int("thinning", 0),
-        proposal_std=section.get_float("proposal_std", 0.0, exclusive=True),
-        samples_per_step=section.get_optional_int("samples_per_step", 1),
-    )
-
-
-def _parse_optimizer(sections):
-    opt = sections["optimizer"]
-    name = opt.raw("name")
-    if name not in OPTIMIZER_NAMES:
-        raise ConfigError(
-            f"unknown optimizer {name!r}; valid optimizers: " + ", ".join(OPTIMIZER_NAMES)
-        )
-    schedule = opt.build(LearningRateSchedule)
-    return OptimizerConfig(
-        name=name,
-        alpha=schedule.alpha,
-        beta=schedule.beta,
-        clip_n_std=opt.get_float("clip_n_std", 0.0, exclusive=True),
-        **{section: sections[section].build(cls) for section, cls in OPTION_SECTIONS.items()},
-    )
+def _build_section(section, values):
+    """The section's dataclass from its INI keys; unset keys keep their defaults."""
+    fields = {f.name: f for f in dataclasses.fields(SECTIONS[section])}
+    given = {}
+    for key, text in values.items():
+        if key not in fields:
+            raise ConfigError(
+                f"unknown key {key!r} in [{section}]; valid keys: " + ", ".join(fields)
+            )
+        text = text.strip()
+        if text == "" and fields[key].default is None:
+            continue
+        try:
+            given[key] = _PARSERS[fields[key].type](text)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key}: {exc}") from None
+    return _checked(section, SECTIONS[section], **given)
 
 
 def parse_config_text(text):
@@ -373,41 +328,17 @@ def parse_config_text(text):
         parser.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from exc
-
-    sections = {}
-    for section_name in parser.sections():
-        if section_name not in CONFIG_SCHEMA:
+    for section in parser.sections():
+        if section not in SECTIONS:
             raise ConfigError(
-                f"unknown config section [{section_name}]; valid sections: "
-                + ", ".join(CONFIG_SCHEMA)
+                f"unknown config section [{section}]; valid sections: " + ", ".join(SECTIONS)
             )
-        known = CONFIG_SCHEMA[section_name]
-        values = dict(parser.items(section_name))
-        for key in values:
-            if key not in known:
-                raise ConfigError(
-                    f"unknown key {key!r} in [{section_name}]; valid keys: "
-                    + ", ".join(known)
-                )
-        sections[section_name] = _Section(section_name, values)
-    for section_name in CONFIG_SCHEMA:
-        sections.setdefault(section_name, _Section(section_name, {}))
-
-    run = sections["run"]
-    settings = RunSettings(
-        steps=run.get_int("steps", 1),
-        seed=run.get_int("seed", 0),
-        out_dir=run.raw("out_dir"),
-        smooth_window=run.get_int("smooth_window", 1),
-        checkpoint_every=run.get_int("checkpoint_every", 0),
-    )
-    return RunConfig(
-        system=_parse_system(sections["system"]),
-        wavefunction=_parse_wavefunction(sections["wavefunction"]),
-        sampler=_parse_sampler(sections["sampler"]),
-        optimizer=_parse_optimizer(sections),
-        run=settings,
-    )
+    return RunConfig(**{
+        section: _build_section(
+            section, dict(parser.items(section)) if parser.has_section(section) else {}
+        )
+        for section in SECTIONS
+    })
 
 
 def parse_config(path):
@@ -420,32 +351,23 @@ def parse_config(path):
 
 
 def apply_overrides(config, seed=None, steps=None, optimizer=None, out_dir=None):
-    """Fold command-line overrides into a parsed config."""
-    run = config.run
-    if seed is not None:
-        if seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {seed}")
-        run = dataclasses.replace(run, seed=seed)
-    if steps is not None:
-        if steps < 1:
-            raise ConfigError(f"steps must be >= 1, got {steps}")
-        run = dataclasses.replace(run, steps=steps)
-    if out_dir is not None:
-        run = dataclasses.replace(run, out_dir=out_dir)
-    opt = config.optimizer
-    if optimizer is not None:
-        if optimizer not in OPTIMIZER_NAMES:
-            raise ConfigError(
-                f"unknown optimizer {optimizer!r}; valid optimizers: "
-                + ", ".join(OPTIMIZER_NAMES)
-            )
-        opt = dataclasses.replace(opt, name=optimizer)
-    return dataclasses.replace(config, run=run, optimizer=opt)
+    """Fold command-line overrides into a parsed config; None keeps a value.
+
+    The sections' own checks run again on the overridden values.
+    """
+    run = {k: v for k, v in dict(seed=seed, steps=steps, out_dir=out_dir).items()
+           if v is not None}
+    opt = {} if optimizer is None else {"name": optimizer}
+    return dataclasses.replace(
+        config,
+        run=_checked("run", dataclasses.replace, config.run, **run),
+        optimizer=_checked("optimizer", dataclasses.replace, config.optimizer, **opt),
+    )
 
 
 def build_system(config):
     """SystemConfig -> MolecularSystem (preset or explicit nuclei)."""
-    if config.preset:
+    if config.preset is not None:
         return preset_system(config.preset)
     try:
         return MolecularSystem(
@@ -464,14 +386,14 @@ def build_wavefunction(config, system, seed):
     The parameter start is the near-product state seeded by the run
     seed, so two runs with the same config land on the same theta.
     """
-    if config.basis_rows is not None:
-        for orbital in config.basis_rows:
+    if config.basis is not None:
+        for orbital in config.basis:
             if orbital.center >= len(system.nuclear_charges):
                 raise ConfigError(
                     f"[wavefunction] basis: center {orbital.center} out of range "
                     f"for {len(system.nuclear_charges)} nuclei"
                 )
-        basis = OneBodyBasisSpec(orbitals=config.basis_rows)
+        basis = OneBodyBasisSpec(orbitals=config.basis)
     else:
         basis = default_basis(system, config.radial_powers, config.ell_max)
     try:
@@ -496,12 +418,24 @@ def build_wavefunction(config, system, seed):
     return wavefunction
 
 
+def _shown(default):
+    """A field default as --help writes it: 'unset', 'false', '1e-6', '0, 1'."""
+    if default is None:
+        return "unset"
+    if isinstance(default, bool):
+        return str(default).lower()
+    if isinstance(default, float):
+        return format(default, "g").replace("e-0", "e-")
+    if isinstance(default, tuple):
+        return ", ".join(map(str, default))
+    return str(default)
+
+
 def render_key_help():
     """The full key table for --help: section, key, default, meaning."""
     lines = ["configuration keys (INI sections, defaults in brackets):"]
-    for section_name, keys in CONFIG_SCHEMA.items():
-        lines.append(f"  [{section_name}]")
-        for key, (default, doc) in keys.items():
-            shown = default if default != "" else "unset"
-            lines.append(f"    {key} [{shown}]: {doc}")
+    for section, cls in SECTIONS.items():
+        lines.append(f"  [{section}]")
+        for f in dataclasses.fields(cls):
+            lines.append(f"    {f.name} [{_shown(f.default)}]: {KEY_HELP[section][f.name]}")
     return "\n".join(lines)

@@ -50,7 +50,7 @@ class EstimatorBundle:
         return self.o_matrix.shape[1]
 
 
-def clip_local_energies(energies, n_std=5.0):
+def clip_local_energies(energies, n_std):
     """Clamp outliers to mean +- n_std * population standard deviation.
 
     The window statistics come from the batch itself (ddof = 0). An
@@ -71,7 +71,7 @@ def clip_local_energies(energies, n_std=5.0):
     return np.clip(energies, center - n_std * spread, center + n_std * spread)
 
 
-def assemble(batch, clip_n_std=5.0):
+def assemble(batch, clip_n_std):
     """Build the centered estimator bundle from one sample batch.
 
     The gradient 2 * O @ L algebraically equals the literal per-sample sum

@@ -48,7 +48,7 @@ class LearningRateSchedule:
     beta: float = 1000.0
 
     def __post_init__(self):
-        _require(self, "alpha", self.alpha > 0.0, "be > 0")
+        _require(self, "alpha", 0.0 < self.alpha < math.inf, "be finite and > 0")
         _require(self, "beta", self.beta > 0.0, "be > 0")
 
     def eta(self, step):
@@ -73,7 +73,7 @@ class SrOptions:
     def __post_init__(self):
         _require(self, "reg_mode", self.reg_mode in SR_REG_MODES,
                  "be one of " + ", ".join(SR_REG_MODES))
-        _require(self, "reg_eps", self.reg_eps >= 0.0, "be >= 0")
+        _require(self, "reg_eps", 0.0 <= self.reg_eps < math.inf, "be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,8 @@ class MinsrOptions:
     tikhonov_eps: float = 1e-3
 
     def __post_init__(self):
-        _require(self, "tikhonov_eps", self.tikhonov_eps >= 0.0, "be >= 0")
+        _require(self, "tikhonov_eps", 0.0 <= self.tikhonov_eps < math.inf,
+                 "be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,8 @@ class SpringOptions:
 
     def __post_init__(self):
         _require(self, "mu", 0.0 <= self.mu < 1.0, "lie in [0, 1)")
-        _require(self, "tikhonov_eps", self.tikhonov_eps >= 0.0, "be >= 0")
+        _require(self, "tikhonov_eps", 0.0 <= self.tikhonov_eps < math.inf,
+                 "be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -116,7 +118,7 @@ class WssrOptions:
         _require(self, "delta", 0.0 <= self.delta < 1.0, "lie in [0, 1)")
         _require(self, "sigma_floor", self.sigma_floor > 0.0, "be > 0")
         _require(self, "r_reg", 0.0 < self.r_reg < 1.0, "lie in (0, 1)")
-        _require(self, "eps_grow", self.eps_grow >= 0.0, "be >= 0")
+        _require(self, "eps_grow", 0.0 <= self.eps_grow < math.inf, "be finite and >= 0")
         _require(self, "rank_init", self.rank_init >= 1, "be >= 1")
         _require(self, "ssi_max_iters", self.ssi_max_iters >= 1, "be >= 1")
         _require(self, "ssi_residual_tol", self.ssi_residual_tol > 0.0, "be > 0")
@@ -355,7 +357,7 @@ def wssr_step(theta, bundle, eta, state, options=WssrOptions(), rng_seed=0):
     binding = factors.rank == requested == state.r_max and r_eff == state.r_max
     next_r_max = state.r_max
     if binding:
-        next_r_max = min(math.ceil((1.0 + options.eps_grow) * state.r_max), m)
+        next_r_max = math.ceil(min((1.0 + options.eps_grow) * state.r_max, m))
 
     u = factors.u[:, :r_eff]
     sigma = factors.sigma[:r_eff]

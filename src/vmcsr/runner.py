@@ -19,7 +19,6 @@ from .errors import ConfigError, NumericalAbort, NumericalError
 from .config import build_system, build_wavefunction
 from .estimators import assemble
 from .optimizers import (
-    LearningRateSchedule,
     SpringState,
     WssrState,
     full_sr_update,
@@ -47,7 +46,7 @@ class RunResult:
     records: tuple
 
 
-def _optimizer(opt, n_params):
+def _optimizer(config, n_params):
     """The configured update rule: (initial state, checkpoint prefix, update).
 
     This is the one place that names the optimizers. update(theta, bundle,
@@ -55,23 +54,23 @@ def _optimizer(opt, n_params):
     The rules are looked up in this module's globals at call time, so a
     replacement of one of those names (a tracer, a test spy) sees every
     call. Stateless rules have neither state nor prefix. Each rule gets
-    its options object as configured; rssr is wssr with the sketch backend.
+    its options section of config; rssr is wssr with the sketch backend.
     """
-    name = opt.name
+    name = config.optimizer.name
     if name == "sgd":
         return None, None, lambda theta, bundle, eta, state, seed: (
             sgd_update(theta, bundle, eta), None, None)
     if name == "sr":
         return None, None, lambda theta, bundle, eta, state, seed: (
-            full_sr_update(theta, bundle, eta, opt.sr), None, None)
+            full_sr_update(theta, bundle, eta, config.sr), None, None)
     if name == "minsr":
         return None, None, lambda theta, bundle, eta, state, seed: (
-            minsr_update(theta, bundle, eta, opt.minsr), None, None)
+            minsr_update(theta, bundle, eta, config.minsr), None, None)
     if name == "spring":
         initial = SpringState(prev_update=np.zeros(n_params))
         return initial, "spring", lambda theta, bundle, eta, state, seed: (
-            *spring_update(theta, bundle, eta, state, opt.spring), None)
-    options = opt.wssr
+            *spring_update(theta, bundle, eta, state, config.spring), None)
+    options = config.wssr
     if name == "rssr":
         options = dataclasses.replace(options, svd_backend="randomized")
     initial = WssrState.initial(n_params, options.rank_init)
@@ -156,6 +155,11 @@ def _restore(resume_path, config, system, wavefunction, initial_state, prefix):
         )
     if ensemble.spins.shape[0] != system.n_electrons:
         raise ConfigError("checkpoint electron count does not match the system")
+    if ensemble.n_walkers != config.sampler.walkers:
+        raise ConfigError(
+            f"checkpoint has {ensemble.n_walkers} walkers, the config asks for "
+            f"{config.sampler.walkers}"
+        )
 
     opt_state = None
     if initial_state is not None:
@@ -192,7 +196,7 @@ def run(config, resume_path=None):
     system = build_system(config.system)
     seed = config.run.seed
     wavefunction = build_wavefunction(config.wavefunction, system, seed)
-    opt_state, prefix, update = _optimizer(config.optimizer, wavefunction.n_params)
+    opt_state, prefix, update = _optimizer(config, wavefunction.n_params)
 
     if resume_path is not None:
         start_step, theta, ensemble, opt_state, seed = _restore(
@@ -217,9 +221,7 @@ def run(config, resume_path=None):
         rewrite_trace(trace_path, [])
         records = []
 
-    schedule = LearningRateSchedule(
-        alpha=config.optimizer.alpha, beta=config.optimizer.beta
-    )
+    schedule = config.optimizer.schedule
     n_samples = config.sampler.samples_per_step or config.sampler.walkers
     k_max = config.run.steps
     every = config.run.checkpoint_every

@@ -15,10 +15,6 @@ from .errors import NumericalAbort
 from .estimators import SampleBatch
 from .system import local_energy_batch
 
-DEFAULT_PROPOSAL_STD = 0.5
-DEFAULT_WALKERS = 2048
-DEFAULT_BURN_IN = 1000
-DEFAULT_THINNING = 10
 TARGET_ACCEPTANCE = 0.5
 ADAPT_INTERVAL = 50
 PROPOSAL_STD_BOUNDS = (1e-3, 10.0)
@@ -32,7 +28,7 @@ class WalkerEnsemble:
     spins: np.ndarray            # (N,)
     log_abs: np.ndarray          # (walkers,) cached log-amplitudes
     rng: np.random.Generator     # the one ensemble-wide stream
-    proposal_std: float = DEFAULT_PROPOSAL_STD
+    proposal_std: float
     accepted: np.ndarray = None  # (walkers,) counters
     proposed: np.ndarray = None
     burned_in: bool = False
@@ -49,8 +45,7 @@ class WalkerEnsemble:
         return self.positions.shape[0]
 
     @classmethod
-    def create(cls, system, wavefunction, n_walkers, seed,
-               proposal_std=DEFAULT_PROPOSAL_STD):
+    def create(cls, system, wavefunction, n_walkers, seed, proposal_std):
         """Walkers jittered around nuclei, drawing from one spawned stream.
 
         Electrons are parked on nuclei in charge-proportional order, then
@@ -147,8 +142,7 @@ def burn_in(ensemble, wavefunction, steps):
     return ensemble
 
 
-def sample_batch(ensemble, wavefunction, system, n_samples,
-                 burn_in_steps=DEFAULT_BURN_IN, thinning=DEFAULT_THINNING):
+def sample_batch(ensemble, wavefunction, system, n_samples, burn_in_steps, thinning):
     """Collect decorrelated samples with energies and log-derivatives.
 
     Burn-in runs only if the ensemble has not equilibrated yet (once per

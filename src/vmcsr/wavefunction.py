@@ -89,7 +89,7 @@ class OneBodyBasisSpec:
         return len(self.orbitals)
 
 
-def default_basis(system, radial_powers=(0, 1), ell_max=1):
+def default_basis(system, radial_powers, ell_max):
     """Per-center Slater set: zeta in dedup{Z, Z/2, 1}, s powers, p shell.
 
     Spin-gated copies are emitted only for spin channels that hold

@@ -185,7 +185,7 @@ def test_criterion_01_zero_variance_hydrogen():
         jastrow_enabled=False,
         theta=np.array([1.0]),
     )
-    ensemble = WalkerEnsemble.create(system, wavefunction, n_walkers=500, seed=5)
+    ensemble = WalkerEnsemble.create(system, wavefunction, n_walkers=500, seed=5, proposal_std=0.5)
     batch = sample_batch(
         ensemble, wavefunction, system, 10_000, burn_in_steps=200, thinning=2
     )
@@ -263,7 +263,7 @@ def test_criterion_03_gradient_fidelity():
     he = preset_system("he")
     he_basis = default_basis(he, radial_powers=(0, 1), ell_max=0)
     he_wf = AceWavefunction(system=he, basis=he_basis, correlation_order=2)
-    ensemble = WalkerEnsemble.create(he, he_wf, n_walkers=64, seed=9)
+    ensemble = WalkerEnsemble.create(he, he_wf, n_walkers=64, seed=9, proposal_std=0.5)
     batch = sample_batch(ensemble, he_wf, he, 64, burn_in_steps=50, thinning=1)
     bundle = assemble(batch, clip_n_std=5.0)
 
@@ -476,10 +476,10 @@ def test_criterion_10_schedule_and_defaults_snapshot():
     assert config.sampler.burn_in == 1000
     assert config.sampler.thinning == 10
     assert config.optimizer.clip_n_std == 5.0
-    assert config.optimizer.wssr.ssi_max_iters == 3
-    assert config.optimizer.spring.mu == 0.99
-    assert config.optimizer.spring.tikhonov_eps == 0.001
-    assert config.optimizer.minsr.tikhonov_eps == 0.001
+    assert config.wssr.ssi_max_iters == 3
+    assert config.spring.mu == 0.99
+    assert config.spring.tikhonov_eps == 0.001
+    assert config.minsr.tikhonov_eps == 0.001
     print(
         "PASS criterion 10: learning-rate anchors and the documented "
         "defaults all hold in a parsed stock configuration"

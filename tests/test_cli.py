@@ -91,6 +91,52 @@ class TestRunCommand:
         assert code == 2
         assert "cannot read checkpoint" in capsys.readouterr().err
 
+    def test_resume_under_another_walker_count_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config)]) == 0
+        more = tmp_path / "more.ini"
+        more.write_text(
+            config.read_text(encoding="utf-8").replace("walkers = 16", "walkers = 32"),
+            encoding="utf-8",
+        )
+        ckpt = tmp_path / "artifacts" / "checkpoint.bin"
+        code = main(["run", "--config", str(more), "--steps", "5", "--resume", str(ckpt)])
+        assert code == 2
+        assert "checkpoint has 16 walkers, the config asks for 32" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("wavefunction", "init_noise", "inf"),
+        ("minsr", "tikhonov_eps", "inf"),
+        ("spring", "tikhonov_eps", "inf"),
+        ("sr", "reg_eps", "inf"),
+        ("wssr", "eps_grow", "inf"),
+        ("run", "out_dir", ""),
+        ("sampler", "proposal_std", "inf"),
+        ("wavefunction", "fd_step", "inf"),
+        ("optimizer", "alpha", "inf"),
+    ])
+    def test_non_finite_or_empty_value_exits_2_naming_the_key(
+        self, tmp_path, capsys, section, key, value
+    ):
+        sections = {
+            "system": {"preset": "h"},
+            "sampler": {"walkers": "16", "burn_in": "10", "thinning": "1"},
+            "wssr": {"rank_init": "2"},
+            "run": {"steps": "2", "out_dir": str(tmp_path / "out")},
+        }
+        sections.setdefault(section, {})[key] = value
+        path = tmp_path / "bad.ini"
+        path.write_text(
+            "".join(
+                f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                for name, keys in sections.items()
+            ),
+            encoding="utf-8",
+        )
+        code = main(["run", "--config", str(path)])
+        assert code == 2
+        assert f"error: [{section}] {key}: " in capsys.readouterr().err
+
     @pytest.mark.parametrize("table, entry", [("arrays", "log_abs"), ("scalars", "proposal_std")])
     def test_resume_from_checkpoint_lacking_an_entry_exits_2(
         self, tmp_path, capsys, table, entry

@@ -5,9 +5,9 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from vmcsr.config import (
-    CONFIG_SCHEMA,
+    KEY_HELP,
     OPTIMIZER_NAMES,
-    OPTION_SECTIONS,
+    SECTIONS,
     apply_overrides,
     build_system,
     build_wavefunction,
@@ -20,24 +20,79 @@ from vmcsr.system import preset_system
 from vmcsr.wavefunction import SlaterOrbital, initial_theta
 
 MINIMAL = "[system]\npreset = he\n"
+EXPLICIT_H = {"charges": "1", "positions": "0 0 0", "n_up": "1", "n_down": "0"}
 
-# Per update-rule key: a NaN, a value of the wrong type, and the nearest
-# value outside the key's range (a near-miss name for a choice).
+
+def ini(section, key, value):
+    """Config text that is valid apart from [section] key = value.
+
+    A [system] key that is set takes its own route (preset, or the
+    explicit keys); an empty one leaves the other route to define the
+    system.
+    """
+    if section != "system":
+        return f"{MINIMAL}[{section}]\n{key} = {value}\n"
+    own, other = ({}, EXPLICIT_H) if key == "preset" else (EXPLICIT_H, {"preset": "h"})
+    keys = {**(own if value else other), key: value}
+    return "[system]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+
+
+def help_default(section, key):
+    """The default that --help shows for a key, as an INI value."""
+    lines = render_key_help().splitlines()
+    start = lines.index(f"  [{section}]")
+    line = next(row for row in lines[start:] if row.startswith(f"    {key} ["))
+    shown = line[len(f"    {key} ["):line.index("]: ")]
+    return "" if shown == "unset" else shown
+
+
+# Per key of every section: a NaN, a value of the wrong type, the nearest
+# value outside the key's range (a near-miss name for a choice), and inf
+# where the value must be finite. out_dir, a free path, is bad only when
+# empty. The charges and positions ranges (charges >= 1, finite
+# positions) are the system's own and fail at build_system.
 BAD_OPTION_VALUES = {
+    ("system", "preset"): ("nan", "3", "hee"),
+    ("system", "charges"): ("nan", "1.5", "1, one"),
+    ("system", "positions"): ("nan", "0 0 zero", "0 0"),
+    ("system", "n_up"): ("nan", "1.5", "-1"),
+    ("system", "n_down"): ("nan", "1.5", "-1"),
+    ("wavefunction", "correlation_order"): ("nan", "2.5", "0"),
+    ("wavefunction", "degree_cap"): ("nan", "2.5", "0"),
+    ("wavefunction", "jastrow"): ("nan", "0.5", "2"),
+    ("wavefunction", "init_noise"): ("nan", "some", "-5e-324", "inf"),
+    ("wavefunction", "fd_step"): ("nan", "small", "0", "inf"),
+    ("wavefunction", "radial_powers"): ("nan", "0.5", "-1", ""),
+    ("wavefunction", "ell_max"): ("nan", "1.5", "-1"),
+    ("wavefunction", "basis"): ("nan", "0 0 0 0 1.0", "0 0 2 0 1.0 up", "0 0 0 0 inf up"),
+    ("sampler", "walkers"): ("nan", "2.5", "0"),
+    ("sampler", "burn_in"): ("nan", "2.5", "-1"),
+    ("sampler", "thinning"): ("nan", "2.5", "-1"),
+    ("sampler", "proposal_std"): ("nan", "wide", "0", "inf"),
+    ("sampler", "samples_per_step"): ("nan", "2.5", "0"),
+    ("optimizer", "name"): ("nan", "3", "wssrr"),
+    ("optimizer", "alpha"): ("nan", "fast", "0", "inf"),
+    ("optimizer", "beta"): ("nan", "slow", "0"),
+    ("optimizer", "clip_n_std"): ("nan", "wide", "0"),
     ("sr", "reg_mode"): ("nan", "0.5", "diagonal_shifts"),
-    ("sr", "reg_eps"): ("nan", "small", "-5e-324"),
-    ("minsr", "tikhonov_eps"): ("nan", "small", "-5e-324"),
+    ("sr", "reg_eps"): ("nan", "small", "-5e-324", "inf"),
+    ("minsr", "tikhonov_eps"): ("nan", "small", "-5e-324", "inf"),
     ("spring", "mu"): ("nan", "high", "1"),
-    ("spring", "tikhonov_eps"): ("nan", "small", "-5e-324"),
+    ("spring", "tikhonov_eps"): ("nan", "small", "-5e-324", "inf"),
     ("wssr", "delta"): ("nan", "most", "1"),
     ("wssr", "sigma_floor"): ("nan", "tiny", "0"),
     ("wssr", "sigma_floor_relative"): ("nan", "0.5", "2"),
     ("wssr", "r_reg"): ("nan", "tiny", "0", "1"),
-    ("wssr", "eps_grow"): ("nan", "some", "-5e-324"),
+    ("wssr", "eps_grow"): ("nan", "some", "-5e-324", "inf"),
     ("wssr", "rank_init"): ("nan", "2.5", "0"),
     ("wssr", "ssi_max_iters"): ("nan", "3.0", "0"),
     ("wssr", "ssi_residual_tol"): ("nan", "tight", "0"),
     ("wssr", "svd_backend"): ("nan", "3", "exacts"),
+    ("run", "steps"): ("nan", "2.5", "0"),
+    ("run", "seed"): ("nan", "2.5", "-1"),
+    ("run", "out_dir"): ("",),
+    ("run", "smooth_window"): ("nan", "2.5", "0"),
+    ("run", "checkpoint_every"): ("nan", "2.5", "-1"),
 }
 
 
@@ -48,39 +103,36 @@ class TestDefaultsSnapshot:
         assert cfg.sampler.burn_in == 1000
         assert cfg.sampler.thinning == 10
         assert cfg.optimizer.clip_n_std == 5.0
-        assert cfg.optimizer.wssr.ssi_max_iters == 3
-        assert cfg.optimizer.spring.mu == 0.99
-        assert cfg.optimizer.spring.tikhonov_eps == 0.001
-        assert cfg.optimizer.minsr.tikhonov_eps == 0.001
+        assert cfg.wssr.ssi_max_iters == 3
+        assert cfg.spring.mu == 0.99
+        assert cfg.spring.tikhonov_eps == 0.001
+        assert cfg.minsr.tikhonov_eps == 0.001
         assert cfg.optimizer.alpha == 0.015
         assert cfg.optimizer.beta == 1000.0
         assert cfg.optimizer.name == "wssr"
-        assert cfg.optimizer.wssr.delta == 0.95
-        assert cfg.optimizer.wssr.sigma_floor == 0.001
-        assert cfg.optimizer.wssr.rank_init == 400
-        assert cfg.optimizer.wssr.svd_backend == "ssi"
-        assert cfg.optimizer.sr.reg_mode == "diagonal_shift"
-        assert cfg.optimizer.sr.reg_eps == 0.001
+        assert cfg.wssr.delta == 0.95
+        assert cfg.wssr.sigma_floor == 0.001
+        assert cfg.wssr.rank_init == 400
+        assert cfg.wssr.svd_backend == "ssi"
+        assert cfg.sr.reg_mode == "diagonal_shift"
+        assert cfg.sr.reg_eps == 0.001
         assert cfg.run.steps == 2000
         assert cfg.run.seed == 0
 
-    @pytest.mark.parametrize("section", sorted(OPTION_SECTIONS))
+    @pytest.mark.parametrize("section", sorted(SECTIONS))
     def test_help_shows_option_field_defaults(self, section):
-        text = render_key_help()
-        fields = dataclasses.fields(OPTION_SECTIONS[section])
-        assert list(CONFIG_SCHEMA[section]) == [f.name for f in fields]
-        for f in fields:
-            shown = CONFIG_SCHEMA[section][f.name][0]
-            assert f"    {f.name} [{shown}]: " in text
-            cfg = parse_config_text(f"{MINIMAL}[{section}]\n{f.name} = {shown}\n")
-            assert getattr(getattr(cfg.optimizer, section), f.name) == f.default
+        for f in dataclasses.fields(SECTIONS[section]):
+            cfg = parse_config_text(ini(section, f.name, help_default(section, f.name)))
+            assert getattr(getattr(cfg, section), f.name) == f.default
 
     def test_help_covers_every_key(self):
+        assert list(KEY_HELP) == list(SECTIONS)
         text = render_key_help()
-        for section, keys in CONFIG_SCHEMA.items():
+        for section, cls in SECTIONS.items():
             assert f"[{section}]" in text
-            for key in keys:
-                assert key in text
+            assert list(KEY_HELP[section]) == [f.name for f in dataclasses.fields(cls)]
+            for key in KEY_HELP[section]:
+                assert f"    {key} [" in text
 
 
 class TestRejection:
@@ -120,14 +172,26 @@ class TestRejection:
                 parse_config_text(MINIMAL + snippet)
 
     def test_bad_values_cover_every_option_key(self):
-        keys = {(s, k) for s in OPTION_SECTIONS for k in CONFIG_SCHEMA[s]}
+        keys = {(s, f.name) for s, cls in SECTIONS.items() for f in dataclasses.fields(cls)}
         assert set(BAD_OPTION_VALUES) == keys
 
     @pytest.mark.parametrize("section,key", sorted(BAD_OPTION_VALUES))
     def test_option_key_rejects_bad_values(self, section, key):
         for value in BAD_OPTION_VALUES[section, key]:
             with pytest.raises(ConfigError, match=rf"^\[{section}\] {key}: "):
-                parse_config_text(f"{MINIMAL}[{section}]\n{key} = {value}\n")
+                parse_config_text(ini(section, key, value))
+
+    @pytest.mark.parametrize("section,key", [
+        ("system", "preset"), ("system", "n_up"),
+        ("wavefunction", "degree_cap"), ("sampler", "samples_per_step"),
+    ])
+    def test_empty_value_unsets_a_key_whose_default_is_unset(self, section, key):
+        cfg = parse_config_text(ini(section, key, ""))
+        assert getattr(getattr(cfg, section), key) is None
+
+    def test_empty_value_of_a_key_with_a_default_is_rejected(self):
+        with pytest.raises(ConfigError, match=r"^\[sampler\] walkers: expected an integer"):
+            parse_config_text(ini("sampler", "walkers", ""))
 
     def test_clip_accepts_inf(self):
         cfg = parse_config_text(MINIMAL + "[optimizer]\nclip_n_std = inf\n")
@@ -191,7 +255,7 @@ class TestBasisRows:
         cfg = parse_config_text(
             MINIMAL + "[wavefunction]\nbasis = 0 0 0 0 2.0 up; 0 1 0 0 1.0 down\n"
         )
-        assert cfg.wavefunction.basis_rows == (
+        assert cfg.wavefunction.basis == (
             SlaterOrbital(0, 0, 0, 0, 2.0, "up"),
             SlaterOrbital(0, 1, 0, 0, 1.0, "down"),
         )
@@ -241,6 +305,12 @@ class TestOverrides:
         cfg = parse_config_text(MINIMAL)
         with pytest.raises(ConfigError, match="steps"):
             apply_overrides(cfg, steps=0)
+
+    @pytest.mark.parametrize("override,key", [(dict(seed=-1), "seed"), (dict(out_dir=""), "out_dir")])
+    def test_overrides_rerun_the_section_checks(self, override, key):
+        cfg = parse_config_text(MINIMAL)
+        with pytest.raises(ConfigError, match=rf"^\[run\] {key}: "):
+            apply_overrides(cfg, **override)
 
 
 class TestBuildWavefunction:

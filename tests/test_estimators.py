@@ -68,7 +68,7 @@ class TestAssemble:
     def test_constant_logderivs_give_zero_matrix_and_gradient(self):
         rng = np.random.default_rng(2)
         derivs = np.tile(rng.normal(size=4), (6, 1))
-        bundle = assemble(make_batch(rng.normal(size=6), derivs))
+        bundle = assemble(make_batch(rng.normal(size=6), derivs), clip_n_std=5.0)
         np.testing.assert_array_equal(bundle.o_matrix, np.zeros((4, 6)))
         np.testing.assert_array_equal(bundle.gradient, np.zeros(4))
 
@@ -89,7 +89,7 @@ class TestAssemble:
     def test_covariance_matches_brute_force_double_loop(self):
         rng = np.random.default_rng(3)
         derivs = rng.normal(size=(12, 5))
-        bundle = assemble(make_batch(rng.normal(size=12), derivs))
+        bundle = assemble(make_batch(rng.normal(size=12), derivs), clip_n_std=5.0)
         centered = derivs - derivs.mean(axis=0)
         brute = np.zeros((5, 5))
         for row in centered:
@@ -109,20 +109,24 @@ class TestAssemble:
 
     def test_centered_rows_and_residuals(self):
         rng = np.random.default_rng(5)
-        bundle = assemble(make_batch(rng.normal(size=9), rng.normal(size=(9, 4))))
+        bundle = assemble(make_batch(rng.normal(size=9), rng.normal(size=(9, 4))), clip_n_std=5.0)
         np.testing.assert_allclose(bundle.o_matrix.sum(axis=1), np.zeros(4), atol=1e-14)
         assert bundle.l_vector.sum() == pytest.approx(0.0, abs=1e-14)
 
     def test_traces_match_frobenius_norm(self):
         rng = np.random.default_rng(6)
-        bundle = assemble(make_batch(rng.normal(size=10), rng.normal(size=(10, 6))))
+        bundle = assemble(
+            make_batch(rng.normal(size=10), rng.normal(size=(10, 6))), clip_n_std=5.0
+        )
         fro2 = np.linalg.norm(bundle.o_matrix) ** 2
         assert np.trace(s_matrix(bundle)) == pytest.approx(fro2, abs=1e-12)
         assert np.trace(t_matrix(bundle)) == pytest.approx(fro2, abs=1e-12)
 
     def test_s_and_t_share_nonzero_spectra(self):
         rng = np.random.default_rng(7)
-        bundle = assemble(make_batch(rng.normal(size=12), rng.normal(size=(12, 5))))
+        bundle = assemble(
+            make_batch(rng.normal(size=12), rng.normal(size=(12, 5))), clip_n_std=5.0
+        )
         _, sigma, _ = exact_svd(bundle.o_matrix)
         s_eigs = np.sort(np.linalg.eigvalsh(s_matrix(bundle)))[::-1]
         t_eigs = np.sort(np.linalg.eigvalsh(t_matrix(bundle)))[::-1]
@@ -140,7 +144,7 @@ class TestAssemble:
 
     def test_degenerate_batch(self):
         with pytest.raises(DegenerateBatch):
-            assemble(make_batch(np.array([1.0]), np.ones((1, 3))))
+            assemble(make_batch(np.array([1.0]), np.ones((1, 3))), clip_n_std=5.0)
 
 
 class TestAssembleProperties:

@@ -406,6 +406,15 @@ class TestWssrStep:
             seen.append(state.r_max)
         assert seen == [2, 3, 5, 8, 8, 8, 8]  # ceil(1.5 r), capped at 8 params
 
+    def test_largest_finite_growth_caps_at_params(self):
+        # (1 + eps_grow) * r_max overflows to inf; the cap applies first.
+        rng = np.random.default_rng(18)
+        state = WssrState.initial(8, rank_init=2)
+        bundle = raw_bundle(rng.standard_normal((8, 12)), rng.standard_normal(12))
+        _, state, _ = wssr_step(np.zeros(8), bundle, 0.01, state,
+                                WssrOptions(r_reg=1e-6, eps_grow=1e308))
+        assert state.r_max == 8
+
     def test_truncation_blocks_growth(self):
         # Rank-1 data: the second singular value never passes the cutoff,
         # so r_max must stay put.

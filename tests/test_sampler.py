@@ -159,7 +159,9 @@ class TestStationaryDistribution:
 
     def test_hydrogen_ground_state_radius(self):
         system, wavefunction = hydrogen_exact()
-        ensemble = WalkerEnsemble.create(system, wavefunction, n_walkers=256, seed=21)
+        ensemble = WalkerEnsemble.create(
+            system, wavefunction, n_walkers=256, seed=21, proposal_std=0.5
+        )
         batch = sample_batch(
             ensemble, wavefunction, system,
             n_samples=256 * 160, burn_in_steps=200, thinning=5,
@@ -175,7 +177,9 @@ class TestStationaryDistribution:
 
     def test_hydrogen_exact_state_has_zero_variance_energy(self):
         system, wavefunction = hydrogen_exact()
-        ensemble = WalkerEnsemble.create(system, wavefunction, n_walkers=64, seed=22)
+        ensemble = WalkerEnsemble.create(
+            system, wavefunction, n_walkers=64, seed=22, proposal_std=0.5
+        )
         batch = sample_batch(
             ensemble, wavefunction, system,
             n_samples=512, burn_in_steps=100, thinning=2,
@@ -212,7 +216,9 @@ class TestBurnIn:
 class TestSampleBatch:
     def test_sample_count_and_shapes(self):
         system, wavefunction = hydrogen_exact()
-        ensemble = WalkerEnsemble.create(system, wavefunction, n_walkers=32, seed=41)
+        ensemble = WalkerEnsemble.create(
+            system, wavefunction, n_walkers=32, seed=41, proposal_std=0.5
+        )
         batch = sample_batch(
             ensemble, wavefunction, system,
             n_samples=100, burn_in_steps=20, thinning=2,
@@ -226,7 +232,9 @@ class TestSampleBatch:
         system, wavefunction = hydrogen_exact()
         captured = []
         for _ in range(2):
-            ensemble = WalkerEnsemble.create(system, wavefunction, n_walkers=16, seed=43)
+            ensemble = WalkerEnsemble.create(
+                system, wavefunction, n_walkers=16, seed=43, proposal_std=0.5
+            )
             batch = sample_batch(
                 ensemble, wavefunction, system,
                 n_samples=48, burn_in_steps=30, thinning=3,
@@ -242,15 +250,20 @@ class TestSampleBatch:
 
     def test_rejects_nonpositive_request(self):
         system, wavefunction = hydrogen_exact()
-        ensemble = WalkerEnsemble.create(system, wavefunction, n_walkers=8, seed=44)
+        ensemble = WalkerEnsemble.create(
+            system, wavefunction, n_walkers=8, seed=44, proposal_std=0.5
+        )
         with pytest.raises(ValueError):
-            sample_batch(ensemble, wavefunction, system, n_samples=0)
+            sample_batch(ensemble, wavefunction, system, n_samples=0,
+                         burn_in_steps=1000, thinning=10)
 
     def test_helium_batch_is_finite(self):
         system = preset_system("he")
-        basis = default_basis(system)
+        basis = default_basis(system, radial_powers=(0, 1), ell_max=1)
         wavefunction = AceWavefunction(system=system, basis=basis)
-        ensemble = WalkerEnsemble.create(system, wavefunction, n_walkers=64, seed=45)
+        ensemble = WalkerEnsemble.create(
+            system, wavefunction, n_walkers=64, seed=45, proposal_std=0.5
+        )
         batch = sample_batch(
             ensemble, wavefunction, system,
             n_samples=128, burn_in_steps=50, thinning=2,

@@ -40,3 +40,32 @@ def test_trajectory_digest_split_matches_straight(capsys):
     for row in rows:
         assert row[1] == "trace" and row[3] == "checkpoint"
         assert len(row[2]) == len(row[4]) == 64
+
+
+CODE_LINES_FIXTURE = '''"""Module docstring,
+over two lines."""
+
+import os  # a trailing comment counts: the line holds code
+
+# a comment line
+
+
+def f(x):
+    """Docstring."""
+    text = """a string that
+    spans two lines"""
+    return (x +
+            1)
+'''
+
+
+def test_code_lines_skips_docstrings_comments_and_blanks(tmp_path, capsys):
+    code_lines = _load_script("code_lines")
+    # import, def, the two string lines, return and its continuation
+    assert code_lines.count_code_lines(CODE_LINES_FIXTURE) == 6
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(CODE_LINES_FIXTURE, encoding="utf-8")
+    (tmp_path / "pkg" / "b.py").write_text("x = 1\n", encoding="utf-8")
+    assert code_lines.main([str(tmp_path / "pkg"), str(tmp_path / "pkg" / "b.py")]) == 0
+    counts = [line.split()[0] for line in capsys.readouterr().out.splitlines()]
+    assert counts == ["7", "1", "8"]

@@ -372,8 +372,8 @@ class TestCoordinateDerivatives:
         """The sliced stencil is bitwise the literal loop over the 6N + 1
         shifted copies (slot 2k+1 / 2k+2 moves coordinate k by +/- step)."""
         system = single_nucleus_system(4, 2, 2)
-        wf = AceWavefunction(system=system, basis=default_basis(system),
-                             correlation_order=2)
+        basis = default_basis(system, radial_powers=(0, 1), ell_max=1)
+        wf = AceWavefunction(system=system, basis=basis, correlation_order=2)
         wf.set_theta(initial_theta(system, wf.basis, wf.feature_index, seed=3))
         positions = np.random.default_rng(14).normal(size=(7, 4, 3))
         step = wf.fd_step
@@ -409,7 +409,7 @@ class TestInitialTheta:
     def test_determinant_nonsingular_at_init(self):
         for name_args in ((4, 2, 2), (8, 5, 3)):
             system = single_nucleus_system(*name_args)
-            basis = default_basis(system)
+            basis = default_basis(system, radial_powers=(0, 1), ell_max=1)
             wf = AceWavefunction(system=system, basis=basis, correlation_order=2)
             rng = np.random.default_rng(13)
             positions = rng.normal(size=(4, system.n_electrons, 3))
