@@ -84,7 +84,6 @@ class WavefunctionConfig:
     """[wavefunction]: the ansatz, its start and its basis."""
 
     correlation_order: int = 2
-    degree_cap: int = None
     jastrow: bool = True
     init_noise: float = 0.01
     fd_step: float = DEFAULT_FD_STEP
@@ -94,8 +93,6 @@ class WavefunctionConfig:
 
     def __post_init__(self):
         _require(self, "correlation_order", self.correlation_order >= 1, "be >= 1")
-        _require(self, "degree_cap", self.degree_cap is None or self.degree_cap >= 1,
-                 "be >= 1")
         _require(self, "init_noise", 0.0 <= self.init_noise < math.inf,
                  "be finite and >= 0")
         _require(self, "fd_step", 0.0 < self.fd_step < math.inf, "be finite and > 0")
@@ -192,7 +189,6 @@ KEY_HELP = {
     },
     "wavefunction": {
         "correlation_order": "pooled-feature tuple order (1 = bare orbitals)",
-        "degree_cap": "optional cap on a feature tuple's summed polynomial degree",
         "jastrow": "multiply by the electron-electron cusp factor",
         "init_noise": "Gaussian spread around the product-state start",
         "fd_step": "finite-difference step for kinetic derivatives",
@@ -401,20 +397,14 @@ def build_wavefunction(config, system, seed):
             system=system,
             basis=basis,
             correlation_order=config.correlation_order,
-            degree_cap=config.degree_cap,
             jastrow_enabled=config.jastrow,
             fd_step=config.fd_step,
         )
     except ValueError as exc:
         raise ConfigError(f"[wavefunction] {exc}") from exc
-    theta = initial_theta(
-        system,
-        basis,
-        wavefunction.feature_index,
-        noise_scale=config.init_noise,
-        seed=seed,
-    )
-    wavefunction.set_theta(theta)
+    wavefunction.set_theta(initial_theta(
+        system, basis, len(wavefunction.tails), noise_scale=config.init_noise, seed=seed
+    ))
     return wavefunction
 
 

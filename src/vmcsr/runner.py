@@ -153,8 +153,11 @@ def _restore(resume_path, config, system, wavefunction, initial_state, prefix):
             f"checkpoint has {theta.shape[0]} parameters, the configured "
             f"wavefunction has {wavefunction.n_params}"
         )
-    if ensemble.spins.shape[0] != system.n_electrons:
-        raise ConfigError("checkpoint electron count does not match the system")
+    if not np.array_equal(ensemble.spins, system.spins):
+        raise ConfigError(
+            f"checkpoint spin labels {ensemble.spins.tolist()} do not match the "
+            f"system's {system.spins.tolist()}"
+        )
     if ensemble.n_walkers != config.sampler.walkers:
         raise ConfigError(
             f"checkpoint has {ensemble.n_walkers} walkers, the config asks for "
@@ -205,7 +208,10 @@ def run(config, resume_path=None):
         wavefunction.set_theta(theta)
         kept = []
         if os.path.exists(trace_path):
-            kept = [rec for rec in read_trace(trace_path) if rec.step <= start_step]
+            try:
+                kept = [rec for rec in read_trace(trace_path) if rec.step <= start_step]
+            except ValueError as exc:
+                raise ConfigError(f"cannot resume into {trace_path}: {exc}") from exc
         rewrite_trace(trace_path, kept)
         records = kept
     else:

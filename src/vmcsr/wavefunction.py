@@ -6,8 +6,11 @@ vector. A feature is a one-body Slater orbital evaluated at the
 highlighted electron times a product of orbital sums over the remaining
 electrons, which keeps every feature (hence the determinant's
 antisymmetry) intact under permutations of the non-highlighted electrons.
-Parameters enter only through the linear mixing, so the log-derivative
-with respect to them is an inverse-matrix contraction.
+Every head orbital pairs with the same list of tails, so the
+coefficients form one blocked tensor of shape (N, n_orb, n_tails) and M
+is one matrix product followed by a contraction over tails. Parameters
+enter only through the linear mixing, so the log-derivative with respect
+to them is an inverse-matrix contraction.
 """
 
 import itertools
@@ -54,11 +57,6 @@ class SlaterOrbital:
             raise ValueError("zeta must be positive and finite")
         if self.spin not in SPIN_GATES:
             raise ValueError(f"spin gate must be one of {SPIN_GATES}")
-
-    @property
-    def degree(self):
-        """Polynomial degree n + ell, used by the feature-degree cap."""
-        return self.n + self.ell
 
     def sort_key(self):
         return (self.n, self.ell, self.m, _SPIN_ORDER[self.spin], self.zeta, self.center)
@@ -113,31 +111,22 @@ def default_basis(system, radial_powers, ell_max):
     return OneBodyBasisSpec(orbitals=tuple(orbitals))
 
 
-def build_tuple_index(basis, correlation_order, degree_cap=None):
-    """Feature index: (head orbital, sorted tail multiset) pairs.
+def build_tuple_index(basis, correlation_order):
+    """Tail list: the sorted orbital multisets of length 0 to correlation_order - 1.
 
-    Tail lengths run from 0 to correlation_order - 1; tails are
-    nondecreasing index tuples so each multiset appears exactly once. The
-    optional cap bounds the summed polynomial degree of the whole tuple.
-    Ordering is deterministic: head-major, then tail length, then
-    lexicographic tail.
+    A tail is a nondecreasing index tuple, so each multiset appears exactly
+    once. Ordering is deterministic: the empty tail first (index 0), then
+    by length, then lexicographic. Every head orbital pairs with every
+    tail, so the coefficients of one determinant column form an
+    (n_orb, n_tails) block.
     """
     if correlation_order < 1:
         raise ValueError("correlation order must be at least 1")
-    n_orb = len(basis)
-    degrees = [orb.degree for orb in basis.orbitals]
-    index = []
-    for head in range(n_orb):
-        for tail_len in range(correlation_order):
-            for tail in itertools.combinations_with_replacement(range(n_orb), tail_len):
-                if degree_cap is not None:
-                    total = degrees[head] + sum(degrees[t] for t in tail)
-                    if total > degree_cap:
-                        continue
-                index.append((head, tail))
-    if not index:
-        raise ValueError("degree cap removed every feature")
-    return tuple(index)
+    return tuple(
+        tail
+        for length in range(correlation_order)
+        for tail in itertools.combinations_with_replacement(range(len(basis)), length)
+    )
 
 
 def orbital_values(basis, nuclear_positions, positions, spins):
@@ -199,82 +188,71 @@ def jastrow_log_batch(positions, spins):
 
 @dataclass
 class AceWavefunction:
-    """Determinant over pooled features times a Jastrow factor.
+    """Determinant over pooled orbital products times a Jastrow factor.
 
-    theta is the flat parameter vector, laid out column-major over the
-    determinant: theta[k * n_features + t] weights feature t in column k.
+    theta is A.ravel() for the coefficient tensor A of shape
+    (N, n_orb, n_tails): A[k, h, t] weights, in determinant column k, head
+    orbital h at the highlighted electron times the product over tail t of
+    orbital sums over the other electrons. So with T[i, t] that product
+    (T[i, 0] = 1 for the empty tail),
+    M[i, k] = sum_{h, t} phi_h(r_i) A[k, h, t] T[i, t].
     """
 
     system: object
     basis: OneBodyBasisSpec
     correlation_order: int = 2
-    degree_cap: int = None
     jastrow_enabled: bool = True
     fd_step: float = DEFAULT_FD_STEP
     theta: np.ndarray = None
-    feature_index: tuple = field(init=False, repr=False)
+    tails: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (self.fd_step > 0.0):
             raise ValueError("finite-difference step must be positive")
-        self.feature_index = build_tuple_index(
-            self.basis, self.correlation_order, self.degree_cap
-        )
-        self._heads = np.array([head for head, _ in self.feature_index], dtype=np.intp)
-        self._tails_by_len = {}
-        for length in range(1, self.correlation_order):
-            slots = [i for i, (_, tail) in enumerate(self.feature_index) if len(tail) == length]
-            if slots:
-                self._tails_by_len[length] = (
-                    np.array(slots, dtype=np.intp),
-                    np.array([self.feature_index[i][1] for i in slots], dtype=np.intp),
-                )
+        self.tails = build_tuple_index(self.basis, self.correlation_order)
+        # orbital indices of the tails of each length >= 1, in tail order
+        self._tail_orbitals = [
+            np.array([tail for tail in self.tails if len(tail) == length], dtype=np.intp)
+            for length in range(1, self.correlation_order)
+        ]
         if self.theta is None:
-            self.theta = initial_theta(self.system, self.basis, self.feature_index)
-        self.theta = np.ascontiguousarray(self.theta, dtype=np.float64)
-        if self.theta.shape != (self.n_params,):
-            raise ValueError(
-                f"theta must have length {self.n_params}, got {self.theta.shape}"
-            )
-
-    @property
-    def n_features(self):
-        return len(self.feature_index)
+            self.theta = initial_theta(self.system, self.basis, len(self.tails))
+        self.set_theta(self.theta)
 
     @property
     def n_params(self):
-        return self.system.n_electrons * self.n_features
+        return self.system.n_electrons * len(self.basis) * len(self.tails)
 
     @property
     def coefficients(self):
-        """(N, n_features) view of theta; row k is determinant column k."""
-        return self.theta.reshape(self.system.n_electrons, self.n_features)
+        """(N, n_orb, n_tails) view of theta; A[k] belongs to determinant column k."""
+        return self.theta.reshape(self.system.n_electrons, len(self.basis), len(self.tails))
 
     def set_theta(self, theta):
         theta = np.ascontiguousarray(theta, dtype=np.float64)
         if theta.shape != (self.n_params,):
-            raise ValueError(f"theta must have length {self.n_params}")
+            raise ValueError(f"theta must have length {self.n_params}, got {theta.shape}")
         self.theta = theta
 
-    # feature pipeline
-
-    def pooled_features_batch(self, positions):
-        """(W, N, n_features) tensor of pooled products, electron i highlighted."""
+    def orbital_matrix_batch(self, positions):
+        """(M, phi, T): the (W, N, N) orbital matrix, the (W, N, n_orb)
+        orbital values and the (W, N, n_tails) tail products."""
         phi = orbital_values(
             self.basis, self.system.nuclear_positions, positions, self.system.spins
         )
+        w, n, n_orb = phi.shape
         pooled = np.sum(phi, axis=1, keepdims=True) - phi  # sums over j != i
-        feats = phi[:, :, self._heads].copy()
-        for _, (slots, tails) in self._tails_by_len.items():
-            prod = pooled[:, :, tails[:, 0]]
-            for pos in range(1, tails.shape[1]):
-                prod = prod * pooled[:, :, tails[:, pos]]
-            feats[:, :, slots] *= prod
-        return feats
-
-    def orbital_matrix_batch(self, positions):
-        feats = self.pooled_features_batch(positions)
-        return np.einsum("wit,kt->wik", feats, self.coefficients), feats
+        products = np.concatenate(
+            [np.ones((w, n, 1))]
+            + [np.prod(pooled[:, :, orbs], axis=-1) for orbs in self._tail_orbitals],
+            axis=-1,
+        )
+        # mixed[w, i, k, t] = sum_h phi[w, i, h] A[k, h, t]
+        blocks = self.coefficients.transpose(1, 0, 2).reshape(n_orb, -1)
+        mixed = (phi.reshape(w * n, n_orb) @ blocks).reshape(w, n, n, -1)
+        # matrix[w, i, k] = sum_t mixed[w, i, k, t] T[w, i, t]
+        matrix = (mixed @ products[..., None])[..., 0]
+        return matrix, phi, products
 
     # amplitudes
 
@@ -282,7 +260,7 @@ class AceWavefunction:
         """Batched (log|psi|, sign). A vanishing determinant returns the
         sentinel (-inf, 0) rather than raising."""
         positions = np.asarray(positions, dtype=np.float64)
-        matrix, _ = self.orbital_matrix_batch(positions)
+        matrix, _, _ = self.orbital_matrix_batch(positions)
         sign, logdet = np.linalg.slogdet(matrix)
         log_abs = logdet
         if self.jastrow_enabled:
@@ -298,60 +276,52 @@ class AceWavefunction:
         """d log|psi| / d theta, shape (W, n_params).
 
         The Jastrow carries no parameters, so only the determinant
-        contributes: the derivative for column k, feature t is
-        sum_i inv(M)[k, i] * features[i, t].
+        contributes: the derivative by A[k, h, t] is
+        sum_i inv(M)[k, i] * phi_h(r_i) * T[i, t].
         """
         positions = np.asarray(positions, dtype=np.float64)
-        matrix, feats = self.orbital_matrix_batch(positions)
+        matrix, phi, products = self.orbital_matrix_batch(positions)
         sign, logdet = np.linalg.slogdet(matrix)
         if np.any(sign == 0.0) or np.any(logdet < LOG_ABS_UNDERFLOW):
             raise NodeProximity("parameter gradient requested on top of a node")
         inv = np.linalg.inv(matrix)
-        grad = np.einsum("wki,wit->wkt", inv, feats)
+        grad = np.einsum("wki,wih,wit->wkht", inv, phi, products, optimize=True)
         return grad.reshape(positions.shape[0], self.n_params)
 
     def gradient_and_laplacian_batch(self, positions):
         """Electron-coordinate gradient and summed Laplacian of log|psi|."""
         return fd_gradient_and_laplacian(self.log_abs_batch, positions, self.fd_step)
 
-def initial_theta(system, basis, feature_index, noise_scale=1e-2, seed=0):
-    """Near-Slater start: unit weight on one single-orbital feature per column.
+def initial_theta(system, basis, n_tails, noise_scale=1e-2, seed=0):
+    """Near-Slater start: unit weight on one bare orbital per column.
 
-    Column k takes the next unused orbital whose spin gate admits electron
-    k (electrons ordered up-first), which keeps the determinant
-    block-diagonal by spin and nonsingular at generic configurations.
-    Gaussian noise of scale noise_scale covers everything else; zero noise
-    gives the bare product state exactly.
+    Column k takes the next unused orbital h whose spin gate admits
+    electron k (electrons ordered up-first) and puts 1 at A[k, h, 0], the
+    empty tail. That keeps the determinant block-diagonal by spin and
+    nonsingular at generic configurations. Gaussian noise of scale
+    noise_scale covers all of A; zero noise gives the bare product state
+    exactly.
     """
     n_electrons = system.n_electrons
-    n_features = len(feature_index)
+    shape = (n_electrons, len(basis), n_tails)
     rng = np.random.default_rng(seed)
-    theta = noise_scale * rng.standard_normal((n_electrons, n_features))
+    coeff = noise_scale * rng.standard_normal(shape)
     if noise_scale == 0.0:
-        theta = np.zeros((n_electrons, n_features))
+        coeff = np.zeros(shape)
 
-    head_slot = {}
-    for slot, (head, tail) in enumerate(feature_index):
-        if not tail:
-            head_slot[head] = slot
-
-    spins = system.spins
     used = set()
-    for k in range(n_electrons):
-        choice = None
-        for orb_idx, orb in enumerate(basis.orbitals):
-            if orb_idx in used or orb_idx not in head_slot:
-                continue
-            if orb.admits(spins[k]):
-                choice = orb_idx
-                break
+    for k, spin in enumerate(system.spins):
+        choice = next(
+            (h for h, orb in enumerate(basis.orbitals) if h not in used and orb.admits(spin)),
+            None,
+        )
         if choice is None:
             raise ValueError(
                 f"basis has no unused orbital admitting electron {k}; add orbitals"
             )
         used.add(choice)
-        theta[k, head_slot[choice]] += 1.0
-    return theta.ravel()
+        coeff[k, choice, 0] += 1.0
+    return coeff.ravel()
 
 
 def fd_gradient_and_laplacian(log_abs_fn, positions, step):

@@ -104,6 +104,58 @@ class TestRunCommand:
         assert code == 2
         assert "checkpoint has 16 walkers, the config asks for 32" in capsys.readouterr().err
 
+    def test_resume_under_another_spin_split_exits_2(self, tmp_path, capsys):
+        # Li with three spin-agnostic orbitals: the electron and parameter
+        # counts are the same under either split
+        config = tmp_path / "li.ini"
+        config.write_text(
+            "[system]\ncharges = 3\npositions = 0 0 0\nn_up = 2\nn_down = 1\n"
+            "[wavefunction]\ncorrelation_order = 1\n"
+            "basis = 0 0 0 0 3.0 either; 0 0 0 0 1.5 either; 0 1 0 0 1.0 either\n"
+            "[sampler]\nwalkers = 8\nburn_in = 5\nthinning = 1\n"
+            "[optimizer]\nname = sgd\n"
+            f"[run]\nsteps = 1\nout_dir = {tmp_path / 'li'}\n",
+            encoding="utf-8",
+        )
+        assert main(["run", "--config", str(config)]) == 0
+        flipped = tmp_path / "flipped.ini"
+        flipped.write_text(
+            config.read_text(encoding="utf-8")
+            .replace("n_up = 2\nn_down = 1", "n_up = 1\nn_down = 2"),
+            encoding="utf-8",
+        )
+        ckpt = tmp_path / "li" / "checkpoint.bin"
+        code = main(["run", "--config", str(flipped), "--steps", "2", "--resume", str(ckpt)])
+        assert code == 2
+        assert "spin labels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["header", "row"])
+    def test_resume_into_a_malformed_trace_exits_2_naming_it(self, tmp_path, capsys, damage):
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config)]) == 0
+        trace = tmp_path / "artifacts" / "trace.csv"
+        lines = trace.read_text(encoding="utf-8").splitlines(keepends=True)
+        if damage == "header":
+            lines[0] = "step,energy\n"
+        else:
+            lines[2] = "2,not-a-number\n"
+        trace.write_text("".join(lines), encoding="utf-8")
+        ckpt = tmp_path / "artifacts" / "checkpoint.bin"
+        code = main(["run", "--config", str(config), "--steps", "5", "--resume", str(ckpt)])
+        assert code == 2
+        assert str(trace) in capsys.readouterr().err
+
+    def test_removed_degree_cap_key_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "capped.ini"
+        path.write_text(
+            write_config(tmp_path).read_text(encoding="utf-8")
+            .replace("[wavefunction]\n", "[wavefunction]\ndegree_cap = 2\n"),
+            encoding="utf-8",
+        )
+        code = main(["run", "--config", str(path)])
+        assert code == 2
+        assert "unknown key 'degree_cap' in [wavefunction]" in capsys.readouterr().err
+
     @pytest.mark.parametrize("section, key, value", [
         ("wavefunction", "init_noise", "inf"),
         ("minsr", "tikhonov_eps", "inf"),

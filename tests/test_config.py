@@ -58,7 +58,6 @@ BAD_OPTION_VALUES = {
     ("system", "n_up"): ("nan", "1.5", "-1"),
     ("system", "n_down"): ("nan", "1.5", "-1"),
     ("wavefunction", "correlation_order"): ("nan", "2.5", "0"),
-    ("wavefunction", "degree_cap"): ("nan", "2.5", "0"),
     ("wavefunction", "jastrow"): ("nan", "0.5", "2"),
     ("wavefunction", "init_noise"): ("nan", "some", "-5e-324", "inf"),
     ("wavefunction", "fd_step"): ("nan", "small", "0", "inf"),
@@ -183,7 +182,7 @@ class TestRejection:
 
     @pytest.mark.parametrize("section,key", [
         ("system", "preset"), ("system", "n_up"),
-        ("wavefunction", "degree_cap"), ("sampler", "samples_per_step"),
+        ("wavefunction", "basis"), ("sampler", "samples_per_step"),
     ])
     def test_empty_value_unsets_a_key_whose_default_is_unset(self, section, key):
         cfg = parse_config_text(ini(section, key, ""))
@@ -322,7 +321,7 @@ class TestBuildWavefunction:
         )
         system = build_system(cfg.system)
         wf = build_wavefunction(cfg.wavefunction, system, seed=0)
-        assert wf.n_features == 1
+        assert wf.coefficients.shape == (1, 1, 1)
         assert wf.n_params == 1
 
     def test_seed_controls_theta(self):
@@ -340,9 +339,24 @@ class TestBuildWavefunction:
         )
         system = build_system(cfg.system)
         wf = build_wavefunction(cfg.wavefunction, system, seed=11)
-        expected = initial_theta(
-            system, wf.basis, wf.feature_index, noise_scale=0.0, seed=11
-        )
+        expected = initial_theta(system, wf.basis, len(wf.tails), noise_scale=0.0, seed=11)
+        assert_array_equal(wf.theta, expected)
+
+    def test_seeded_start_is_noise_plus_unit_heads(self):
+        """theta = init_noise * standard_normal(n_params) from the run seed,
+        with 1 added at A[k, h_k, 0]: column k's head h_k is the first
+        unused orbital its electron's spin admits, on the empty tail."""
+        cfg = parse_config_text(MINIMAL + "[wavefunction]\ninit_noise = 0.03\nell_max = 0\n")
+        system = build_system(cfg.system)
+        wf = build_wavefunction(cfg.wavefunction, system, seed=9)
+        n_orb, n_tails = len(wf.basis), len(wf.tails)
+        assert (n_orb, n_tails) == (8, 9)
+        expected = 0.03 * np.random.default_rng(9).standard_normal(2 * n_orb * n_tails)
+        blocks = expected.reshape(2, n_orb, n_tails)
+        # orbitals sort by (n, ell, m, spin, zeta): 0 is the first up, 2 the first down
+        blocks[0, 0, 0] += 1.0
+        blocks[1, 2, 0] += 1.0
+        assert [o.spin for o in wf.basis.orbitals[:3]] == ["up", "up", "down"]
         assert_array_equal(wf.theta, expected)
 
 

@@ -1,4 +1,4 @@
-"""Pooled features, determinant amplitudes, Jastrow, and derivatives."""
+"""Blocked coefficients, determinant amplitudes, Jastrow, and derivatives."""
 
 import itertools
 
@@ -29,19 +29,40 @@ def single_nucleus_system(charge, n_up, n_down):
 
 
 def brute_force_features(wf, positions):
-    """Loop oracle for the pooled feature tensor of one configuration."""
+    """Loop oracle for the pooled features of one configuration.
+
+    Column (head, tail) of row i, head-major with tails by length and then
+    lexicographic, is phi_head(r_i) times, per tail orbital, the sum of
+    that orbital over the electrons j != i. theta weights these columns:
+    M = features @ theta.reshape(N, -1).T.
+    """
     phi = orbital_values(
         wf.basis, wf.system.nuclear_positions, positions[None], wf.system.spins
     )[0]
-    n = positions.shape[0]
-    out = np.zeros((n, wf.n_features))
+    n, n_orb = phi.shape
+    index = [
+        (head, tail)
+        for head in range(n_orb)
+        for length in range(wf.correlation_order)
+        for tail in itertools.combinations_with_replacement(range(n_orb), length)
+    ]
+    out = np.zeros((n, len(index)))
     for i in range(n):
-        for slot, (head, tail) in enumerate(wf.feature_index):
+        for slot, (head, tail) in enumerate(index):
             value = phi[i, head]
             for orb in tail:
                 value *= sum(phi[j, orb] for j in range(n) if j != i)
             out[i, slot] = value
     return out
+
+
+def two_nucleus_system():
+    return MolecularSystem(
+        nuclear_charges=(3, 1),
+        nuclear_positions=np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 3.0]]),
+        n_up=2,
+        n_down=2,
+    )
 
 
 def brute_force_jastrow(positions, spins):
@@ -80,37 +101,39 @@ def permutation_parity(perm):
 
 class TestTupleIndex:
     def test_pair_order_count(self):
-        basis = default_basis(single_nucleus_system(2, 1, 1), radial_powers=(0,), ell_max=0)
+        system = single_nucleus_system(2, 1, 1)
+        basis = default_basis(system, radial_powers=(0,), ell_max=0)
         n_orb = len(basis)
-        index = build_tuple_index(basis, correlation_order=2)
-        assert len(index) == n_orb * (1 + n_orb)
+        tails = build_tuple_index(basis, correlation_order=2)
+        assert len(tails) == 1 + n_orb
+        wf = AceWavefunction(system=system, basis=basis, correlation_order=2)
+        assert wf.n_params == 2 * n_orb * (1 + n_orb)
 
     def test_order_one_is_heads_only(self):
         basis = default_basis(single_nucleus_system(2, 1, 1), radial_powers=(0, 1), ell_max=1)
-        index = build_tuple_index(basis, correlation_order=1)
-        assert all(tail == () for _, tail in index)
-        assert len(index) == len(basis)
-
-    def test_degree_cap_filters(self):
-        basis = default_basis(single_nucleus_system(2, 1, 1), radial_powers=(0, 1), ell_max=1)
-        capped = build_tuple_index(basis, correlation_order=2, degree_cap=1)
-        for head, tail in capped:
-            total = basis.orbitals[head].degree + sum(
-                basis.orbitals[t].degree for t in tail
-            )
-            assert total <= 1
+        assert build_tuple_index(basis, correlation_order=1) == ((),)
 
     def test_tails_are_sorted_multisets(self):
         basis = default_basis(single_nucleus_system(3, 2, 1), radial_powers=(0,), ell_max=0)
-        index = build_tuple_index(basis, correlation_order=3)
-        seen = set()
-        for head, tail in index:
+        tails = build_tuple_index(basis, correlation_order=3)
+        assert tails[0] == ()
+        assert [len(tail) for tail in tails] == sorted(len(tail) for tail in tails)
+        for tail in tails:
             assert tuple(sorted(tail)) == tail
-            assert (head, tail) not in seen
-            seen.add((head, tail))
+        assert len(set(tails)) == len(tails)
+
+
+ORACLE_CASES = {
+    "order1-p": (lambda: single_nucleus_system(3, 2, 1), (0, 1), 1, 1),
+    "order3-p": (lambda: single_nucleus_system(3, 2, 1), (0,), 1, 3),
+    "order2-p-two-nuclei": (two_nucleus_system, (0, 1), 1, 2),
+    "order3-s-two-nuclei": (two_nucleus_system, (0,), 0, 3),
+}
 
 
 class TestPooledFeatures:
+    """The blocked contraction against the literal feature oracle."""
+
     def test_order_one_reduces_to_orbitals(self):
         system = single_nucleus_system(2, 1, 1)
         basis = default_basis(system, radial_powers=(0,), ell_max=0)
@@ -118,21 +141,23 @@ class TestPooledFeatures:
         rng = np.random.default_rng(1)
         positions = rng.normal(size=(2, 3))
         phi = orbital_values(basis, system.nuclear_positions, positions[None], system.spins)[0]
-        feats = wf.pooled_features_batch(positions[None])[0]
-        np.testing.assert_allclose(feats, phi, atol=1e-15)
+        matrix, _, tails = wf.orbital_matrix_batch(positions[None])
+        np.testing.assert_array_equal(tails[0], np.ones((2, 1)))
+        np.testing.assert_allclose(matrix[0], phi @ wf.coefficients[:, :, 0].T, rtol=1e-14)
 
     def test_two_electron_single_orbital_product(self):
         system = single_nucleus_system(2, 2, 0)
         basis = OneBodyBasisSpec(orbitals=(SlaterOrbital(0, 0, 0, 0, 1.0, "either"),))
+        # A[k, 0, :] = (a_k, b_k) over the tails () and (0,)
         wf = AceWavefunction(system=system, basis=basis, correlation_order=2,
-                             theta=np.zeros(4))
+                             theta=np.array([1.0, 2.0, 3.0, 5.0]))
         rng = np.random.default_rng(2)
         positions = rng.normal(size=(2, 3))
-        r = np.linalg.norm(positions, axis=1)
-        feats = wf.pooled_features_batch(positions[None])[0, 0]
-        # slots: (head, ()) then (head, (head,))
-        assert feats[0] == pytest.approx(np.exp(-r[0]), abs=1e-15)
-        assert feats[1] == pytest.approx(np.exp(-r[0]) * np.exp(-r[1]), rel=1e-14)
+        f = np.exp(-np.linalg.norm(positions, axis=1))
+        matrix = wf.orbital_matrix_batch(positions[None])[0][0]
+        assert matrix[0, 0] == pytest.approx(f[0] * (1.0 + 2.0 * f[1]), rel=1e-14)
+        assert matrix[0, 1] == pytest.approx(f[0] * (3.0 + 5.0 * f[1]), rel=1e-14)
+        assert matrix[1, 1] == pytest.approx(f[1] * (3.0 + 5.0 * f[0]), rel=1e-14)
 
     def test_three_electron_brute_force(self):
         system = single_nucleus_system(3, 2, 1)
@@ -140,9 +165,39 @@ class TestPooledFeatures:
         wf = AceWavefunction(system=system, basis=basis, correlation_order=2)
         rng = np.random.default_rng(3)
         positions = rng.normal(size=(3, 3))
-        oracle = brute_force_features(wf, positions)
-        ours = wf.pooled_features_batch(positions[None])[0]
+        oracle = brute_force_features(wf, positions) @ wf.theta.reshape(3, -1).T
+        ours = wf.orbital_matrix_batch(positions[None])[0][0]
         np.testing.assert_allclose(ours, oracle, rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_matches_literal_feature_oracle(self, case):
+        """M, log|psi| and d log|psi| / d theta from the literal features,
+        to 1e-10 relative (the contraction only reorders the sums)."""
+        make_system, radial_powers, ell_max, order = ORACLE_CASES[case]
+        system = make_system()
+        basis = default_basis(system, radial_powers=radial_powers, ell_max=ell_max)
+        wf = AceWavefunction(system=system, basis=basis, correlation_order=order)
+        rng = np.random.default_rng(15)
+        wf.set_theta(wf.theta + 0.05 * rng.standard_normal(wf.n_params))
+        n = system.n_electrons
+        centers = system.nuclear_positions[np.arange(n) % len(system.nuclear_charges)]
+        positions = centers + rng.normal(size=(3, n, 3))
+
+        matrix, _, _ = wf.orbital_matrix_batch(positions)
+        log_abs = wf.log_abs_batch(positions)
+        grad = wf.grad_theta_batch(positions)
+        for w in range(positions.shape[0]):
+            feats = brute_force_features(wf, positions[w])
+            oracle_matrix = feats @ wf.theta.reshape(n, -1).T
+            _, logdet = np.linalg.slogdet(oracle_matrix)
+            oracle_log = logdet + brute_force_jastrow(positions[w], system.spins)
+            oracle_grad = (np.linalg.inv(oracle_matrix) @ feats).ravel()
+            scale = np.max(np.abs(oracle_matrix))
+            np.testing.assert_allclose(matrix[w], oracle_matrix, rtol=0, atol=1e-10 * scale)
+            assert log_abs[w] == pytest.approx(oracle_log, rel=1e-10)
+            np.testing.assert_allclose(
+                grad[w], oracle_grad, rtol=0, atol=1e-10 * np.max(np.abs(oracle_grad))
+            )
 
     def test_invariant_under_non_highlighted_same_spin_permutation(self):
         system = single_nucleus_system(4, 3, 1)
@@ -153,8 +208,9 @@ class TestPooledFeatures:
         # permute the two non-highlighted up electrons (slots 1 and 2)
         swapped = positions.copy()
         swapped[[1, 2]] = swapped[[2, 1]]
-        feats = wf.pooled_features_batch(np.stack([positions, swapped]))[:, 0]
-        np.testing.assert_allclose(feats[1], feats[0], rtol=1e-12)
+        matrix, _, tails = wf.orbital_matrix_batch(np.stack([positions, swapped]))
+        np.testing.assert_allclose(tails[1, 0], tails[0, 0], rtol=1e-12)
+        np.testing.assert_allclose(matrix[1, 0], matrix[0, 0], rtol=1e-12)
 
 
 class TestJastrow:
@@ -374,7 +430,7 @@ class TestCoordinateDerivatives:
         system = single_nucleus_system(4, 2, 2)
         basis = default_basis(system, radial_powers=(0, 1), ell_max=1)
         wf = AceWavefunction(system=system, basis=basis, correlation_order=2)
-        wf.set_theta(initial_theta(system, wf.basis, wf.feature_index, seed=3))
+        wf.set_theta(initial_theta(system, wf.basis, len(wf.tails), seed=3))
         positions = np.random.default_rng(14).normal(size=(7, 4, 3))
         step = wf.fd_step
 
@@ -400,11 +456,10 @@ class TestInitialTheta:
     def test_zero_noise_gives_bare_product_state(self):
         system = single_nucleus_system(2, 1, 1)
         basis = default_basis(system, radial_powers=(0,), ell_max=0)
-        index = build_tuple_index(basis, 2)
-        theta = initial_theta(system, basis, index, noise_scale=0.0)
-        coeff = theta.reshape(2, len(index))
-        assert np.count_nonzero(coeff) == 2
-        assert set(np.unique(coeff)) == {0.0, 1.0}
+        n_tails = len(build_tuple_index(basis, 2))
+        theta = initial_theta(system, basis, n_tails, noise_scale=0.0)
+        assert np.count_nonzero(theta) == 2
+        assert set(np.unique(theta)) == {0.0, 1.0}
 
     def test_determinant_nonsingular_at_init(self):
         for name_args in ((4, 2, 2), (8, 5, 3)):
@@ -419,18 +474,19 @@ class TestInitialTheta:
     def test_spin_gated_assignment_avoids_column_reuse(self):
         system = single_nucleus_system(2, 1, 1)
         basis = default_basis(system, radial_powers=(0,), ell_max=0)
-        index = build_tuple_index(basis, 1)
-        theta = initial_theta(system, basis, index, noise_scale=0.0)
-        coeff = theta.reshape(2, len(index))
-        slots = [np.flatnonzero(row)[0] for row in coeff]
-        assert slots[0] != slots[1]
-        for k, slot in enumerate(slots):
-            head, tail = index[slot]
-            assert tail == ()
+        n_tails = len(build_tuple_index(basis, 2))
+        theta = initial_theta(system, basis, n_tails, noise_scale=0.0)
+        coeff = theta.reshape(2, len(basis), n_tails)
+        heads = []
+        for k in range(2):
+            (head,), (tail,) = np.nonzero(coeff[k])
+            assert tail == 0  # the empty tail
             assert basis.orbitals[head].admits(system.spins[k])
+            heads.append(head)
+        assert heads[0] != heads[1]
 
     def test_too_small_basis_rejected(self):
         system = single_nucleus_system(2, 2, 0)
         basis = OneBodyBasisSpec(orbitals=(SlaterOrbital(0, 0, 0, 0, 1.0, "either"),))
         with pytest.raises(ValueError):
-            initial_theta(system, basis, build_tuple_index(basis, 1))
+            initial_theta(system, basis, 1)
