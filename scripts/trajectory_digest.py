@@ -3,9 +3,11 @@
 For every optimizer a fixed small helium run (ell_max = 0, 16 walkers,
 seed 3) goes through the command line twice: straight through, and split
 in two with --resume at the halfway step. Each output line names the
-optimizer, a SHA-256 of the trace rows without the wall_ms column and a
-SHA-256 of the final checkpoint file. The exit status is 1 if a split
-run's digests differ from its straight run's.
+optimizer, a SHA-256 of the trace rows without the wall_ms column, a
+SHA-256 of the final checkpoint file and a SHA-256 of the final theta
+array's bytes; the last still compares two versions whose checkpoint
+layouts differ. The exit status is 1 if a split run's digests differ
+from its straight run's.
 
 The vmcsr on the import path is the one that runs, so checking a change
 against its parent is one diff:
@@ -24,6 +26,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+from vmcsr.checkpoint import read_checkpoint
 from vmcsr.cli import main as vmcsr_main
 
 OPTIMIZERS = ("sgd", "sr", "minsr", "spring", "wssr", "rssr")
@@ -60,14 +63,17 @@ def _vmcsr(*argv):
 
 
 def _digests(out_dir):
-    """(trace digest without wall_ms, checkpoint digest) of one run."""
+    """(trace digest without wall_ms, checkpoint digest, theta digest) of
+    one run."""
     with open(out_dir / "trace.csv", newline="", encoding="utf-8") as handle:
         rows = list(csv.reader(handle))
     keep = [i for i, column in enumerate(rows[0]) if column != "wall_ms"]
     trace = "\n".join(",".join(row[i] for i in keep) for row in rows)
-    checkpoint = (out_dir / "checkpoint.bin").read_bytes()
+    checkpoint = out_dir / "checkpoint.bin"
+    _, arrays, _ = read_checkpoint(checkpoint)
     return (hashlib.sha256(trace.encode()).hexdigest(),
-            hashlib.sha256(checkpoint).hexdigest())
+            hashlib.sha256(checkpoint.read_bytes()).hexdigest(),
+            hashlib.sha256(arrays["theta"].tobytes()).hexdigest())
 
 
 def main(argv=None):
@@ -98,9 +104,9 @@ def main(argv=None):
                    "--out", str(halves))
             _vmcsr("run", "--config", str(ini), "--steps", str(args.steps),
                    "--out", str(halves), "--resume", str(halves / "checkpoint.bin"))
-            trace, checkpoint = _digests(straight)
-            print(f"{name:<7} trace {trace} checkpoint {checkpoint}")
-            if _digests(halves) != (trace, checkpoint):
+            digests = _digests(straight)
+            print("{:<7} trace {} checkpoint {} theta {}".format(name, *digests))
+            if _digests(halves) != digests:
                 mismatched.append(name)
     if mismatched:
         print(f"split run differs from straight run: {', '.join(mismatched)}",

@@ -224,12 +224,10 @@ KEY_HELP = {
     "wssr": {
         "delta": "weight of the averaged history vs the fresh batch",
         "sigma_floor": "preconditioner floor outside the kept subspace",
-        "sigma_floor_relative": "scale the floor by the top squared singular value",
         "r_reg": "relative squared-singular-value cutoff for the kept rank",
         "eps_grow": "rank budget growth factor when the cutoff binds",
         "rank_init": "initial rank budget",
         "ssi_max_iters": "subspace-iteration cap per step",
-        "ssi_residual_tol": "relative residual for early subspace-iteration exit",
         "svd_backend": "one of " + ", ".join(SVD_BACKENDS) + " (rssr forces randomized)",
     },
     "run": {

@@ -31,6 +31,8 @@ SVD_BACKENDS = ("ssi", "randomized", "exact")
 # Relative eigenvalue cutoff for the unshifted dual solve; the dual matrix
 # is singular whenever the batch outnumbers the parameter count.
 PSEUDO_SOLVE_RTOL = 1e-12
+# Subspace residual below which the warm-started iteration stops early.
+SSI_RESIDUAL_TOL = 1e-10
 
 
 def _require(options, name, ok, rule):
@@ -106,12 +108,10 @@ class WssrOptions:
 
     delta: float = 0.95
     sigma_floor: float = 1e-3
-    sigma_floor_relative: bool = False
     r_reg: float = 1e-6
     eps_grow: float = 0.1
     rank_init: int = 400
     ssi_max_iters: int = 3
-    ssi_residual_tol: float = 1e-10
     svd_backend: str = "ssi"
 
     def __post_init__(self):
@@ -121,7 +121,6 @@ class WssrOptions:
         _require(self, "eps_grow", 0.0 <= self.eps_grow < math.inf, "be finite and >= 0")
         _require(self, "rank_init", self.rank_init >= 1, "be >= 1")
         _require(self, "ssi_max_iters", self.ssi_max_iters >= 1, "be >= 1")
-        _require(self, "ssi_residual_tol", self.ssi_residual_tol > 0.0, "be > 0")
         _require(self, "svd_backend", self.svd_backend in SVD_BACKENDS,
                  "be one of " + ", ".join(SVD_BACKENDS))
 
@@ -237,33 +236,39 @@ def spring_update(theta, bundle, eta, state, options=SpringOptions()):
 class WssrState:
     """Carry-over for the warm-started low-rank scheme.
 
-    obar is the thin factor U * sigma of the averaged matrix kept from
-    the previous step (parameter count x effective rank; zero columns
-    before the first step), lbar the matching residual history, u_prev
-    the left vectors used to warm-start the next factorization.  r_max
-    is the rank requested from the factorizer; it only ever grows.
+    The averaged matrix kept from the previous step is held as its thin
+    factorization: u_prev the left vectors (parameter count x effective
+    rank; zero columns before the first step), which also warm-start the
+    next factorization, sigma the singular values, and lbar the matching
+    residual history. r_max is the rank requested from the factorizer;
+    it only ever grows.
     """
 
-    obar: np.ndarray
-    lbar: np.ndarray
     u_prev: np.ndarray
+    sigma: np.ndarray
+    lbar: np.ndarray
     r_max: int
     step: int = 0
 
     def __post_init__(self):
-        if self.obar.ndim != 2 or self.u_prev.ndim != 2 or self.lbar.ndim != 1:
+        if self.u_prev.ndim != 2 or self.sigma.ndim != 1 or self.lbar.ndim != 1:
             raise ValueError("malformed history shapes")
-        if self.obar.shape[1] != self.lbar.shape[0]:
-            raise ValueError("history rank mismatch between obar and lbar")
+        if not self.u_prev.shape[1] == self.sigma.shape[0] == self.lbar.shape[0]:
+            raise ValueError("history rank mismatch between u_prev, sigma and lbar")
         if self.r_max < 1:
             raise ValueError("r_max must be at least 1")
+
+    @property
+    def obar(self):
+        """The history factor U * sigma (parameter count x effective rank)."""
+        return self.u_prev * self.sigma
 
     @classmethod
     def initial(cls, n_params, rank_init):
         return cls(
-            obar=np.zeros((n_params, 0)),
-            lbar=np.zeros(0),
             u_prev=np.zeros((n_params, 0)),
+            sigma=np.zeros(0),
+            lbar=np.zeros(0),
             r_max=int(rank_init),
         )
 
@@ -347,7 +352,7 @@ def wssr_step(theta, bundle, eta, state, options=WssrOptions(), rng_seed=0):
         )
         factors, report = ssi_svd(
             ohat, requested, max_iters=options.ssi_max_iters, u_init=u_init,
-            residual_tol=options.ssi_residual_tol,
+            residual_tol=SSI_RESIDUAL_TOL,
         )
 
     top_sq = factors.sigma[0] ** 2
@@ -364,18 +369,15 @@ def wssr_step(theta, bundle, eta, state, options=WssrOptions(), rng_seed=0):
     gbar = ohat @ lhat
 
     coeffs = u.T @ gbar
-    floor = options.sigma_floor * (top_sq if options.sigma_floor_relative else 1.0)
-    update = u @ (coeffs / sigma**2) + (gbar - u @ coeffs) / floor
+    update = u @ (coeffs / sigma**2) + (gbar - u @ coeffs) / options.sigma_floor
     theta_next = theta - eta * update
 
-    sigma_drift, projector_drift = subspace_drift(
-        state.u_prev, np.linalg.norm(state.obar, axis=0), u, sigma
-    )
+    sigma_drift, projector_drift = subspace_drift(state.u_prev, state.sigma, u, sigma)
 
     state_next = WssrState(
-        obar=u * sigma,
-        lbar=factors.v[:r_eff, :] @ lhat,
         u_prev=u,
+        sigma=sigma,
+        lbar=factors.v[:r_eff, :] @ lhat,
         r_max=next_r_max,
         step=state.step + 1,
     )

@@ -83,9 +83,9 @@ def _snapshot(path, step, config, seed, theta, ensemble, opt_state, prefix):
         "step": step,
         "optimizer": config.optimizer.name,
         "seed": seed,
-        "n_params": int(theta.shape[0]),
-        "n_walkers": ensemble.n_walkers,
         "proposal_std": ensemble.proposal_std,
+        "accepted": ensemble.accepted,
+        "proposed": ensemble.proposed,
         "burned_in": ensemble.burned_in,
     }
     arrays = {
@@ -93,8 +93,6 @@ def _snapshot(path, step, config, seed, theta, ensemble, opt_state, prefix):
         "positions": ensemble.positions,
         "spins": ensemble.spins,
         "log_abs": ensemble.log_abs,
-        "accepted": ensemble.accepted,
-        "proposed": ensemble.proposed,
     }
     if opt_state is not None:
         section = {}
@@ -137,8 +135,8 @@ def _restore(resume_path, config, system, wavefunction, initial_state, prefix):
             log_abs=arrays["log_abs"],
             rng=rng,
             proposal_std=float(scalars["proposal_std"]),
-            accepted=arrays["accepted"],
-            proposed=arrays["proposed"],
+            accepted=int(scalars["accepted"]),
+            proposed=int(scalars["proposed"]),
             burned_in=bool(scalars["burned_in"]),
         )
     except KeyError as exc:
@@ -238,8 +236,7 @@ def run(config, resume_path=None):
     with TraceWriter(trace_path, append=True) as writer:
         for step in range(start_step + 1, k_max + 1):
             t0 = time.perf_counter()
-            acc0 = int(np.sum(ensemble.accepted))
-            prop0 = int(np.sum(ensemble.proposed))
+            acc0, prop0 = ensemble.accepted, ensemble.proposed
             try:
                 batch = sample_batch(
                     ensemble,
@@ -277,8 +274,8 @@ def run(config, resume_path=None):
                 wavefunction.log_abs_batch(ensemble.positions), dtype=np.float64
             )
 
-            proposed_now = int(np.sum(ensemble.proposed)) - prop0
-            accepted_now = int(np.sum(ensemble.accepted)) - acc0
+            proposed_now = ensemble.proposed - prop0
+            accepted_now = ensemble.accepted - acc0
             rate = accepted_now / proposed_now if proposed_now else 0.0
             if diag is not None:
                 rank_fields = dict(

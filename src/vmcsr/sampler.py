@@ -29,16 +29,9 @@ class WalkerEnsemble:
     log_abs: np.ndarray          # (walkers,) cached log-amplitudes
     rng: np.random.Generator     # the one ensemble-wide stream
     proposal_std: float
-    accepted: np.ndarray = None  # (walkers,) counters
-    proposed: np.ndarray = None
+    accepted: int = 0            # ensemble-wide move counters
+    proposed: int = 0
     burned_in: bool = False
-
-    def __post_init__(self):
-        w = self.positions.shape[0]
-        if self.accepted is None:
-            self.accepted = np.zeros(w, dtype=np.int64)
-        if self.proposed is None:
-            self.proposed = np.zeros(w, dtype=np.int64)
 
     @property
     def n_walkers(self):
@@ -109,8 +102,8 @@ def metropolis_step(ensemble, wavefunction):
 
     ensemble.positions[accept] = proposals[accept]
     ensemble.log_abs[accept] = new_log[accept]
-    ensemble.proposed += 1
-    ensemble.accepted += accept.astype(np.int64)
+    ensemble.proposed += w
+    ensemble.accepted += int(np.count_nonzero(accept))
     return ensemble
 
 
@@ -128,13 +121,11 @@ def burn_in(ensemble, wavefunction, steps):
     done = 0
     while done < steps:
         chunk = min(ADAPT_INTERVAL, steps - done)
-        before_acc = int(np.sum(ensemble.accepted))
+        before_acc = ensemble.accepted
         for _ in range(chunk):
             metropolis_step(ensemble, wavefunction)
         done += chunk
-        window_rate = (int(np.sum(ensemble.accepted)) - before_acc) / (
-            chunk * ensemble.n_walkers
-        )
+        window_rate = (ensemble.accepted - before_acc) / (chunk * ensemble.n_walkers)
         factor = float(np.exp(window_rate - TARGET_ACCEPTANCE))
         lo, hi = PROPOSAL_STD_BOUNDS
         ensemble.proposal_std = float(np.clip(ensemble.proposal_std * factor, lo, hi))

@@ -145,16 +145,23 @@ class TestRunCommand:
         assert code == 2
         assert str(trace) in capsys.readouterr().err
 
-    def test_removed_degree_cap_key_exits_2(self, tmp_path, capsys):
-        path = tmp_path / "capped.ini"
+    @pytest.mark.parametrize("section, key", [
+        ("wavefunction", "degree_cap"),
+        ("wssr", "sigma_floor_relative"),
+        ("wssr", "ssi_residual_tol"),
+    ])
+    def test_removed_key_exits_2(self, tmp_path, capsys, section, key):
+        text = write_config(tmp_path).read_text(encoding="utf-8")
+        if f"[{section}]\n" not in text:
+            text += f"[{section}]\n"
+        path = tmp_path / "removed.ini"
         path.write_text(
-            write_config(tmp_path).read_text(encoding="utf-8")
-            .replace("[wavefunction]\n", "[wavefunction]\ndegree_cap = 2\n"),
+            text.replace(f"[{section}]\n", f"[{section}]\n{key} = 1\n"),
             encoding="utf-8",
         )
         code = main(["run", "--config", str(path)])
         assert code == 2
-        assert "unknown key 'degree_cap' in [wavefunction]" in capsys.readouterr().err
+        assert f"unknown key '{key}' in [{section}]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section, key, value", [
         ("wavefunction", "init_noise", "inf"),
@@ -189,7 +196,9 @@ class TestRunCommand:
         assert code == 2
         assert f"error: [{section}] {key}: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("table, entry", [("arrays", "log_abs"), ("scalars", "proposal_std")])
+    @pytest.mark.parametrize("table, entry", [
+        ("arrays", "log_abs"), ("scalars", "proposal_std"), ("scalars", "accepted"),
+    ])
     def test_resume_from_checkpoint_lacking_an_entry_exits_2(
         self, tmp_path, capsys, table, entry
     ):
@@ -202,6 +211,24 @@ class TestRunCommand:
         code = main(["run", "--config", str(config), "--steps", "5", "--resume", str(partial)])
         assert code == 2
         assert f"checkpoint lacks the entry '{entry}'" in capsys.readouterr().err
+
+    def test_resume_from_checkpoint_carrying_wssr_obar_exits_2(self, tmp_path, capsys):
+        # The layout before the history was held as its thin SVD: the
+        # factor U * sigma beside U, and no sigma.
+        config = tmp_path / "wssr.ini"
+        config.write_text(
+            write_config(tmp_path).read_text(encoding="utf-8")
+            .replace("name = sgd", "name = wssr"),
+            encoding="utf-8",
+        )
+        assert main(["run", "--config", str(config)]) == 0
+        scalars, arrays, rng_states = read_checkpoint(tmp_path / "artifacts" / "checkpoint.bin")
+        arrays["wssr_obar"] = arrays["wssr_u_prev"] * arrays.pop("wssr_sigma")
+        older = tmp_path / "older.bin"
+        write_checkpoint(older, scalars, arrays, rng_states)
+        code = main(["run", "--config", str(config), "--steps", "5", "--resume", str(older)])
+        assert code == 2
+        assert "unknown fields ['obar']" in capsys.readouterr().err
 
 
 class TestInspectCommand:

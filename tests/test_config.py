@@ -80,12 +80,10 @@ BAD_OPTION_VALUES = {
     ("spring", "tikhonov_eps"): ("nan", "small", "-5e-324", "inf"),
     ("wssr", "delta"): ("nan", "most", "1"),
     ("wssr", "sigma_floor"): ("nan", "tiny", "0"),
-    ("wssr", "sigma_floor_relative"): ("nan", "0.5", "2"),
     ("wssr", "r_reg"): ("nan", "tiny", "0", "1"),
     ("wssr", "eps_grow"): ("nan", "some", "-5e-324", "inf"),
     ("wssr", "rank_init"): ("nan", "2.5", "0"),
     ("wssr", "ssi_max_iters"): ("nan", "3.0", "0"),
-    ("wssr", "ssi_residual_tol"): ("nan", "tight", "0"),
     ("wssr", "svd_backend"): ("nan", "3", "exacts"),
     ("run", "steps"): ("nan", "2.5", "0"),
     ("run", "seed"): ("nan", "2.5", "-1"),

@@ -267,10 +267,20 @@ class TestSpring:
 class TestWssrState:
     def test_initial_shape(self):
         state = WssrState.initial(7, rank_init=4)
-        assert state.obar.shape == (7, 0)
-        assert state.lbar.shape == (0,)
         assert state.u_prev.shape == (7, 0)
+        assert state.sigma.shape == (0,)
+        assert state.lbar.shape == (0,)
+        assert state.obar.shape == (7, 0)
         assert state.r_max == 4 and state.step == 0
+
+    def test_obar_is_the_product_of_the_kept_factors(self):
+        rng = np.random.default_rng(13)
+        o = rng.standard_normal((6, 10))
+        state = WssrState.initial(6, rank_init=4)
+        _, state, _ = wssr_step(np.zeros(6), raw_bundle(o, rng.standard_normal(10)),
+                                0.01, state)
+        assert state.sigma.shape == (state.u_prev.shape[1],)
+        np.testing.assert_array_equal(state.obar, state.u_prev * state.sigma)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -350,20 +360,6 @@ class TestWssrStep:
             got, -0.01 * np.array([0.0, 1.0]) / 1e-3, atol=1e-10
         )
 
-    def test_relative_floor_scales_with_top_eigenvalue(self):
-        o = np.array([
-            [5.0, -5.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, -1.0],
-        ])
-        l = np.array([0.0, 0.0, 0.5, -0.5])
-        state = WssrState.initial(2, rank_init=2)
-        options = WssrOptions(delta=0.0, r_reg=0.1, sigma_floor=1e-3,
-                              sigma_floor_relative=True)
-        got, _, _ = wssr_step(np.zeros(2), raw_bundle(o, l), 0.01, state, options)
-        np.testing.assert_allclose(
-            got, -0.01 * np.array([0.0, 1.0]) / (1e-3 * 50.0), atol=1e-10
-        )
-
     def test_preconditioner_spectrum_and_descent(self):
         rng = np.random.default_rng(17)
         for trial in range(10):
@@ -376,7 +372,7 @@ class TestWssrStep:
             theta1, state1, diag = wssr_step(theta, raw_bundle(o, l), 1.0, state, options)
 
             u = state1.u_prev
-            sig = np.linalg.norm(state1.obar, axis=0)
+            sig = state1.sigma
             floor = options.sigma_floor
             p = u @ np.diag(sig**-2) @ u.T + (np.eye(m) - u @ u.T) / floor
             eigs = np.linalg.eigvalsh(p)
@@ -496,9 +492,9 @@ class TestRssr:
         m, n, r = 10, 8, 2
         w, _ = qr_orthonormalize(rng.standard_normal((m, r)))
         state = WssrState(
-            obar=w * np.array([6.0, 3.0]),
-            lbar=rng.standard_normal(r),
             u_prev=w.copy(),
+            sigma=np.array([6.0, 3.0]),
+            lbar=rng.standard_normal(r),
             r_max=r,
             step=1,
         )

@@ -141,7 +141,7 @@ class TestResumeDeterminism:
         assert sorted(scalars["wssr"]) == ["r_max", "step"]
         assert scalars["wssr"]["step"] == 2
         assert [k for k in arrays if k.startswith("wssr_")] == [
-            "wssr_obar", "wssr_lbar", "wssr_u_prev",
+            "wssr_u_prev", "wssr_sigma", "wssr_lbar",
         ]
 
         run(helium_config(tmp_path, name="spring", steps=2, sub="spring"))

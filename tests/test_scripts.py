@@ -38,8 +38,8 @@ def test_trajectory_digest_split_matches_straight(capsys):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
     assert [row[0] for row in rows] == ["wssr", "minsr"]
     for row in rows:
-        assert row[1] == "trace" and row[3] == "checkpoint"
-        assert len(row[2]) == len(row[4]) == 64
+        assert row[1] == "trace" and row[3] == "checkpoint" and row[5] == "theta"
+        assert len(row[2]) == len(row[4]) == len(row[6]) == 64
 
 
 CODE_LINES_FIXTURE = '''"""Module docstring,
