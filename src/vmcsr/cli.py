@@ -1,7 +1,8 @@
 """Command-line front end: run, inspect, presets.
 
 Exit codes: 0 success, 2 configuration/input problems, 3 numerical
-aborts (the last good checkpoint is kept for resuming).
+aborts and steps that run out of memory (the last good checkpoint is
+kept for resuming).
 """
 
 import argparse

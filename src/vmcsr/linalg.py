@@ -109,7 +109,10 @@ def spd_factorize(t, shift=0.0):
     scale = max(float(np.max(np.abs(t))), 1.0)
     if float(np.max(np.abs(t - t.T))) > 1e-10 * scale:
         raise ValueError("matrix is not symmetric to tolerance")
-    shifted = t if shift == 0.0 else t + shift * np.eye(t.shape[0])
+    shifted = t
+    if shift:
+        shifted = t.copy()
+        shifted[np.diag_indices_from(shifted)] += shift
     try:
         lower = cholesky(shifted, lower=True)
     except LinAlgError as exc:

@@ -162,13 +162,14 @@ def full_sr_update(theta, bundle, eta, options=SrOptions()):
     if reg_mode == "pseudo_inverse":
         direction = _pseudo_inverse_apply(s, g, reg_eps)
     else:
+        # s is this call's own array: regularize its diagonal in place
+        diagonal = np.diag_indices_from(s)
         if reg_mode == "diagonal_shift":
-            s_reg = s + reg_eps * np.eye(s.shape[0])
+            s[diagonal] += reg_eps
         else:
-            s_reg = s.copy()
-            s_reg[np.diag_indices_from(s_reg)] *= 1.0 + reg_eps
+            s[diagonal] *= 1.0 + reg_eps
         try:
-            direction = spd_factorize(s_reg).solve(g)
+            direction = spd_factorize(s).solve(g)
         except NotPositiveDefinite as exc:
             raise SingularMatrix(
                 f"regularized covariance is not positive definite ({reg_mode}, "

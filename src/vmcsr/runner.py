@@ -3,9 +3,10 @@
 Steps are 1-indexed; step k uses the learning rate at schedule argument
 k-1, so the very first step runs at the schedule's base rate. Every step
 appends exactly one trace record, and the final checkpoint always lands
-at the last completed step. A numerical failure mid-step aborts the run
-but first re-snapshots the last good state, so a crashed run is always
-resumable from where it still made sense.
+at the last completed step. A numerical failure or a MemoryError
+mid-step aborts the run (exit 3) but first re-snapshots the last good
+state, so a crashed run is always resumable from where it still made
+sense.
 """
 
 import dataclasses
@@ -255,15 +256,18 @@ def run(config, resume_path=None):
                 )
                 if not np.all(np.isfinite(theta_next)):
                     raise NumericalAbort(f"non-finite parameters at step {step}")
-            except NumericalError as exc:
-                # Re-snapshot the state before the failing step so the
+            except (NumericalError, MemoryError) as exc:
+                # Drop the traceback, and with it the failed step's arrays,
+                # then re-snapshot the state before the failing step so the
                 # run can be resumed from the last good point.
+                exc.__traceback__ = None
+                reason = f"out of memory: {exc}" if isinstance(exc, MemoryError) else exc
                 _snapshot(
                     checkpoint_path, step - 1, config, seed, theta, ensemble,
                     opt_state, prefix,
                 )
                 aborted = True
-                message = f"aborted at step {step}: {exc}"
+                message = f"aborted at step {step}: {reason}"
                 step = step - 1
                 break
 

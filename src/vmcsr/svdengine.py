@@ -5,9 +5,9 @@ from the previous step's left singular vectors and stopped once its block
 spans an invariant subspace or its budget is spent. It finishes with a
 Rayleigh-Ritz step, the dense SVD of the small projected matrix q.T @ ohat,
 which is exact for any basis of an invariant span. The Gaussian range
-sketch is one cold iteration of the same engine with an oversampled block
-(Halko, Martinsson & Tropp, SIAM Review 53 (2011), Alg. 5.1). Both are
-checked against the dense SVD in the test suite.
+sketch is the first pass of the same engine from an oversampled block,
+with the same finish (Halko, Martinsson & Tropp, SIAM Review 53 (2011),
+Alg. 5.1). Both are checked against the dense SVD in the test suite.
 """
 
 from dataclasses import dataclass
@@ -59,15 +59,30 @@ def _positive_prefix(sigma, limit, fro):
     return int(np.count_nonzero(sigma[:limit] > DEFICIENT_COLUMN_REL * fro))
 
 
+def _frobenius(ohat):
+    fro = float(np.linalg.norm(ohat))
+    if fro == 0.0:
+        raise DegenerateInput("cannot factorize an all-zero matrix")
+    return fro
+
+
+def _rayleigh_ritz(q, b_t, rank, fro):
+    """Triplets of ohat from an orthonormal block q and b_t = ohat.T @ q:
+    the dense SVD of q.T @ ohat, lifted by q and truncated to `rank`."""
+    u_b, sigma, vt = exact_svd(b_t.T)
+    k = _positive_prefix(sigma, rank, fro)
+    if k == 0:
+        raise DegenerateInput("iteration produced no positive singular values")
+    return TruncatedSvd(u=q @ u_b[:, :k], sigma=sigma[:k], v=vt[:k, :])
+
+
 def exact_truncated_svd(ohat, rank):
     """Dense SVD truncated to the leading triplets (dropping zeros)."""
     ohat = np.asarray(ohat, dtype=np.float64)
     m, n = ohat.shape
     if rank < 1 or rank > min(m, n):
         raise RankTooLarge(f"rank {rank} outside [1, {min(m, n)}] for shape {ohat.shape}")
-    fro = float(np.linalg.norm(ohat))
-    if fro == 0.0:
-        raise DegenerateInput("cannot factorize an all-zero matrix")
+    fro = _frobenius(ohat)
     u, sigma, vt = exact_svd(ohat)
     k = _positive_prefix(sigma, rank, fro)
     return TruncatedSvd(u=u[:, :k], sigma=sigma[:k], v=vt[:k, :])
@@ -104,9 +119,7 @@ def ssi_svd(ohat, rank, *, max_iters, residual_tol, u_init=None):
     m, n = ohat.shape
     if rank < 1 or rank > min(m, n):
         raise RankTooLarge(f"rank {rank} outside [1, {min(m, n)}] for shape {ohat.shape}")
-    fro = float(np.linalg.norm(ohat))
-    if fro == 0.0:
-        raise DegenerateInput("cannot factorize an all-zero matrix")
+    fro = _frobenius(ohat)
 
     warm = u_init is not None
     if warm:
@@ -134,27 +147,22 @@ def ssi_svd(ohat, rank, *, max_iters, residual_tol, u_init=None):
             break
         u = w
 
-    u_b, sigma, vt = exact_svd(b_t.T)
-    k = _positive_prefix(sigma, rank, fro)
-    if k == 0:
-        raise DegenerateInput("iteration produced no positive singular values")
-    factors = TruncatedSvd(u=q @ u_b[:, :k], sigma=sigma[:k], v=vt[:k, :])
     report = SsiReport(
         iterations_used=iterations,
         subspace_residual=residual,
         warm_started=warm,
     )
-    return factors, report
+    return _rayleigh_ritz(q, b_t, rank, fro), report
 
 
 def randomized_svd(ohat, rank, oversample=10, rng_seed=0):
     """Rank-r factors from a Gaussian range sketch.
 
-    One cold iteration of ssi_svd from a standard normal block omega of
+    The first pass of ssi_svd from a standard normal block omega of
     width rank + oversample: one power pass through the Gram operator
     aligns the captured range with the dominant left singular subspace,
-    and the Rayleigh-Ritz finish factors the projected matrix and
-    truncates it.
+    and ssi_svd's Rayleigh-Ritz finish factors the projected matrix and
+    truncates it. No subspace residual is formed.
 
     Args:
       ohat: (m, n) matrix.
@@ -172,9 +180,11 @@ def randomized_svd(ohat, rank, oversample=10, rng_seed=0):
         raise RankTooLarge(
             f"rank+oversample {width} outside [1, {min(m, n)}] for shape {ohat.shape}"
         )
+    fro = _frobenius(ohat)
     omega = np.random.default_rng(rng_seed).standard_normal((m, width))
-    factors, _ = ssi_svd(ohat, rank, max_iters=1, residual_tol=1e-10, u_init=omega)
-    return factors
+    q, _ = qr_orthonormalize(omega)
+    q, _ = qr_orthonormalize(ohat @ (ohat.T @ q))
+    return _rayleigh_ritz(q, ohat.T @ q, rank, fro)
 
 
 def subspace_drift(u_prev, sigma_prev, u, sigma):

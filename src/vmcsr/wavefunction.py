@@ -32,6 +32,12 @@ JASTROW_SAME_SPIN = 0.25
 
 DEFAULT_FD_STEP = 1e-4
 
+# Every per-configuration batch is evaluated in walker chunks sized so
+# that the largest intermediate, the (N, N, n_tails) block of mixed
+# coefficients of each configuration, takes at most this many bytes per
+# chunk. Chunk boundaries depend on this budget and the shapes only.
+EVAL_CHUNK_BYTES = 4 << 20
+
 
 @dataclass(frozen=True)
 class SlaterOrbital:
@@ -254,17 +260,25 @@ class AceWavefunction:
         matrix = (mixed @ products[..., None])[..., 0]
         return matrix, phi, products
 
+    def _chunks(self, n_configs):
+        """Consecutive slices covering n_configs rows, each within EVAL_CHUNK_BYTES."""
+        n = self.system.n_electrons
+        size = max(1, EVAL_CHUNK_BYTES // (8 * n * n * len(self.tails)))
+        return [slice(lo, min(lo + size, n_configs)) for lo in range(0, n_configs, size)]
+
     # amplitudes
 
     def log_abs_sign_batch(self, positions):
         """Batched (log|psi|, sign). A vanishing determinant returns the
         sentinel (-inf, 0) rather than raising."""
         positions = np.asarray(positions, dtype=np.float64)
-        matrix, _, _ = self.orbital_matrix_batch(positions)
-        sign, logdet = np.linalg.slogdet(matrix)
-        log_abs = logdet
-        if self.jastrow_enabled:
-            log_abs = log_abs + jastrow_log_batch(positions, self.system.spins)
+        w = positions.shape[0]
+        log_abs, sign = np.empty(w), np.empty(w)
+        for chunk in self._chunks(w):
+            matrix, _, _ = self.orbital_matrix_batch(positions[chunk])
+            sign[chunk], log_abs[chunk] = np.linalg.slogdet(matrix)
+            if self.jastrow_enabled:
+                log_abs[chunk] += jastrow_log_batch(positions[chunk], self.system.spins)
         return log_abs, sign
 
     def log_abs_batch(self, positions):
@@ -280,6 +294,18 @@ class AceWavefunction:
         sum_i inv(M)[k, i] * phi_h(r_i) * T[i, t].
         """
         positions = np.asarray(positions, dtype=np.float64)
+        w = positions.shape[0]
+        chunks = self._chunks(w)
+        if len(chunks) == 1:
+            # one chunk: return its own array rather than copy it into a
+            # freshly paged-in output
+            return self._grad_theta_chunk(positions)
+        grad = np.empty((w, self.n_params))
+        for chunk in chunks:
+            grad[chunk] = self._grad_theta_chunk(positions[chunk])
+        return grad
+
+    def _grad_theta_chunk(self, positions):
         matrix, phi, products = self.orbital_matrix_batch(positions)
         sign, logdet = np.linalg.slogdet(matrix)
         if np.any(sign == 0.0) or np.any(logdet < LOG_ABS_UNDERFLOW):

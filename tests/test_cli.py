@@ -1,5 +1,6 @@
 import pytest
 
+import vmcsr.runner
 from vmcsr.checkpoint import read_checkpoint, write_checkpoint
 from vmcsr.cli import main
 
@@ -83,6 +84,31 @@ class TestRunCommand:
         )
         assert code == 0
         assert "completed 5 steps" in capsys.readouterr().out
+
+    def test_memory_error_in_a_step_exits_3_with_a_resumable_checkpoint(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        calls = {"n": 0}
+        original = vmcsr.runner.assemble
+
+        def starved(*args, **kwargs):
+            calls["n"] += 1
+            if calls["n"] == 2:
+                raise MemoryError("Unable to allocate 3.59 GiB")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(vmcsr.runner, "assemble", starved)
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config)]) == 3
+        err = capsys.readouterr().err
+        assert "aborted at step 2: out of memory: Unable to allocate 3.59 GiB" in err
+        ckpt = tmp_path / "artifacts" / "checkpoint.bin"
+        scalars, _, _ = read_checkpoint(ckpt)
+        assert scalars["step"] == 1
+
+        monkeypatch.setattr(vmcsr.runner, "assemble", original)
+        assert main(["run", "--config", str(config), "--resume", str(ckpt)]) == 0
+        assert "completed 3 steps" in capsys.readouterr().out
 
     def test_resume_from_missing_checkpoint_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path)

@@ -206,6 +206,16 @@ class TestRandomizedSvd:
         with pytest.raises(RankTooLarge):
             randomized_svd(np.eye(8), rank=4, oversample=5)
 
+    def test_equals_one_cold_ssi_pass_from_the_same_block(self):
+        # the sketch is ssi_svd's first pass and finish, without the residual
+        rng = np.random.default_rng(14)
+        a = rng.standard_normal((60, 90))
+        fact = randomized_svd(a, rank=7, oversample=4, rng_seed=5)
+        omega = np.random.default_rng(5).standard_normal((60, 11))
+        ref, _ = ssi_svd(a, 7, max_iters=1, residual_tol=1e-10, u_init=omega)
+        for name in ("u", "sigma", "v"):
+            np.testing.assert_array_equal(getattr(fact, name), getattr(ref, name))
+
     def test_seed_determinism(self):
         rng = np.random.default_rng(72)
         a = rng.standard_normal((40, 30))

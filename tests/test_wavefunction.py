@@ -5,7 +5,8 @@ import itertools
 import numpy as np
 import pytest
 
-from vmcsr.system import SPIN_DOWN, SPIN_UP, MolecularSystem
+import vmcsr.wavefunction
+from vmcsr.system import SPIN_DOWN, SPIN_UP, MolecularSystem, preset_system
 from vmcsr.wavefunction import (
     AceWavefunction,
     OneBodyBasisSpec,
@@ -450,6 +451,57 @@ class TestCoordinateDerivatives:
         grad, lap = fd_gradient_and_laplacian(wf.log_abs_batch, positions, step)
         np.testing.assert_array_equal(grad, expected_grad)
         np.testing.assert_array_equal(lap, expected_lap)
+
+
+class TestChunkedEvaluation:
+    """A batch split into walker chunks gives the whole batch's values."""
+
+    def chunked_and_whole(self, wf, monkeypatch):
+        n, n_orb, n_tails = wf.coefficients.shape
+        rng = np.random.default_rng(21)
+        wf.set_theta(wf.theta + 0.05 * rng.standard_normal(wf.n_params))
+        positions = 1.5 * rng.standard_normal((130, n, 3))
+        whole = (*wf.log_abs_sign_batch(positions), wf.grad_theta_batch(positions))
+        # three full chunks of 40 configurations and a ragged tail of 10
+        monkeypatch.setattr(vmcsr.wavefunction, "EVAL_CHUNK_BYTES", 40 * 8 * n * n * n_tails)
+        sizes = []
+        evaluate = wf.orbital_matrix_batch
+
+        def spy(chunk):
+            sizes.append(chunk.shape[0])
+            return evaluate(chunk)
+
+        monkeypatch.setattr(wf, "orbital_matrix_batch", spy)
+        chunked = (*wf.log_abs_sign_batch(positions), wf.grad_theta_batch(positions))
+        assert sizes == [40, 40, 40, 10] * 2
+        return chunked, whole
+
+    def test_helium_s_shell_is_bitwise(self, monkeypatch):
+        system = preset_system("he")
+        wf = AceWavefunction(system=system, basis=default_basis(system, (0, 1), ell_max=0))
+        chunked, whole = self.chunked_and_whole(wf, monkeypatch)
+        for ours, reference in zip(chunked, whole):
+            np.testing.assert_array_equal(ours, reference)
+
+    def test_p_shell_on_two_nuclei_matches(self, monkeypatch):
+        system = two_nucleus_system()
+        wf = AceWavefunction(system=system, basis=default_basis(system, (0, 1), ell_max=1))
+        (log_abs, sign, grad), (log_ref, sign_ref, grad_ref) = self.chunked_and_whole(
+            wf, monkeypatch
+        )
+        np.testing.assert_array_equal(sign, sign_ref)
+        np.testing.assert_allclose(log_abs, log_ref, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(grad, grad_ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(grad_ref)))
+
+    def test_chunk_boundaries_follow_the_budget(self, monkeypatch):
+        system = preset_system("he")
+        wf = AceWavefunction(system=system, basis=default_basis(system, (0, 1), ell_max=0))
+        # 8 bytes * N^2 * n_tails = 288 bytes of mixed coefficients per configuration
+        assert vmcsr.wavefunction.EVAL_CHUNK_BYTES // 288 == 14563
+        bounds = [(c.start, c.stop) for c in wf._chunks(30000)]
+        assert bounds == [(0, 14563), (14563, 29126), (29126, 30000)]
+        monkeypatch.setattr(vmcsr.wavefunction, "EVAL_CHUNK_BYTES", 100)
+        assert [c.stop - c.start for c in wf._chunks(3)] == [1, 1, 1]
 
 
 class TestInitialTheta:
