@@ -22,7 +22,6 @@ import numpy as np
 from .errors import ConfigError
 from .optimizers import (
     SR_REG_MODES,
-    SVD_BACKENDS,
     LearningRateSchedule,
     MinsrOptions,
     SpringOptions,
@@ -115,11 +114,14 @@ class SamplerConfig:
     def __post_init__(self):
         _require(self, "walkers", self.walkers >= 1, "be >= 1")
         _require(self, "burn_in", self.burn_in >= 0, "be >= 0")
-        _require(self, "thinning", self.thinning >= 0, "be >= 0")
+        _require(self, "thinning", self.thinning >= 1, "be >= 1")
         _require(self, "proposal_std", 0.0 < self.proposal_std < math.inf,
                  "be finite and > 0")
+        # a step centers its batch, which takes at least two samples
         _require(self, "samples_per_step",
-                 self.samples_per_step is None or self.samples_per_step >= 1, "be >= 1")
+                 self.samples_per_step is None or self.samples_per_step >= 2, "be >= 2")
+        _require(self, "walkers", self.samples_per_step is not None or self.walkers >= 2,
+                 "be >= 2 when samples_per_step is unset")
 
 
 @dataclass(frozen=True)
@@ -227,8 +229,6 @@ KEY_HELP = {
         "r_reg": "relative squared-singular-value cutoff for the kept rank",
         "eps_grow": "rank budget growth factor when the cutoff binds",
         "rank_init": "initial rank budget",
-        "ssi_max_iters": "subspace-iteration cap per step",
-        "svd_backend": "one of " + ", ".join(SVD_BACKENDS) + " (rssr forces randomized)",
     },
     "run": {
         "steps": "optimizer steps",

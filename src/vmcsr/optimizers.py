@@ -18,7 +18,6 @@ from .errors import NotPositiveDefinite, RankCollapse, SingularMatrix
 from .estimators import s_matrix, t_matrix
 from .linalg import qr_orthonormalize, spd_factorize
 from .svdengine import (
-    SsiReport,
     exact_truncated_svd,
     randomized_svd,
     ssi_svd,
@@ -26,12 +25,13 @@ from .svdengine import (
 )
 
 SR_REG_MODES = ("diagonal_shift", "diagonal_scale", "pseudo_inverse")
-SVD_BACKENDS = ("ssi", "randomized", "exact")
 
 # Relative eigenvalue cutoff for the unshifted dual solve; the dual matrix
 # is singular whenever the batch outnumbers the parameter count.
 PSEUDO_SOLVE_RTOL = 1e-12
-# Subspace residual below which the warm-started iteration stops early.
+# Iteration budget of the warm-started subspace iteration per step, and
+# the subspace residual below which it stops early.
+SSI_MAX_ITERS = 3
 SSI_RESIDUAL_TOL = 1e-10
 
 
@@ -104,15 +104,13 @@ class SpringOptions:
 
 @dataclass(frozen=True)
 class WssrOptions:
-    """Settings of wssr_step ([wssr]; rssr is svd_backend = randomized)."""
+    """Settings of wssr_step ([wssr]; rssr shares them)."""
 
     delta: float = 0.95
     sigma_floor: float = 1e-3
     r_reg: float = 1e-6
     eps_grow: float = 0.1
     rank_init: int = 400
-    ssi_max_iters: int = 3
-    svd_backend: str = "ssi"
 
     def __post_init__(self):
         _require(self, "delta", 0.0 <= self.delta < 1.0, "lie in [0, 1)")
@@ -120,9 +118,6 @@ class WssrOptions:
         _require(self, "r_reg", 0.0 < self.r_reg < 1.0, "lie in (0, 1)")
         _require(self, "eps_grow", 0.0 <= self.eps_grow < math.inf, "be finite and >= 0")
         _require(self, "rank_init", self.rank_init >= 1, "be >= 1")
-        _require(self, "ssi_max_iters", self.ssi_max_iters >= 1, "be >= 1")
-        _require(self, "svd_backend", self.svd_backend in SVD_BACKENDS,
-                 "be one of " + ", ".join(SVD_BACKENDS))
 
 
 def sgd_update(theta, bundle, eta):
@@ -276,11 +271,11 @@ class WssrState:
 
 @dataclass(frozen=True)
 class WssrDiagnostics:
-    """Per-step telemetry mirrored into the trace file."""
+    """Per-step telemetry: exactly the trace's rank columns, by name."""
 
-    ssi: SsiReport
     effective_rank: int
     r_max: int
+    ssi_iterations: int
     sigma_drift: float
     projector_drift: float
 
@@ -304,14 +299,14 @@ def _prepare_warm_start(u_prev, requested, n_rows, seed):
     return q
 
 
-def wssr_step(theta, bundle, eta, state, options=WssrOptions(), rng_seed=0):
+def wssr_step(theta, bundle, eta, state, options=WssrOptions(), rng_seed=0,
+              *, sketch=False):
     """One step of the warm-started low-rank preconditioned descent.
 
     The current batch columns are appended to the carried history with
     sqrt(delta) / sqrt(1 - delta) weights, the stacked matrix is
-    factorized to the working rank (dense on the very first step, the
-    chosen backend afterwards), the kept rank is cut where the squared
-    spectrum falls below r_reg relative to its top, and the update
+    factorized to the working rank, the kept rank is cut where the
+    squared spectrum falls below r_reg relative to its top, and the update
     applies the inverse through the kept subspace while the orthogonal
     complement is scaled by the floor:
 
@@ -320,12 +315,16 @@ def wssr_step(theta, bundle, eta, state, options=WssrOptions(), rng_seed=0):
     with gbar built from the stacked matrices before truncation.  The
     working rank grows by eps_grow for the next step whenever the cut
     was binding at r_max (never beyond the parameter count).  delta,
-    r_reg, sigma_floor, eps_grow and the backend come from options.
+    r_reg, sigma_floor and eps_grow come from options.
+
+    The first step factorizes densely. After it, wssr runs at most
+    SSI_MAX_ITERS subspace iterations warm-started from u_prev; with
+    sketch=True (rssr, the cold-restart ablation) a one-pass Gaussian
+    sketch seeded per step replaces them.
 
     Returns:
       (theta', state', WssrDiagnostics).
     """
-    svd_backend = options.svd_backend
     theta = np.asarray(theta, dtype=np.float64)
     o = bundle.o_matrix
     m = o.shape[0]
@@ -335,26 +334,24 @@ def wssr_step(theta, bundle, eta, state, options=WssrOptions(), rng_seed=0):
     lhat = np.concatenate([sq_old * state.lbar, sq_new * bundle.l_vector])
 
     requested = min(state.r_max, m, ohat.shape[1])
-    if state.step == 0 or svd_backend == "exact":
+    iterations = 0
+    if state.step == 0:
         factors = exact_truncated_svd(ohat, requested)
-        report = SsiReport(iterations_used=0, subspace_residual=0.0,
-                           warm_started=False)
-    elif svd_backend == "randomized":
+    elif sketch:
         room = min(ohat.shape) - requested
         factors = randomized_svd(
             ohat, requested, oversample=min(10, max(0, room)),
             rng_seed=_per_step_seed(rng_seed, state.step),
         )
-        report = SsiReport(iterations_used=0, subspace_residual=0.0,
-                           warm_started=False)
     else:
         u_init = _prepare_warm_start(
             state.u_prev, requested, m, _per_step_seed(rng_seed, state.step)
         )
         factors, report = ssi_svd(
-            ohat, requested, max_iters=options.ssi_max_iters, u_init=u_init,
+            ohat, requested, max_iters=SSI_MAX_ITERS, u_init=u_init,
             residual_tol=SSI_RESIDUAL_TOL,
         )
+        iterations = report.iterations_used
 
     top_sq = factors.sigma[0] ** 2
     r_eff = int(np.count_nonzero(factors.sigma**2 >= options.r_reg * top_sq))
@@ -383,9 +380,9 @@ def wssr_step(theta, bundle, eta, state, options=WssrOptions(), rng_seed=0):
         step=state.step + 1,
     )
     diagnostics = WssrDiagnostics(
-        ssi=report,
         effective_rank=r_eff,
         r_max=state.r_max,
+        ssi_iterations=iterations,
         sigma_drift=sigma_drift,
         projector_drift=projector_drift,
     )

@@ -21,6 +21,7 @@ from .config import build_system, build_wavefunction
 from .estimators import assemble
 from .optimizers import (
     SpringState,
+    WssrDiagnostics,
     WssrState,
     full_sr_update,
     minsr_update,
@@ -33,6 +34,8 @@ from .trace import TraceRecord, TraceWriter, read_trace, rewrite_trace, smooth_t
 
 TRACE_FILENAME = "trace.csv"
 CHECKPOINT_FILENAME = "checkpoint.bin"
+# The trace's rank columns for the rules without a low-rank factorization.
+_NO_RANK = dataclasses.asdict(WssrDiagnostics(0, 0, 0, 0.0, 0.0))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -55,7 +58,8 @@ def _optimizer(config, n_params):
     The rules are looked up in this module's globals at call time, so a
     replacement of one of those names (a tracer, a test spy) sees every
     call. Stateless rules have neither state nor prefix. Each rule gets
-    its options section of config; rssr is wssr with the sketch backend.
+    its options section of config; rssr is wssr with the sketch in place
+    of the warm-started subspace iteration.
     """
     name = config.optimizer.name
     if name == "sgd":
@@ -71,12 +75,9 @@ def _optimizer(config, n_params):
         initial = SpringState(prev_update=np.zeros(n_params))
         return initial, "spring", lambda theta, bundle, eta, state, seed: (
             *spring_update(theta, bundle, eta, state, config.spring), None)
-    options = config.wssr
-    if name == "rssr":
-        options = dataclasses.replace(options, svd_backend="randomized")
-    initial = WssrState.initial(n_params, options.rank_init)
+    initial = WssrState.initial(n_params, config.wssr.rank_init)
     return initial, "wssr", lambda theta, bundle, eta, state, seed: wssr_step(
-        theta, bundle, eta, state, options, rng_seed=seed)
+        theta, bundle, eta, state, config.wssr, rng_seed=seed, sketch=name == "rssr")
 
 
 def _snapshot(path, step, config, seed, theta, ensemble, opt_state, prefix):
@@ -281,22 +282,7 @@ def run(config, resume_path=None):
             proposed_now = ensemble.proposed - prop0
             accepted_now = ensemble.accepted - acc0
             rate = accepted_now / proposed_now if proposed_now else 0.0
-            if diag is not None:
-                rank_fields = dict(
-                    effective_rank=diag.effective_rank,
-                    r_max=diag.r_max,
-                    ssi_iterations=diag.ssi.iterations_used,
-                    sigma_drift=diag.sigma_drift,
-                    projector_drift=diag.projector_drift,
-                )
-            else:
-                rank_fields = dict(
-                    effective_rank=0,
-                    r_max=0,
-                    ssi_iterations=0,
-                    sigma_drift=0.0,
-                    projector_drift=0.0,
-                )
+            rank_fields = _NO_RANK if diag is None else dataclasses.asdict(diag)
             record = TraceRecord(
                 step=step,
                 raw_energy=bundle.raw_loss,

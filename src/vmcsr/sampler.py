@@ -139,7 +139,6 @@ def sample_batch(ensemble, wavefunction, system, n_samples, burn_in_steps, thinn
     Burn-in runs only if the ensemble has not equilibrated yet (once per
     run); afterwards each collection round advances every walker
     `thinning` steps and takes the current states in fixed walker order.
-    thinning = 0 collects the current states directly.
 
     Args:
       n_samples: batch size; walker count should divide it (rounds take

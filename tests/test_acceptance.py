@@ -15,6 +15,7 @@ from vmcsr.config import parse_config_text
 from vmcsr.estimators import EstimatorBundle, SampleBatch, assemble, clip_local_energies
 from vmcsr.linalg import qr_orthonormalize
 from vmcsr.optimizers import (
+    SSI_MAX_ITERS,
     LearningRateSchedule,
     MinsrOptions,
     SpringOptions,
@@ -363,7 +364,7 @@ def test_criterion_06_history_averaging_recursion():
     delta = 0.9
     n_params = 8
     state = WssrState.initial(n_params, rank_init=n_params)
-    options = WssrOptions(delta=delta, r_reg=1e-30, svd_backend="exact")
+    options = WssrOptions(delta=delta, r_reg=1e-30)
     theta = np.zeros(n_params)
     s_ref = np.zeros((n_params, n_params))
     g_ref = np.zeros(n_params)
@@ -476,7 +477,7 @@ def test_criterion_10_schedule_and_defaults_snapshot():
     assert config.sampler.burn_in == 1000
     assert config.sampler.thinning == 10
     assert config.optimizer.clip_n_std == 5.0
-    assert config.wssr.ssi_max_iters == 3
+    assert SSI_MAX_ITERS == 3
     assert config.spring.mu == 0.99
     assert config.spring.tikhonov_eps == 0.001
     assert config.minsr.tikhonov_eps == 0.001

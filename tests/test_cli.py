@@ -175,6 +175,8 @@ class TestRunCommand:
         ("wavefunction", "degree_cap"),
         ("wssr", "sigma_floor_relative"),
         ("wssr", "ssi_residual_tol"),
+        ("wssr", "svd_backend"),
+        ("wssr", "ssi_max_iters"),
     ])
     def test_removed_key_exits_2(self, tmp_path, capsys, section, key):
         text = write_config(tmp_path).read_text(encoding="utf-8")
@@ -298,5 +300,5 @@ class TestHelp:
             main(["run", "--help"])
         assert exc.value.code == 0
         out = capsys.readouterr().out
-        for key in ("walkers", "svd_backend", "clip_n_std", "rank_init", "out_dir"):
+        for key in ("walkers", "eps_grow", "clip_n_std", "rank_init", "out_dir"):
             assert key in out

@@ -64,11 +64,11 @@ BAD_OPTION_VALUES = {
     ("wavefunction", "radial_powers"): ("nan", "0.5", "-1", ""),
     ("wavefunction", "ell_max"): ("nan", "1.5", "-1"),
     ("wavefunction", "basis"): ("nan", "0 0 0 0 1.0", "0 0 2 0 1.0 up", "0 0 0 0 inf up"),
-    ("sampler", "walkers"): ("nan", "2.5", "0"),
+    ("sampler", "walkers"): ("nan", "2.5", "0", "1"),
     ("sampler", "burn_in"): ("nan", "2.5", "-1"),
-    ("sampler", "thinning"): ("nan", "2.5", "-1"),
+    ("sampler", "thinning"): ("nan", "2.5", "-1", "0"),
     ("sampler", "proposal_std"): ("nan", "wide", "0", "inf"),
-    ("sampler", "samples_per_step"): ("nan", "2.5", "0"),
+    ("sampler", "samples_per_step"): ("nan", "2.5", "0", "1"),
     ("optimizer", "name"): ("nan", "3", "wssrr"),
     ("optimizer", "alpha"): ("nan", "fast", "0", "inf"),
     ("optimizer", "beta"): ("nan", "slow", "0"),
@@ -83,8 +83,6 @@ BAD_OPTION_VALUES = {
     ("wssr", "r_reg"): ("nan", "tiny", "0", "1"),
     ("wssr", "eps_grow"): ("nan", "some", "-5e-324", "inf"),
     ("wssr", "rank_init"): ("nan", "2.5", "0"),
-    ("wssr", "ssi_max_iters"): ("nan", "3.0", "0"),
-    ("wssr", "svd_backend"): ("nan", "3", "exacts"),
     ("run", "steps"): ("nan", "2.5", "0"),
     ("run", "seed"): ("nan", "2.5", "-1"),
     ("run", "out_dir"): ("",),
@@ -100,7 +98,6 @@ class TestDefaultsSnapshot:
         assert cfg.sampler.burn_in == 1000
         assert cfg.sampler.thinning == 10
         assert cfg.optimizer.clip_n_std == 5.0
-        assert cfg.wssr.ssi_max_iters == 3
         assert cfg.spring.mu == 0.99
         assert cfg.spring.tikhonov_eps == 0.001
         assert cfg.minsr.tikhonov_eps == 0.001
@@ -110,7 +107,6 @@ class TestDefaultsSnapshot:
         assert cfg.wssr.delta == 0.95
         assert cfg.wssr.sigma_floor == 0.001
         assert cfg.wssr.rank_init == 400
-        assert cfg.wssr.svd_backend == "ssi"
         assert cfg.sr.reg_mode == "diagonal_shift"
         assert cfg.sr.reg_eps == 0.001
         assert cfg.run.steps == 2000
@@ -167,6 +163,16 @@ class TestRejection:
         for snippet in bad:
             with pytest.raises(ConfigError):
                 parse_config_text(MINIMAL + snippet)
+
+    def test_batch_of_fewer_than_two_samples_is_refused(self):
+        # a step centers its batch: walkers alone must give two samples,
+        # and one walker is fine when samples_per_step asks for more rounds
+        with pytest.raises(ConfigError, match=r"^\[sampler\] walkers: must be >= 2 when"):
+            parse_config_text(MINIMAL + "[sampler]\nwalkers = 1\n")
+        with pytest.raises(ConfigError, match=r"^\[sampler\] samples_per_step: must be >= 2"):
+            parse_config_text(MINIMAL + "[sampler]\nwalkers = 8\nsamples_per_step = 1\n")
+        cfg = parse_config_text(MINIMAL + "[sampler]\nwalkers = 1\nsamples_per_step = 2\n")
+        assert (cfg.sampler.walkers, cfg.sampler.samples_per_step) == (1, 2)
 
     def test_bad_values_cover_every_option_key(self):
         keys = {(s, f.name) for s, cls in SECTIONS.items() for f in dataclasses.fields(cls)}

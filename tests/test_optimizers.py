@@ -308,14 +308,14 @@ class TestWssrStep:
         np.testing.assert_allclose(s_bar, 0.05 * (o @ o.T), atol=1e-10)
         g_bar = state1.obar @ state1.lbar
         np.testing.assert_allclose(g_bar, 0.05 * (o @ l), atol=1e-10)
-        assert not diag.ssi.warm_started
+        assert diag.ssi_iterations == 0
         assert diag.sigma_drift == 0.0 and diag.projector_drift == 0.0
 
     def test_three_step_recursion_matches_reference_averaging(self):
         rng = np.random.default_rng(15)
         delta = 0.7
         state = WssrState.initial(5, rank_init=5)
-        options = WssrOptions(delta=delta, r_reg=1e-30, svd_backend="exact")
+        options = WssrOptions(delta=delta, r_reg=1e-30)
         theta = np.zeros(5)
         s_ref = np.zeros((5, 5))
         g_ref = np.zeros(5)
@@ -426,21 +426,16 @@ class TestWssrStep:
             assert diag.effective_rank == 1
         assert state.r_max == 2
 
-    def test_unknown_backend(self):
-        with pytest.raises(ValueError, match="randomized"):
-            WssrOptions(svd_backend="lanczos")
-
     def test_warm_start_engages_after_first_step(self):
         rng = np.random.default_rng(20)
         state = WssrState.initial(6, rank_init=3)
         theta = np.zeros(6)
         bundle = raw_bundle(rng.standard_normal((6, 10)), rng.standard_normal(10))
         theta, state, diag0 = wssr_step(theta, bundle, 0.01, state)
-        assert not diag0.ssi.warm_started
+        assert diag0.ssi_iterations == 0
         bundle2 = raw_bundle(rng.standard_normal((6, 10)), rng.standard_normal(10))
         _, _, diag1 = wssr_step(theta, bundle2, 0.01, state)
-        assert diag1.ssi.warm_started
-        assert diag1.ssi.iterations_used >= 1
+        assert diag1.ssi_iterations >= 1
 
 
 def shared_left_space_bundle(w, diag_values, n, seed):
@@ -458,14 +453,13 @@ class TestRssr:
         b1 = shared_left_space_bundle(w, [4.0, 2.0, 1.0], 9, seed=30)
         b2 = shared_left_space_bundle(w, [3.5, 2.2, 0.9], 9, seed=31)
         state = WssrState.initial(12, rank_init=3)
-        ssi = WssrOptions(delta=0.6, svd_backend="ssi")
-        theta, state, _ = wssr_step(np.zeros(12), b1, 0.01, state, ssi)
+        options = WssrOptions(delta=0.6)
+        theta, state, _ = wssr_step(np.zeros(12), b1, 0.01, state, options)
 
-        t_ssi, _, diag_ssi = wssr_step(theta, b2, 0.01, state, ssi)
-        t_rnd, _, _ = wssr_step(
-            theta, b2, 0.01, state, WssrOptions(delta=0.6, svd_backend="randomized"))
+        t_ssi, _, diag_ssi = wssr_step(theta, b2, 0.01, state, options)
+        t_rnd, _, diag_rnd = wssr_step(theta, b2, 0.01, state, options, sketch=True)
         np.testing.assert_allclose(t_ssi, t_rnd, atol=1e-8)
-        assert diag_ssi.ssi.warm_started
+        assert diag_ssi.ssi_iterations >= 1 and diag_rnd.ssi_iterations == 0
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(22)
@@ -479,9 +473,7 @@ class TestRssr:
             state = WssrState.initial(7, rank_init=3)
             for b in bundles:
                 theta, state, _ = wssr_step(
-                    theta, b, 0.01, state, WssrOptions(svd_backend="randomized"),
-                    rng_seed=seed,
-                )
+                    theta, b, 0.01, state, rng_seed=seed, sketch=True)
             return theta
 
         np.testing.assert_array_equal(rollout(5), rollout(5))
@@ -504,8 +496,10 @@ class TestRssr:
         theta = np.zeros(m)
         eta = 0.01
 
+        # the same history at step 0 takes the dense route
+        options = WssrOptions(delta=0.5)
         t_exact, _, _ = wssr_step(
-            theta, bundle, eta, state, WssrOptions(delta=0.5, svd_backend="exact"))
+            theta, bundle, eta, dataclasses.replace(state, step=0), options)
         ohat = np.concatenate(
             [math.sqrt(0.5) * state.obar, math.sqrt(0.5) * o], axis=1
         )
@@ -513,26 +507,8 @@ class TestRssr:
             [math.sqrt(0.5) * state.lbar, math.sqrt(0.5) * bundle.l_vector]
         )
         tail = np.linalg.svd(ohat, compute_uv=False)[r]
-        sketch = WssrOptions(delta=0.5, svd_backend="randomized")
-        bound = 10.0 * tail * eta / sketch.sigma_floor * max(1.0, np.linalg.norm(lhat))
+        bound = 10.0 * tail * eta / options.sigma_floor * max(1.0, np.linalg.norm(lhat))
         for seed in range(20):
-            t_sketch, _, _ = wssr_step(theta, bundle, eta, state, sketch, rng_seed=seed)
+            t_sketch, _, _ = wssr_step(
+                theta, bundle, eta, state, options, rng_seed=seed, sketch=True)
             assert np.linalg.norm(t_sketch - t_exact) <= bound
-
-    def test_exact_backend_every_step_equals_reference(self):
-        # svd_backend="exact" must behave like the dense factorization at
-        # every step, not only the first.
-        rng = np.random.default_rng(24)
-        state = WssrState.initial(5, rank_init=5)
-        options = WssrOptions(r_reg=1e-30, svd_backend="exact")
-        theta = np.zeros(5)
-        s_ref = np.zeros((5, 5))
-        for seed in range(4):
-            srng = np.random.default_rng(100 + seed)
-            o = srng.standard_normal((5, 11))
-            theta, state, diag = wssr_step(
-                theta, raw_bundle(o, srng.standard_normal(11)), 0.01, state, options,
-            )
-            s_ref = options.delta * s_ref + (1 - options.delta) * (o @ o.T)
-            assert diag.ssi.iterations_used == 0
-        np.testing.assert_allclose(state.obar @ state.obar.T, s_ref, atol=1e-9)

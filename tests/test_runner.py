@@ -187,6 +187,24 @@ class TestResumeDeterminism:
             run(other, resume_path=str(tmp_path / "out" / "checkpoint.bin"))
 
 
+class TestRankColumns:
+    def test_optimizer_name_picks_the_factorization(self, tmp_path):
+        # Step 1 is dense for both; afterwards wssr iterates from its warm
+        # start and rssr sketches once, which counts no iterations.
+        wssr = read_trace(run(helium_config(tmp_path, name="wssr", steps=4, sub="w")).trace_path)
+        rssr = read_trace(run(helium_config(tmp_path, name="rssr", steps=4, sub="r")).trace_path)
+        assert [r.ssi_iterations for r in rssr] == [0, 0, 0, 0]
+        assert wssr[0].ssi_iterations == 0
+        assert all(r.ssi_iterations >= 1 for r in wssr[1:])
+        assert all(r.effective_rank >= 1 and r.r_max >= 1 for r in wssr + rssr)
+
+    def test_stateless_rules_write_zero_rank_columns(self, tmp_path):
+        for rec in run(helium_config(tmp_path, name="minsr", steps=2)).records:
+            assert (rec.effective_rank, rec.r_max, rec.ssi_iterations) == (0, 0, 0)
+            assert (rec.sigma_drift, rec.projector_drift) == (0.0, 0.0)
+            assert isinstance(rec.sigma_drift, float)
+
+
 class TestAbortPath:
     def test_nan_energy_aborts_with_last_good_checkpoint(self, tmp_path, monkeypatch):
         calls = {"n": 0}
