@@ -56,8 +56,8 @@ def main(argv=None):
                               residual_tol=args.tol)
             _, warm = ssi_svd(drifted, args.rank, max_iters=500,
                               residual_tol=args.tol, u_init=settled.u)
-            warm_counts.append(warm.iterations_used)
-            cold_counts.append(cold.iterations_used)
+            warm_counts.append(warm)
+            cold_counts.append(cold)
         mean_warm = float(np.mean(warm_counts))
         mean_cold = float(np.mean(cold_counts))
         print(f"{drift:>8.0e} {mean_warm:>12.1f} {mean_cold:>12.1f} "

@@ -20,6 +20,7 @@ mid-write never clobbers the previous snapshot.
 """
 
 import json
+import math
 import os
 import struct
 import zlib
@@ -61,7 +62,7 @@ def write_checkpoint(path, scalars, arrays, rng_states):
     body += header_bytes
     for blob in blobs:
         body += blob
-    body += struct.pack("<I", zlib.crc32(bytes(body)) & 0xFFFFFFFF)
+    body += struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
 
     path = os.fspath(path)
     tmp = path + ".tmp"
@@ -76,7 +77,8 @@ def read_checkpoint(path):
     """Inverse of write_checkpoint: (scalars, arrays, rng_states).
 
     Raises CorruptChecksum for anything structurally wrong (bad magic,
-    truncation, CRC mismatch, malformed header) and VersionMismatch for
+    truncation, CRC mismatch, malformed header, an array entry that is not
+    float64 or int64 or has a negative dimension) and VersionMismatch for
     a well-formed file written by a different format version.
     """
     with open(path, "rb") as fh:
@@ -108,7 +110,10 @@ def read_checkpoint(path):
         manifest = header["arrays"]
         scalars = header["scalars"]
         rng_states = header["rng_states"]
-    except (ValueError, KeyError, UnicodeDecodeError) as exc:
+        if not (isinstance(scalars, dict) and isinstance(manifest, list)
+                and isinstance(rng_states, list)):
+            raise ValueError("scalars must be an object, arrays and rng_states lists")
+    except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
         raise CorruptChecksum(f"malformed checkpoint header: {exc}") from exc
 
     arrays = {}
@@ -116,11 +121,16 @@ def read_checkpoint(path):
     for entry in manifest:
         try:
             name = entry["name"]
-            dtype = np.dtype(entry["dtype"])
+            code = entry["dtype"]
             shape = tuple(int(s) for s in entry["shape"])
         except (KeyError, TypeError, ValueError) as exc:
             raise CorruptChecksum(f"malformed array manifest: {exc}") from exc
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        if code not in _DTYPE_CODES.values() or any(s < 0 for s in shape):
+            raise CorruptChecksum(
+                f"malformed array manifest for {name!r}: dtype {code!r}, shape {list(shape)}"
+            )
+        dtype = np.dtype(code)
+        count = math.prod(shape)
         nbytes = count * dtype.itemsize
         if offset + nbytes > len(data) - 4:
             raise CorruptChecksum(f"array payload for {name!r} overruns file")

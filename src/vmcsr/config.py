@@ -98,7 +98,7 @@ class WavefunctionConfig:
         _require(self, "radial_powers",
                  self.radial_powers and min(self.radial_powers) >= 0,
                  "hold at least one nonnegative power")
-        _require(self, "ell_max", self.ell_max >= 0, "be >= 0")
+        _require(self, "ell_max", 0 <= self.ell_max <= 1, "be 0 or 1")
 
 
 @dataclass(frozen=True)
@@ -195,7 +195,7 @@ KEY_HELP = {
         "init_noise": "Gaussian spread around the product-state start",
         "fd_step": "finite-difference step for kinetic derivatives",
         "radial_powers": "default basis: radial monomial powers",
-        "ell_max": "default basis: highest angular momentum (0 = s only)",
+        "ell_max": "default basis: highest angular momentum (0 = s only, 1 = s and p)",
         "basis": "explicit rows 'center n ell m zeta spin', ';'-separated; "
                  "replaces the default basis",
     },

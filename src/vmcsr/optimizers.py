@@ -347,11 +347,10 @@ def wssr_step(theta, bundle, eta, state, options=WssrOptions(), rng_seed=0,
         u_init = _prepare_warm_start(
             state.u_prev, requested, m, _per_step_seed(rng_seed, state.step)
         )
-        factors, report = ssi_svd(
+        factors, iterations = ssi_svd(
             ohat, requested, max_iters=SSI_MAX_ITERS, u_init=u_init,
             residual_tol=SSI_RESIDUAL_TOL,
         )
-        iterations = report.iterations_used
 
     top_sq = factors.sigma[0] ** 2
     r_eff = int(np.count_nonzero(factors.sigma**2 >= options.r_reg * top_sq))

@@ -30,7 +30,7 @@ from .optimizers import (
     wssr_step,
 )
 from .sampler import WalkerEnsemble, sample_batch
-from .trace import TraceRecord, TraceWriter, read_trace, rewrite_trace, smooth_trace
+from .trace import TraceRecord, TraceWriter, read_trace, smooth_trace
 
 TRACE_FILENAME = "trace.csv"
 CHECKPOINT_FILENAME = "checkpoint.bin"
@@ -201,19 +201,17 @@ def run(config, resume_path=None):
     wavefunction = build_wavefunction(config.wavefunction, system, seed)
     opt_state, prefix, update = _optimizer(config, wavefunction.n_params)
 
+    records = []
     if resume_path is not None:
         start_step, theta, ensemble, opt_state, seed = _restore(
             resume_path, config, system, wavefunction, opt_state, prefix
         )
         wavefunction.set_theta(theta)
-        kept = []
         if os.path.exists(trace_path):
             try:
-                kept = [rec for rec in read_trace(trace_path) if rec.step <= start_step]
+                records = [rec for rec in read_trace(trace_path) if rec.step <= start_step]
             except ValueError as exc:
                 raise ConfigError(f"cannot resume into {trace_path}: {exc}") from exc
-        rewrite_trace(trace_path, kept)
-        records = kept
     else:
         start_step = 0
         theta = wavefunction.theta.copy()
@@ -224,8 +222,6 @@ def run(config, resume_path=None):
             seed=seed,
             proposal_std=config.sampler.proposal_std,
         )
-        rewrite_trace(trace_path, [])
-        records = []
 
     schedule = config.optimizer.schedule
     n_samples = config.sampler.samples_per_step or config.sampler.walkers
@@ -235,7 +231,7 @@ def run(config, resume_path=None):
     aborted = False
     message = ""
     step = start_step
-    with TraceWriter(trace_path, append=True) as writer:
+    with TraceWriter(trace_path, records) as writer:
         for step in range(start_step + 1, k_max + 1):
             t0 = time.perf_counter()
             acc0, prop0 = ensemble.accepted, ensemble.proposed

@@ -5,9 +5,9 @@ from the previous step's left singular vectors and stopped once its block
 spans an invariant subspace or its budget is spent. It finishes with a
 Rayleigh-Ritz step, the dense SVD of the small projected matrix q.T @ ohat,
 which is exact for any basis of an invariant span. The Gaussian range
-sketch is the first pass of the same engine from an oversampled block,
-with the same finish (Halko, Martinsson & Tropp, SIAM Review 53 (2011),
-Alg. 5.1). Both are checked against the dense SVD in the test suite.
+sketch is one budgeted pass of the same engine from an oversampled block
+(Halko, Martinsson & Tropp, SIAM Review 53 (2011), Alg. 5.1). Both are
+checked against the dense SVD in the test suite.
 """
 
 from dataclasses import dataclass
@@ -44,15 +44,6 @@ class TruncatedSvd:
         return self.sigma.shape[0]
 
 
-@dataclass(frozen=True)
-class SsiReport:
-    """Telemetry from one factorization call."""
-
-    iterations_used: int
-    subspace_residual: float
-    warm_started: bool
-
-
 def _positive_prefix(sigma, limit, fro):
     """Leading singular values above qr_orthonormalize's zero threshold,
     DEFICIENT_COLUMN_REL * ||ohat||_F; the rest count as exact zeros."""
@@ -64,16 +55,6 @@ def _frobenius(ohat):
     if fro == 0.0:
         raise DegenerateInput("cannot factorize an all-zero matrix")
     return fro
-
-
-def _rayleigh_ritz(q, b_t, rank, fro):
-    """Triplets of ohat from an orthonormal block q and b_t = ohat.T @ q:
-    the dense SVD of q.T @ ohat, lifted by q and truncated to `rank`."""
-    u_b, sigma, vt = exact_svd(b_t.T)
-    k = _positive_prefix(sigma, rank, fro)
-    if k == 0:
-        raise DegenerateInput("iteration produced no positive singular values")
-    return TruncatedSvd(u=q @ u_b[:, :k], sigma=sigma[:k], v=vt[:k, :])
 
 
 def exact_truncated_svd(ohat, rank):
@@ -91,9 +72,11 @@ def exact_truncated_svd(ohat, rank):
 def ssi_svd(ohat, rank, *, max_iters, residual_tol, u_init=None):
     """Dominant singular triplets by warm-startable block subspace iteration.
 
-    Each iteration orthonormalizes the current block q, pulls it through
-    the transpose (b_t = ohat.T @ q) and pushes it back (ohat @ b_t).
-    After the loop, the Rayleigh-Ritz finish factors the projected matrix
+    Each iteration orthonormalizes the current block q and pulls it
+    through the transpose (b_t = ohat.T @ q). An iteration the budget
+    lets continue pushes it back (ohat @ b_t), which is both the next
+    block and the product the subspace residual reads. After the loop,
+    the Rayleigh-Ritz finish factors the projected matrix
     b_t.T = q.T @ ohat densely: u = q @ u_b, v = vt, truncated to `rank`.
     The finish is exact whenever span(q) is invariant, whatever basis of
     it the block holds.
@@ -105,15 +88,16 @@ def ssi_svd(ohat, rank, *, max_iters, residual_tol, u_init=None):
         residual of the block drops below residual_tol.
       residual_tol: early-exit threshold on the subspace residual
         ||G q - q (q^T G q)||_F / ||ohat||_F^2 with G = ohat @ ohat.T,
-        which is zero exactly when span(q) is invariant.
+        which is zero exactly when span(q) is invariant. The last
+        iteration the budget allows forms no residual.
       u_init: optional (m, width) warm-start block with
         rank <= width <= min(m, n) (orthonormalized defensively); extra
         columns oversample. None means a seeded random cold start of
         width `rank`.
 
     Returns:
-      (TruncatedSvd, SsiReport). The returned rank can be below `rank`
-      when the matrix rank is smaller (zeros are dropped).
+      (TruncatedSvd, iterations_used). The returned rank can be below
+      `rank` when the matrix rank is smaller (zeros are dropped).
     """
     ohat = np.asarray(ohat, dtype=np.float64)
     m, n = ohat.shape
@@ -121,8 +105,7 @@ def ssi_svd(ohat, rank, *, max_iters, residual_tol, u_init=None):
         raise RankTooLarge(f"rank {rank} outside [1, {min(m, n)}] for shape {ohat.shape}")
     fro = _frobenius(ohat)
 
-    warm = u_init is not None
-    if warm:
+    if u_init is not None:
         block = np.asarray(u_init, dtype=np.float64)
         if block.ndim != 2 or block.shape[0] != m or not rank <= block.shape[1] <= min(m, n):
             raise ValueError(
@@ -139,30 +122,29 @@ def ssi_svd(ohat, rank, *, max_iters, residual_tol, u_init=None):
     while True:
         q, _ = qr_orthonormalize(u)
         iterations += 1
-        # the residual's products are the next iteration's block
         b_t = ohat.T @ q
-        w = ohat @ b_t
-        residual = float(np.linalg.norm(w - q @ (q.T @ w))) / fro2
-        if residual < residual_tol or iterations >= max_iters:
+        if iterations >= max_iters:
             break
-        u = w
+        # the residual's products are the next iteration's block
+        u = ohat @ b_t
+        if float(np.linalg.norm(u - q @ (q.T @ u))) / fro2 < residual_tol:
+            break
 
-    report = SsiReport(
-        iterations_used=iterations,
-        subspace_residual=residual,
-        warm_started=warm,
-    )
-    return _rayleigh_ritz(q, b_t, rank, fro), report
+    u_b, sigma, vt = exact_svd(b_t.T)
+    k = _positive_prefix(sigma, rank, fro)
+    if k == 0:
+        raise DegenerateInput("iteration produced no positive singular values")
+    return TruncatedSvd(u=q @ u_b[:, :k], sigma=sigma[:k], v=vt[:k, :]), iterations
 
 
 def randomized_svd(ohat, rank, oversample=10, rng_seed=0):
     """Rank-r factors from a Gaussian range sketch.
 
-    The first pass of ssi_svd from a standard normal block omega of
+    One budgeted pass of ssi_svd from a standard normal block omega of
     width rank + oversample: one power pass through the Gram operator
     aligns the captured range with the dominant left singular subspace,
     and ssi_svd's Rayleigh-Ritz finish factors the projected matrix and
-    truncates it. No subspace residual is formed.
+    truncates it. A one-iteration budget forms no subspace residual.
 
     Args:
       ohat: (m, n) matrix.
@@ -180,11 +162,8 @@ def randomized_svd(ohat, rank, oversample=10, rng_seed=0):
         raise RankTooLarge(
             f"rank+oversample {width} outside [1, {min(m, n)}] for shape {ohat.shape}"
         )
-    fro = _frobenius(ohat)
     omega = np.random.default_rng(rng_seed).standard_normal((m, width))
-    q, _ = qr_orthonormalize(omega)
-    q, _ = qr_orthonormalize(ohat @ (ohat.T @ q))
-    return _rayleigh_ritz(q, ohat.T @ q, rank, fro)
+    return ssi_svd(ohat, rank, max_iters=1, residual_tol=0.0, u_init=omega)[0]
 
 
 def subspace_drift(u_prev, sigma_prev, u, sigma):

@@ -56,14 +56,18 @@ def parse_record(line):
 
 class TraceWriter:
     """Line-buffered trace emitter; flushes after every record so a crash
-    loses at most the step in flight."""
+    loses at most the step in flight.
 
-    def __init__(self, path, append=False):
-        mode = "a" if append else "w"
-        self._fh = open(path, mode, encoding="utf-8", newline="\n")
-        if not append or self._fh.tell() == 0:
-            self._fh.write(HEADER_LINE + "\n")
-            self._fh.flush()
+    Opening replaces the file with the header and `records`, the rows a
+    resumed run keeps up to its checkpointed step.
+    """
+
+    def __init__(self, path, records=()):
+        self._fh = open(path, "w", encoding="utf-8", newline="\n")
+        self._fh.write(HEADER_LINE + "\n")
+        for record in records:
+            self._fh.write(format_record(record) + "\n")
+        self._fh.flush()
 
     def write(self, record):
         self._fh.write(format_record(record) + "\n")
@@ -87,15 +91,6 @@ def read_trace(path):
         if header != HEADER_LINE:
             raise ValueError(f"unexpected trace header: {header!r}")
         return [parse_record(line) for line in fh if line.strip()]
-
-
-def rewrite_trace(path, records):
-    """Replace the file's contents with the given records (resume path:
-    records past the checkpointed step are dropped before continuing)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(HEADER_LINE + "\n")
-        for record in records:
-            fh.write(format_record(record) + "\n")
 
 
 def smooth_trace(values, window):

@@ -336,9 +336,8 @@ def test_criterion_05a_warm_start_halves_iterations():
         _, warm = ssi_svd(
             drifted, 6, max_iters=300, residual_tol=1e-8, u_init=settled.u
         )
-        assert warm.warm_started and not cold.warm_started
-        assert warm.iterations_used * 2 <= cold.iterations_used
-        counts.append((warm.iterations_used, cold.iterations_used))
+        assert warm * 2 <= cold
+        counts.append((warm, cold))
     mean_warm = np.mean([w for w, _ in counts])
     mean_cold = np.mean([c for _, c in counts])
     print(

@@ -1,3 +1,4 @@
+import json
 import struct
 import zlib
 
@@ -33,6 +34,13 @@ def sample_payload():
     }
     rng_states = [np.random.PCG64(seed).state for seed in (0, 1, 2)]
     return scalars, arrays, rng_states
+
+
+def write_sealed(path, header, payload=b""):
+    """A checkpoint with a valid CRC, whatever its header says."""
+    header = json.dumps(header).encode()
+    body = MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(header)) + header + payload
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
 
 
 class TestRoundTrip:
@@ -134,4 +142,32 @@ class TestCorruptionDetection:
         struct.pack_into("<I", data, len(data) - 4, crc)
         path.write_bytes(bytes(data))
         with pytest.raises(VersionMismatch, match="version"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"name": "x", "dtype": "|O", "shape": [1]},
+            {"name": "x", "dtype": "<f4", "shape": [2]},
+            {"name": "x", "dtype": "<f8", "shape": [-1]},
+            {"name": "x", "dtype": "<f8", "shape": [2**62, 4]},
+        ],
+        ids=["object-dtype", "float32-dtype", "negative-dim", "int64-overflowing-size"],
+    )
+    def test_manifest_outside_the_written_formats(self, tmp_path, entry):
+        path = tmp_path / "crafted.ckpt"
+        write_sealed(path, {"scalars": {}, "arrays": [entry], "rng_states": []}, bytes(8))
+        with pytest.raises(CorruptChecksum, match="manifest|overruns"):
+            read_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        [[1, 2], {"scalars": {}, "arrays": 5, "rng_states": []},
+         {"scalars": [], "arrays": [], "rng_states": []}],
+        ids=["list-header", "int-manifest", "list-scalars"],
+    )
+    def test_header_sections_of_the_wrong_type(self, tmp_path, header):
+        path = tmp_path / "crafted.ckpt"
+        write_sealed(path, header)
+        with pytest.raises(CorruptChecksum, match="malformed checkpoint header"):
             read_checkpoint(path)

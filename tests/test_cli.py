@@ -1,7 +1,11 @@
+import json
+import struct
+import zlib
+
 import pytest
 
 import vmcsr.runner
-from vmcsr.checkpoint import read_checkpoint, write_checkpoint
+from vmcsr.checkpoint import FORMAT_VERSION, MAGIC, read_checkpoint, write_checkpoint
 from vmcsr.cli import main
 
 SMALL_RUN = """
@@ -33,6 +37,20 @@ def write_config(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text(SMALL_RUN.format(out=tmp_path / "artifacts"), encoding="utf-8")
     return path
+
+
+def write_sealed(path, entry):
+    """A checkpoint with one array entry and a valid CRC, whatever the entry says."""
+    header = json.dumps({"scalars": {}, "arrays": [entry], "rng_states": []}).encode()
+    body = MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(header)) + header + bytes(8)
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
+MALFORMED_ENTRIES = pytest.mark.parametrize(
+    "entry",
+    [{"name": "x", "dtype": "|O", "shape": [1]}, {"name": "x", "dtype": "<f8", "shape": [-1]}],
+    ids=["object-dtype", "negative-dim"],
+)
 
 
 class TestRunCommand:
@@ -109,6 +127,14 @@ class TestRunCommand:
         monkeypatch.setattr(vmcsr.runner, "assemble", original)
         assert main(["run", "--config", str(config), "--resume", str(ckpt)]) == 0
         assert "completed 3 steps" in capsys.readouterr().out
+
+    @MALFORMED_ENTRIES
+    def test_resume_from_malformed_manifest_exits_2(self, tmp_path, capsys, entry):
+        crafted = tmp_path / "crafted.bin"
+        write_sealed(crafted, entry)
+        code = main(["run", "--config", str(write_config(tmp_path)), "--resume", str(crafted)])
+        assert code == 2
+        assert "malformed array manifest" in capsys.readouterr().err
 
     def test_resume_from_missing_checkpoint_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -279,6 +305,13 @@ class TestInspectCommand:
         code = main(["inspect", "--ckpt", str(bad)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @MALFORMED_ENTRIES
+    def test_malformed_manifest_exits_2(self, tmp_path, capsys, entry):
+        crafted = tmp_path / "crafted.bin"
+        write_sealed(crafted, entry)
+        assert main(["inspect", "--ckpt", str(crafted)]) == 2
+        assert "malformed array manifest" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         code = main(["inspect", "--ckpt", str(tmp_path / "none.bin")])

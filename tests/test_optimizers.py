@@ -447,7 +447,7 @@ def shared_left_space_bundle(w, diag_values, n, seed):
 
 
 class TestRssr:
-    def test_matches_warm_started_path_on_exact_low_rank(self):
+    def test_matches_warm_start_path_on_exact_low_rank(self):
         rng = np.random.default_rng(21)
         w, _ = qr_orthonormalize(rng.standard_normal((12, 3)))
         b1 = shared_left_space_bundle(w, [4.0, 2.0, 1.0], 9, seed=30)

@@ -31,19 +31,16 @@ def _matrix_with_spectrum(rng, m, n, sigma):
 class TestSsiSvd:
     def test_diagonal_matrix_dominant_pair(self):
         a = np.diag([5.0, 4.0, 3.0, 2.0, 1.0])
-        fact, report = ssi_svd(a, rank=2, max_iters=60, residual_tol=1e-10)
+        fact, iterations = ssi_svd(a, rank=2, max_iters=60, residual_tol=1e-10)
         np.testing.assert_allclose(fact.sigma, [5.0, 4.0], atol=1e-8)
         np.testing.assert_allclose(np.abs(fact.u), np.eye(5)[:, :2], atol=1e-6)
-        assert report.iterations_used <= 60
-        assert not report.warm_started
+        assert iterations <= 60
 
     def test_exact_fixed_point_converges_in_one_iteration(self):
         rng = np.random.default_rng(5)
         a, u_true, _ = _matrix_with_spectrum(rng, 30, 20, [4.0, 2.0, 1.0])
-        fact, report = ssi_svd(a, rank=3, max_iters=1, residual_tol=1e-10, u_init=u_true)
-        assert report.iterations_used == 1
-        assert report.subspace_residual < 1e-12
-        assert report.warm_started
+        fact, iterations = ssi_svd(a, rank=3, max_iters=1, residual_tol=1e-10, u_init=u_true)
+        assert iterations == 1
         np.testing.assert_allclose(fact.sigma, [4.0, 2.0, 1.0], atol=1e-10)
 
     def test_rotated_warm_block_is_exact_in_one_iteration(self):
@@ -53,10 +50,10 @@ class TestSsiSvd:
         sigma = [5.0, 3.0, 2.0, 0.5, 0.25, 0.1]
         a, u_true, _ = _matrix_with_spectrum(rng, 40, 25, sigma)
         rot, _ = np.linalg.qr(rng.standard_normal((3, 3)))
-        fact, report = ssi_svd(
+        fact, iterations = ssi_svd(
             a, rank=3, max_iters=50, residual_tol=1e-10, u_init=u_true[:, :3] @ rot
         )
-        assert report.iterations_used == 1
+        assert iterations == 1
         np.testing.assert_allclose(fact.sigma, sigma[:3], atol=1e-12)
         np.testing.assert_allclose(np.abs(fact.u.T @ u_true[:, :3]), np.eye(3), atol=1e-10)
 
@@ -77,19 +74,20 @@ class TestSsiSvd:
         assert np.all(fact.sigma > 0.0) and np.all(np.diff(fact.sigma) <= 0.0)
         np.testing.assert_allclose(_rebuild(fact), a, atol=1e-8)
 
-    def test_residual_monotone_in_iteration_budget(self):
+    def test_sigma_error_monotone_in_iteration_budget(self):
         rng = np.random.default_rng(33)
         worse = 0
         for trial in range(20):
             sigma = [5.0, 4.0, 2.0, 0.5, 0.2, 0.1]
             a, _, _ = _matrix_with_spectrum(rng, 25, 18, sigma)
-            residuals = []
+            dense_sigma = exact_svd(a)[1][:3]
+            errors = []
             for m in (1, 2, 4, 8, 16):
-                _, rep = ssi_svd(a, rank=3, max_iters=m, residual_tol=0.0)
-                residuals.append(rep.subspace_residual)
+                fact, _ = ssi_svd(a, rank=3, max_iters=m, residual_tol=0.0)
+                errors.append(np.linalg.norm(fact.sigma - dense_sigma))
             # tiny non-monotone wiggles at convergence plateau are rounding
             worse += sum(
-                residuals[i + 1] > residuals[i] + 1e-12 for i in range(len(residuals) - 1)
+                errors[i + 1] > errors[i] + 1e-12 for i in range(len(errors) - 1)
             )
         assert worse == 0
 
@@ -101,19 +99,11 @@ class TestSsiSvd:
             a, u_true, _ = _matrix_with_spectrum(rng, 60, 40, sigma)
             perturbed = a + 1e-4 * np.linalg.norm(a) / np.sqrt(a.size) * rng.standard_normal(a.shape)
             u_warm, _, _ = exact_svd(a)
-            warm_iters = cold_iters = None
-            for m in range(1, 41):
-                _, rep = ssi_svd(perturbed, rank=3, max_iters=m, u_init=u_warm[:, :3],
-                                 residual_tol=1e-8)
-                if rep.subspace_residual < 1e-8:
-                    warm_iters = rep.iterations_used
-                    break
-            for m in range(1, 41):
-                _, rep = ssi_svd(perturbed, rank=3, max_iters=m, residual_tol=1e-8)
-                if rep.subspace_residual < 1e-8:
-                    cold_iters = rep.iterations_used
-                    break
-            assert warm_iters is not None and cold_iters is not None
+            # below the budget, the count is where the residual exit fired
+            _, warm_iters = ssi_svd(perturbed, rank=3, max_iters=40,
+                                    u_init=u_warm[:, :3], residual_tol=1e-8)
+            _, cold_iters = ssi_svd(perturbed, rank=3, max_iters=40, residual_tol=1e-8)
+            assert warm_iters < 40 and cold_iters < 40
             if warm_iters <= max(1, cold_iters // 2):
                 wins += 1
         assert wins == 20
@@ -161,21 +151,20 @@ class TestSsiSvd:
         u_init, _ = np.linalg.qr(
             np.concatenate([exact.u[:, :80], rng.standard_normal((144, 64))], axis=1)
         )
-        fact, report = ssi_svd(a, rank=144, max_iters=3, residual_tol=1e-10, u_init=u_init)
-        assert report.warm_started
-        assert report.iterations_used == 1
+        fact, iterations = ssi_svd(a, rank=144, max_iters=3, residual_tol=1e-10, u_init=u_init)
+        assert iterations == 1
         assert fact.rank <= 80
         np.testing.assert_allclose(fact.sigma, nonzero, rtol=1e-8)
 
     def test_deterministic(self):
         rng = np.random.default_rng(66)
         a = rng.standard_normal((15, 10))
-        f1, r1 = ssi_svd(a, rank=3, max_iters=3, residual_tol=1e-10)
-        f2, r2 = ssi_svd(a, rank=3, max_iters=3, residual_tol=1e-10)
+        f1, n1 = ssi_svd(a, rank=3, max_iters=3, residual_tol=1e-10)
+        f2, n2 = ssi_svd(a, rank=3, max_iters=3, residual_tol=1e-10)
         np.testing.assert_array_equal(f1.u, f2.u)
         np.testing.assert_array_equal(f1.sigma, f2.sigma)
         np.testing.assert_array_equal(f1.v, f2.v)
-        assert r1 == r2
+        assert n1 == n2
 
 
 class TestRandomizedSvd:
@@ -207,7 +196,7 @@ class TestRandomizedSvd:
             randomized_svd(np.eye(8), rank=4, oversample=5)
 
     def test_equals_one_cold_ssi_pass_from_the_same_block(self):
-        # the sketch is ssi_svd's first pass and finish, without the residual
+        # the sketch is one budgeted ssi_svd pass from its Gaussian block
         rng = np.random.default_rng(14)
         a = rng.standard_normal((60, 90))
         fact = randomized_svd(a, rank=7, oversample=4, rng_seed=5)
@@ -258,18 +247,22 @@ class TestSubspaceDrift:
         assert subspace_drift(u, sigma, u[:, :2], sigma[:2]) == (0.0, 0.0)
 
 
-class TestResidualDiagnostic:
-    """The subspace residual ssi_svd reports for its final block."""
+class TestExitCount:
+    """The iteration count ssi_svd returns: the residual exit or the budget."""
 
-    def test_invariant_subspace_gives_zero(self):
+    def test_invariant_block_exits_after_one_iteration(self):
         rng = np.random.default_rng(90)
         a, u_true, _ = _matrix_with_spectrum(rng, 25, 15, [3.0, 1.0])
-        _, report = ssi_svd(a, rank=2, max_iters=1, residual_tol=0.0, u_init=u_true)
-        assert report.subspace_residual < 1e-14
+        for budget in range(1, 6):
+            _, iterations = ssi_svd(
+                a, rank=2, max_iters=budget, residual_tol=1e-10, u_init=u_true
+            )
+            assert iterations == 1
 
-    def test_generic_subspace_gives_positive(self):
+    def test_generic_block_spends_the_whole_budget(self):
         rng = np.random.default_rng(91)
         a = rng.standard_normal((25, 15))
         q = _orthonormal(rng, 25, 3)
-        _, report = ssi_svd(a, rank=3, max_iters=1, residual_tol=0.0, u_init=q)
-        assert report.subspace_residual > 1e-4
+        for budget in (1, 2, 4, 8):
+            _, iterations = ssi_svd(a, rank=3, max_iters=budget, residual_tol=0.0, u_init=q)
+            assert iterations == budget

@@ -10,7 +10,6 @@ from vmcsr.trace import (
     format_record,
     parse_record,
     read_trace,
-    rewrite_trace,
     smooth_trace,
 )
 
@@ -87,7 +86,7 @@ class TestTraceFile:
         path = tmp_path / "trace.csv"
         with TraceWriter(path) as writer:
             writer.write(make_record(1))
-        with TraceWriter(path, append=True) as writer:
+        with TraceWriter(path, read_trace(path)) as writer:
             writer.write(make_record(2))
         assert [r.step for r in read_trace(path)] == [1, 2]
         assert path.read_text().count(HEADER_LINE) == 1
@@ -95,8 +94,8 @@ class TestTraceFile:
     def test_rewrite_truncates_to_given_records(self, tmp_path):
         path = tmp_path / "trace.csv"
         records = [make_record(k) for k in range(1, 8)]
-        rewrite_trace(path, records)
-        rewrite_trace(path, records[:3])
+        TraceWriter(path, records).close()
+        TraceWriter(path, records[:3]).close()
         assert read_trace(path) == records[:3]
 
     def test_read_rejects_foreign_header(self, tmp_path):
