@@ -9,6 +9,7 @@ state, so a crashed run is always resumable from where it still made
 sense.
 """
 
+import ctypes
 import dataclasses
 import os
 import time
@@ -31,11 +32,15 @@ from .optimizers import (
 )
 from .sampler import WalkerEnsemble, sample_batch
 from .trace import TraceRecord, TraceWriter, read_trace, smooth_trace
+from .wavefunction import EVAL_CHUNK_BYTES
 
 TRACE_FILENAME = "trace.csv"
 CHECKPOINT_FILENAME = "checkpoint.bin"
 # The trace's rank columns for the rules without a low-rank factorization.
 _NO_RANK = dataclasses.asdict(WssrDiagnostics(0, 0, 0, 0.0, 0.0))
+# glibc mallopt parameters (malloc.h)
+_M_TOP_PAD = -2
+_M_MMAP_THRESHOLD = -3
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,6 +83,27 @@ def _optimizer(config, n_params):
     initial = WssrState.initial(n_params, config.wssr.rank_init)
     return initial, "wssr", lambda theta, bundle, eta, state, seed: wssr_step(
         theta, bundle, eta, state, config.wssr, rng_seed=seed, sketch=name == "rssr")
+
+
+def _keep_heap_resident():
+    """Keep same-shaped temporaries in pages the process already holds.
+
+    By default glibc maps a large array fresh on every allocation and
+    hands the freed top of the heap back to the kernel, so each sweep
+    page-faults its temporaries in again. Arrays up to twice the chunk
+    budget now come from the heap, which keeps a pad of four chunk
+    budgets when it shrinks. Larger arrays, such as the O matrix of a
+    big system, are still mapped and unmapped whole, so they do not
+    fragment the heap. Only where memory comes from changes, never a
+    value. A libc without mallopt is left as it is.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 2 * EVAL_CHUNK_BYTES)
+    mallopt(_M_TOP_PAD, 4 * EVAL_CHUNK_BYTES)
 
 
 def _snapshot(path, step, config, seed, theta, ensemble, opt_state, prefix):
@@ -126,8 +152,8 @@ def _restore(resume_path, config, system, wavefunction, initial_state, prefix):
             f"(the sampler draws from one ensemble-wide stream)"
         )
     rng = np.random.Generator(np.random.PCG64())
-    rng.bit_generator.state = rng_states[0]
     try:
+        rng.bit_generator.state = rng_states[0]
         name = scalars["optimizer"]
         step, seed = int(scalars["step"]), int(scalars["seed"])
         theta = arrays["theta"]
@@ -143,6 +169,8 @@ def _restore(resume_path, config, system, wavefunction, initial_state, prefix):
         )
     except KeyError as exc:
         raise ConfigError(f"checkpoint lacks the entry {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"checkpoint is malformed: {exc}") from exc
     if name != config.optimizer.name:
         raise ConfigError(
             f"checkpoint was written by optimizer {name!r}, config asks for "
@@ -196,6 +224,7 @@ def run(config, resume_path=None):
     trace_path = os.path.join(out_dir, TRACE_FILENAME)
     checkpoint_path = os.path.join(out_dir, CHECKPOINT_FILENAME)
 
+    _keep_heap_resident()
     system = build_system(config.system)
     seed = config.run.seed
     wavefunction = build_wavefunction(config.wavefunction, system, seed)

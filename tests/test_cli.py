@@ -266,6 +266,22 @@ class TestRunCommand:
         assert code == 2
         assert f"checkpoint lacks the entry '{entry}'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage", ["rng_state", "step"])
+    def test_resume_from_checkpoint_of_wrong_types_exits_2(self, tmp_path, capsys, damage):
+        # The CRC is valid; only the types inside are wrong.
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config)]) == 0
+        scalars, arrays, rng_states = read_checkpoint(tmp_path / "artifacts" / "checkpoint.bin")
+        if damage == "rng_state":
+            rng_states = [5]
+        else:
+            scalars["step"] = "x"
+        damaged = tmp_path / "damaged.bin"
+        write_checkpoint(damaged, scalars, arrays, rng_states)
+        code = main(["run", "--config", str(config), "--steps", "5", "--resume", str(damaged)])
+        assert code == 2
+        assert "checkpoint is malformed" in capsys.readouterr().err
+
     def test_resume_from_checkpoint_carrying_wssr_obar_exits_2(self, tmp_path, capsys):
         # The layout before the history was held as its thin SVD: the
         # factor U * sigma beside U, and no sigma.

@@ -1,4 +1,10 @@
+import ctypes
 import dataclasses
+import os
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -293,3 +299,52 @@ class TestLearningRateIndexing:
         assert seen[0] == 0.015
         assert seen[1] == 0.015 / (1 + 1 / 1000)
         assert seen[2] == 0.015 / (1 + 2 / 1000)
+
+
+SWEEP_FAULTS = """\
+import resource, sys
+from vmcsr.config import build_system, build_wavefunction, parse_config_text
+from vmcsr.runner import run
+from vmcsr.sampler import WalkerEnsemble, metropolis_step
+
+config = parse_config_text(sys.argv[1])
+assert run(config).exit_code == 0
+system = build_system(config.system)
+wf = build_wavefunction(config.wavefunction, system, config.run.seed)
+ensemble = WalkerEnsemble.create(
+    system, wf, 2048, seed=1, proposal_std=config.sampler.proposal_std
+)
+for _ in range(20):
+    metropolis_step(ensemble, wf)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(50):
+    metropolis_step(ensemble, wf)
+print("faults", resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+class TestHeapResidence:
+    @pytest.mark.skipif(
+        not hasattr(ctypes.CDLL(None), "mallopt"), reason="libc has no mallopt"
+    )
+    def test_sweeps_after_a_run_do_not_page_fault(self, tmp_path):
+        # Without the allocator setting, each 2048-walker helium sweep
+        # faults in about 470 fresh pages for its temporaries.
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        config = HELIUM_SMALL.format(name="sgd", steps=1, out=tmp_path / "out", every=0)
+        child = subprocess.run(
+            [sys.executable, "-c", SWEEP_FAULTS, config],
+            env=env, capture_output=True, text=True, check=False,
+        )
+        assert child.returncode == 0, child.stderr
+        faults = int(child.stdout.split("faults")[-1])
+        assert faults <= 50, f"{faults} minor page faults in 50 sweeps"
+
+    def test_run_without_mallopt_is_unchanged(self, tmp_path, monkeypatch):
+        reference = run(helium_config(tmp_path, steps=3, sub="reference"))
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: types.SimpleNamespace())
+        result = run(helium_config(tmp_path, steps=3))
+        assert result.exit_code == 0
+        assert strip_wall(result.records) == strip_wall(reference.records)
