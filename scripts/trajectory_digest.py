@@ -1,13 +1,14 @@
 """Digest each optimizer's trajectory, to compare two versions bit for bit.
 
-For every optimizer a fixed small helium run (ell_max = 0, 16 walkers,
-seed 3) goes through the command line twice: straight through, and split
-in two with --resume at the halfway step. Each output line names the
-optimizer, a SHA-256 of the trace rows without the wall_ms column, a
-SHA-256 of the final checkpoint file and a SHA-256 of the final theta
-array's bytes; the last still compares two versions whose checkpoint
-layouts differ. The exit status is 1 if a split run's digests differ
-from its straight run's.
+For every row, one per optimizer plus the pseudo-solve branches of sr
+(reg_mode = pseudo_inverse) and minsr (tikhonov_eps = 0), a fixed small
+helium run (ell_max = 0, 16 walkers, seed 3) goes through the command
+line twice: straight through, and split in two with --resume at the
+halfway step. Each output line names the row, a SHA-256 of the trace
+rows without the wall_ms column, a SHA-256 of the final checkpoint file
+and a SHA-256 of the final theta array's bytes; the last still compares
+two versions whose checkpoint layouts differ. The exit status is 1 if
+a split run's digests differ from its straight run's.
 
 The vmcsr on the import path is the one that runs, so checking a change
 against its parent is one diff:
@@ -29,7 +30,17 @@ from pathlib import Path
 from vmcsr.checkpoint import read_checkpoint
 from vmcsr.cli import main as vmcsr_main
 
-OPTIMIZERS = ("sgd", "sr", "minsr", "spring", "wssr", "rssr")
+# row name -> (optimizer, extra INI sections)
+ROWS = {
+    "sgd": ("sgd", ""),
+    "sr": ("sr", ""),
+    "sr-pinv": ("sr", "[sr]\nreg_mode = pseudo_inverse\n"),
+    "minsr": ("minsr", ""),
+    "minsr-eps0": ("minsr", "[minsr]\ntikhonov_eps = 0\n"),
+    "spring": ("spring", ""),
+    "wssr": ("wssr", ""),
+    "rssr": ("rssr", ""),
+}
 
 CONFIG = """\
 [system]
@@ -51,7 +62,7 @@ rank_init = 6
 
 [run]
 seed = 3
-"""
+{extra}"""
 
 
 def _vmcsr(*argv):
@@ -78,14 +89,17 @@ def _digests(out_dir):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--optimizers", default=",".join(OPTIMIZERS),
-                        help="comma-separated optimizers to digest")
+    parser.add_argument("--optimizers", default=",".join(ROWS),
+                        help="comma-separated rows to digest: " + ", ".join(ROWS))
     parser.add_argument("--steps", type=int, default=6,
                         help="steps per run (at least 2); the split is at half")
     args = parser.parse_args(argv)
     if args.steps < 2:
         parser.error("--steps must be at least 2")
     names = [n.strip() for n in args.optimizers.split(",") if n.strip()]
+    unknown = sorted(set(names) - set(ROWS))
+    if unknown:
+        parser.error(f"unknown rows: {', '.join(unknown)}")
     split = args.steps // 2
 
     print(f"# he ell_max=0, 16 walkers, seed 3, {args.steps} steps, "
@@ -96,7 +110,8 @@ def main(argv=None):
             root = Path(tmp) / name
             root.mkdir()
             ini = root / "run.ini"
-            ini.write_text(CONFIG.format(name=name), encoding="utf-8")
+            ini.write_text(CONFIG.format(name=ROWS[name][0], extra=ROWS[name][1]),
+                           encoding="utf-8")
             straight, halves = root / "straight", root / "split"
             _vmcsr("run", "--config", str(ini), "--steps", str(args.steps),
                    "--out", str(straight))
@@ -105,7 +120,7 @@ def main(argv=None):
             _vmcsr("run", "--config", str(ini), "--steps", str(args.steps),
                    "--out", str(halves), "--resume", str(halves / "checkpoint.bin"))
             digests = _digests(straight)
-            print("{:<7} trace {} checkpoint {} theta {}".format(name, *digests))
+            print("{:<10} trace {} checkpoint {} theta {}".format(name, *digests))
             if _digests(halves) != digests:
                 mismatched.append(name)
     if mismatched:

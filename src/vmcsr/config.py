@@ -31,7 +31,6 @@ from .optimizers import (
 )
 from .system import MolecularSystem, preset_names, preset_system
 from .wavefunction import (
-    DEFAULT_FD_STEP,
     AceWavefunction,
     OneBodyBasisSpec,
     SlaterOrbital,
@@ -85,7 +84,6 @@ class WavefunctionConfig:
     correlation_order: int = 2
     jastrow: bool = True
     init_noise: float = 0.01
-    fd_step: float = DEFAULT_FD_STEP
     radial_powers: tuple[int, ...] = (0, 1)
     ell_max: int = 1
     basis: tuple[SlaterOrbital, ...] = None
@@ -94,7 +92,6 @@ class WavefunctionConfig:
         _require(self, "correlation_order", self.correlation_order >= 1, "be >= 1")
         _require(self, "init_noise", 0.0 <= self.init_noise < math.inf,
                  "be finite and >= 0")
-        _require(self, "fd_step", 0.0 < self.fd_step < math.inf, "be finite and > 0")
         _require(self, "radial_powers",
                  self.radial_powers and min(self.radial_powers) >= 0,
                  "hold at least one nonnegative power")
@@ -193,7 +190,6 @@ KEY_HELP = {
         "correlation_order": "pooled-feature tuple order (1 = bare orbitals)",
         "jastrow": "multiply by the electron-electron cusp factor",
         "init_noise": "Gaussian spread around the product-state start",
-        "fd_step": "finite-difference step for kinetic derivatives",
         "radial_powers": "default basis: radial monomial powers",
         "ell_max": "default basis: highest angular momentum (0 = s only, 1 = s and p)",
         "basis": "explicit rows 'center n ell m zeta spin', ';'-separated; "
@@ -396,7 +392,6 @@ def build_wavefunction(config, system, seed):
             basis=basis,
             correlation_order=config.correlation_order,
             jastrow_enabled=config.jastrow,
-            fd_step=config.fd_step,
         )
     except ValueError as exc:
         raise ConfigError(f"[wavefunction] {exc}") from exc

@@ -38,10 +38,6 @@ class NotPositiveDefinite(NumericalError):
     """Symmetric factorization hit a nonpositive pivot."""
 
 
-class SingularMatrix(NumericalError):
-    """Regularized system is singular to working precision."""
-
-
 class RankCollapse(NumericalError):
     """Effective rank fell to zero.
 

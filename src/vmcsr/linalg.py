@@ -1,14 +1,15 @@
-"""Dense linear-algebra kernels: QR orthonormalization, SVD, SPD solves.
+"""Dense linear-algebra kernels: QR orthonormalization, SVD, SPD factors.
 
 Contracts here are deliberately strict (sign conventions, typed errors,
 residual tolerances) because the truncated-SVD engine and the optimizers
-build on them directly.
+build on them directly. The one Cholesky factorization works in place on
+a matrix its caller has already regularized: sr, minsr and spring all
+reach it through one regularized solve in vmcsr.optimizers, and a matrix
+that is not positive definite raises NotPositiveDefinite (exit 3).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve, cholesky
+from scipy.linalg import LinAlgError, cho_factor
 
 from .errors import NotPositiveDefinite, ZeroMatrix
 
@@ -80,43 +81,24 @@ def exact_svd(a):
     return np.linalg.svd(a, full_matrices=False)
 
 
-@dataclass(frozen=True)
-class SpdFactorization:
-    """Cholesky factor of a diagonally shifted symmetric matrix."""
+def spd_factorize(t):
+    """Cholesky-factorize a symmetric matrix in place.
 
-    chol_lower: np.ndarray  # lower triangular, T + shift*I = L @ L.T
-
-    def solve(self, b):
-        """Solve (T + shift*I) x = b for one or many right-hand sides."""
-        return cho_solve((self.chol_lower, True), np.asarray(b, dtype=np.float64))
-
-
-def spd_factorize(t, shift=0.0):
-    """Cholesky-factorize T + shift*I.
+    The caller owns t and has already regularized it; the factor
+    overwrites t, so no second n x n array is made. t must be exactly
+    symmetric, as O @ O.T and O.T @ O are when numpy builds them: LAPACK
+    reads the lower triangle of t.T, which is the upper triangle of t.
 
     Args:
-      t: (n, n) symmetric array (checked to 1e-10 relative).
-      shift: nonnegative diagonal regularization.
+      t: (n, n) float64 array, factored in place when C-contiguous.
+
+    Returns:
+      (c, lower) for scipy.linalg.cho_solve; c is t.T, holding the factor.
 
     Raises:
-      NotPositiveDefinite: if the shifted matrix has a nonpositive pivot.
+      NotPositiveDefinite: if the matrix has a nonpositive pivot.
     """
-    t = np.asarray(t, dtype=np.float64)
-    if t.ndim != 2 or t.shape[0] != t.shape[1]:
-        raise ValueError(f"expected a square matrix, got {t.shape}")
-    if shift < 0.0:
-        raise ValueError("shift must be nonnegative")
-    scale = max(float(np.max(np.abs(t))), 1.0)
-    if float(np.max(np.abs(t - t.T))) > 1e-10 * scale:
-        raise ValueError("matrix is not symmetric to tolerance")
-    shifted = t
-    if shift:
-        shifted = t.copy()
-        shifted[np.diag_indices_from(shifted)] += shift
     try:
-        lower = cholesky(shifted, lower=True)
+        return cho_factor(t.T, lower=True, overwrite_a=True)
     except LinAlgError as exc:
-        raise NotPositiveDefinite(
-            f"shifted matrix (shift={shift:g}) is not positive definite"
-        ) from exc
-    return SpdFactorization(chol_lower=lower)
+        raise NotPositiveDefinite(str(exc)) from exc

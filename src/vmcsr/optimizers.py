@@ -6,15 +6,18 @@ variant of that dual form, and the warm-started low-rank scheme that
 averages the preconditioner across steps with a decaying weight.  The
 low-rank scheme never forms the parameter-square covariance; it keeps a
 thin factorization refreshed by subspace iteration (or a random sketch)
-and applies the inverse through two projections.
+and applies the inverse through two projections. The three dense
+preconditioners share one regularized solve, which works in place on
+the matrix each has just built.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_solve
 
-from .errors import NotPositiveDefinite, RankCollapse, SingularMatrix
+from .errors import NotPositiveDefinite, RankCollapse
 from .estimators import s_matrix, t_matrix
 from .linalg import qr_orthonormalize, spd_factorize
 from .svdengine import (
@@ -125,16 +128,38 @@ def sgd_update(theta, bundle, eta):
     return np.asarray(theta, dtype=np.float64) - eta * bundle.gradient
 
 
-def _pseudo_inverse_apply(matrix, rhs, rel_tol):
-    """matrix^+ @ rhs for a symmetric matrix, inverting only the
-    eigenvalues with |lam| >= rel_tol * |lam_max| and zeroing the rest."""
-    eigvals, eigvecs = np.linalg.eigh(matrix)
-    lam_max = float(np.max(np.abs(eigvals))) if eigvals.size else 0.0
-    if lam_max == 0.0:
-        return np.zeros_like(rhs)
-    inv = np.where(np.abs(eigvals) >= rel_tol * lam_max, 1.0, 0.0)
-    inv = np.divide(inv, eigvals, out=np.zeros_like(eigvals), where=inv > 0.0)
-    return eigvecs @ (inv * (eigvecs.T @ rhs))
+def _regularized_solve(matrix, rhs, mode, eps):
+    """Solve the regularized system for rhs, regularizing matrix in place.
+
+    matrix is the caller's own freshly built symmetric array (S or T) and
+    is overwritten. 'diagonal_shift' adds eps to the diagonal and
+    'diagonal_scale' multiplies it by (1 + eps); both are then
+    Cholesky-factored in place. 'pseudo_inverse' inverts only the
+    eigenvalues with |lam| >= eps * |lam_max| and zeroes the rest.
+
+    Raises:
+      NotPositiveDefinite: a diagonal mode left the matrix indefinite.
+    """
+    if mode == "pseudo_inverse":
+        eigvals, eigvecs = np.linalg.eigh(matrix)
+        lam_max = float(np.max(np.abs(eigvals))) if eigvals.size else 0.0
+        if lam_max == 0.0:
+            return np.zeros_like(rhs)
+        inv = np.where(np.abs(eigvals) >= eps * lam_max, 1.0, 0.0)
+        inv = np.divide(inv, eigvals, out=np.zeros_like(eigvals), where=inv > 0.0)
+        return eigvecs @ (inv * (eigvecs.T @ rhs))
+    diagonal = np.diag_indices_from(matrix)
+    if mode == "diagonal_shift":
+        matrix[diagonal] += eps
+    else:
+        matrix[diagonal] *= 1.0 + eps
+    try:
+        factor = spd_factorize(matrix)
+    except NotPositiveDefinite as exc:
+        raise NotPositiveDefinite(
+            f"regularized matrix is not positive definite ({mode}, eps={eps:g})"
+        ) from exc
+    return cho_solve(factor, rhs)
 
 
 def full_sr_update(theta, bundle, eta, options=SrOptions()):
@@ -147,38 +172,22 @@ def full_sr_update(theta, bundle, eta, options=SrOptions()):
     at least reg_eps * |lam_max| in magnitude and zeroes the rest.
 
     Raises:
-      SingularMatrix: a diagonal-mode factorization failed.
+      NotPositiveDefinite: a diagonal mode left S indefinite.
     """
-    reg_mode, reg_eps = options.reg_mode, options.reg_eps
     theta = np.asarray(theta, dtype=np.float64)
-    s = s_matrix(bundle)
-    g = bundle.gradient
-
-    if reg_mode == "pseudo_inverse":
-        direction = _pseudo_inverse_apply(s, g, reg_eps)
-    else:
-        # s is this call's own array: regularize its diagonal in place
-        diagonal = np.diag_indices_from(s)
-        if reg_mode == "diagonal_shift":
-            s[diagonal] += reg_eps
-        else:
-            s[diagonal] *= 1.0 + reg_eps
-        try:
-            direction = spd_factorize(s).solve(g)
-        except NotPositiveDefinite as exc:
-            raise SingularMatrix(
-                f"regularized covariance is not positive definite ({reg_mode}, "
-                f"eps={reg_eps:g})"
-            ) from exc
+    direction = _regularized_solve(
+        s_matrix(bundle), bundle.gradient, options.reg_mode, options.reg_eps
+    )
     return theta - eta * direction
 
 
-def _dual_solve(t, shift, rhs):
-    """(T + shift I)^-1 rhs, falling back to an eigenvalue pseudo-solve
-    when shift = 0 (T is singular whenever the batch exceeds the rank)."""
-    if shift > 0.0:
-        return spd_factorize(t, shift).solve(rhs)
-    return _pseudo_inverse_apply(t, rhs, PSEUDO_SOLVE_RTOL)
+def _dual_solve(t, eps, rhs):
+    """(T + eps I)^-1 rhs with T overwritten, or the eigenvalue
+    pseudo-solve when eps = 0 (T is singular whenever the batch exceeds
+    the rank)."""
+    if eps > 0.0:
+        return _regularized_solve(t, rhs, "diagonal_shift", eps)
+    return _regularized_solve(t, rhs, "pseudo_inverse", PSEUDO_SOLVE_RTOL)
 
 
 def minsr_update(theta, bundle, eta, options=MinsrOptions()):
@@ -218,10 +227,10 @@ def spring_update(theta, bundle, eta, state, options=SpringOptions()):
     """
     theta = np.asarray(theta, dtype=np.float64)
     o = bundle.o_matrix
-    n = bundle.batch_size
     mu = options.mu
     ltilde = bundle.l_vector - mu * (o.T @ state.prev_update)
-    t_reg = t_matrix(bundle) + np.full((n, n), 1.0 / n)
+    t_reg = t_matrix(bundle)
+    t_reg += 1.0 / bundle.batch_size
     x = _dual_solve(t_reg, options.tikhonov_eps, ltilde)
     phi = -eta * 2.0 * (o @ x)
     delta = phi + mu * state.prev_update

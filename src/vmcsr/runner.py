@@ -194,7 +194,13 @@ def _restore(resume_path, config, system, wavefunction, initial_state, prefix):
 
     opt_state = None
     if initial_state is not None:
-        section = dict(scalars.get(prefix, {}))
+        section = scalars.get(prefix, {})
+        if not isinstance(section, dict):
+            raise ConfigError(
+                f"checkpoint entry {prefix!r} is malformed: expected a table of "
+                f"the optimizer state's scalars, got {section!r}"
+            )
+        section = dict(section)
         head = f"{prefix}_"
         section.update((k[len(head):], v) for k, v in arrays.items() if k.startswith(head))
         expected = {f.name for f in dataclasses.fields(initial_state)}
@@ -204,9 +210,20 @@ def _restore(resume_path, config, system, wavefunction, initial_state, prefix):
                 f"unknown fields {sorted(set(section) - expected)}, "
                 f"missing fields {sorted(expected - set(section))}"
             )
+        for f in dataclasses.fields(initial_state):
+            start, shape = getattr(initial_state, f.name), np.shape(section[f.name])
+            # an array keeps every axis length that is nonzero at the start
+            if isinstance(start, np.ndarray) and (
+                len(shape) != start.ndim
+                or any(n and n != m for n, m in zip(start.shape, shape))
+            ):
+                raise ConfigError(
+                    f"checkpoint entry '{head}{f.name}' has shape {shape}, which "
+                    f"does not fit the initial state's {start.shape}"
+                )
         try:
             opt_state = type(initial_state)(**section)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"checkpoint {prefix} state is malformed: {exc}") from exc
     return step, theta, ensemble, opt_state, seed
 
@@ -276,6 +293,9 @@ def run(config, resume_path=None):
                 bundle = assemble(batch, clip_n_std=config.optimizer.clip_n_std)
                 if not np.isfinite(bundle.raw_loss):
                     raise NumericalAbort(f"non-finite energy at step {step}")
+                # a non-finite log-derivative makes the gradient non-finite
+                if not np.all(np.isfinite(bundle.gradient)):
+                    raise NumericalAbort(f"non-finite log-derivatives at step {step}")
                 eta = schedule.eta(step - 1)
                 theta_next, opt_state_next, diag = update(
                     theta, bundle, eta, opt_state, seed

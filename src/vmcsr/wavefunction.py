@@ -208,13 +208,10 @@ class AceWavefunction:
     basis: OneBodyBasisSpec
     correlation_order: int = 2
     jastrow_enabled: bool = True
-    fd_step: float = DEFAULT_FD_STEP
     theta: np.ndarray = None
     tails: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not (self.fd_step > 0.0):
-            raise ValueError("finite-difference step must be positive")
         self.tails = build_tuple_index(self.basis, self.correlation_order)
         # orbital indices of the tails of each length >= 1, in tail order
         self._tail_orbitals = [
@@ -316,7 +313,7 @@ class AceWavefunction:
 
     def gradient_and_laplacian_batch(self, positions):
         """Electron-coordinate gradient and summed Laplacian of log|psi|."""
-        return fd_gradient_and_laplacian(self.log_abs_batch, positions, self.fd_step)
+        return fd_gradient_and_laplacian(self.log_abs_batch, positions, DEFAULT_FD_STEP)
 
 def initial_theta(system, basis, n_tails, noise_scale=1e-2, seed=0):
     """Near-Slater start: unit weight on one bare orbital per column.

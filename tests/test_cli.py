@@ -2,11 +2,13 @@ import json
 import struct
 import zlib
 
+import numpy as np
 import pytest
 
 import vmcsr.runner
 from vmcsr.checkpoint import FORMAT_VERSION, MAGIC, read_checkpoint, write_checkpoint
 from vmcsr.cli import main
+from vmcsr.wavefunction import AceWavefunction
 
 SMALL_RUN = """
 [system]
@@ -128,6 +130,35 @@ class TestRunCommand:
         assert main(["run", "--config", str(config), "--resume", str(ckpt)]) == 0
         assert "completed 3 steps" in capsys.readouterr().out
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("name", ["sgd", "sr", "minsr", "spring", "wssr", "rssr"])
+    def test_non_finite_log_derivative_exits_3_with_a_resumable_checkpoint(
+        self, tmp_path, capsys, monkeypatch, name
+    ):
+        # Injected: no run has been seen to produce one.
+        calls = {"n": 0}
+        original = AceWavefunction.grad_theta_batch
+
+        def poisoned(wavefunction, positions):
+            grad = original(wavefunction, positions)
+            calls["n"] += 1
+            if calls["n"] == 2:
+                grad[0, 0] = np.inf
+            return grad
+
+        monkeypatch.setattr(AceWavefunction, "grad_theta_batch", poisoned)
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config), "--optimizer", name]) == 3
+        err = capsys.readouterr().err
+        assert "aborted at step 2: non-finite log-derivatives at step 2" in err
+        ckpt = tmp_path / "artifacts" / "checkpoint.bin"
+        scalars, _, _ = read_checkpoint(ckpt)
+        assert scalars["step"] == 1
+
+        monkeypatch.setattr(AceWavefunction, "grad_theta_batch", original)
+        code = main(["run", "--config", str(config), "--optimizer", name, "--resume", str(ckpt)])
+        assert code == 0
+
     @MALFORMED_ENTRIES
     def test_resume_from_malformed_manifest_exits_2(self, tmp_path, capsys, entry):
         crafted = tmp_path / "crafted.bin"
@@ -199,6 +230,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("section, key", [
         ("wavefunction", "degree_cap"),
+        ("wavefunction", "fd_step"),
         ("wssr", "sigma_floor_relative"),
         ("wssr", "ssi_residual_tol"),
         ("wssr", "svd_backend"),
@@ -225,7 +257,6 @@ class TestRunCommand:
         ("wssr", "eps_grow", "inf"),
         ("run", "out_dir", ""),
         ("sampler", "proposal_std", "inf"),
-        ("wavefunction", "fd_step", "inf"),
         ("optimizer", "alpha", "inf"),
     ])
     def test_non_finite_or_empty_value_exits_2_naming_the_key(
@@ -299,6 +330,32 @@ class TestRunCommand:
         code = main(["run", "--config", str(config), "--steps", "5", "--resume", str(older)])
         assert code == 2
         assert "unknown fields ['obar']" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("damage, entry", [
+        ("scalars", "wssr"), ("rows", "wssr_u_prev"), ("shape", "spring_prev_update"),
+    ])
+    def test_resume_from_a_malformed_optimizer_section_exits_2_naming_it(
+        self, tmp_path, capsys, damage, entry
+    ):
+        # The CRC is valid; only the optimizer state inside is wrong.
+        name = entry.split("_")[0]
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config), "--optimizer", name]) == 0
+        scalars, arrays, rng_states = read_checkpoint(tmp_path / "artifacts" / "checkpoint.bin")
+        if damage == "scalars":
+            scalars[entry] = 5
+        elif damage == "rows":
+            u_prev = arrays[entry]
+            arrays[entry] = np.concatenate([u_prev, np.zeros((3, u_prev.shape[1]))])
+        else:
+            arrays[entry] = np.zeros(arrays["theta"].size + 2)
+        damaged = tmp_path / "damaged.bin"
+        write_checkpoint(damaged, scalars, arrays, rng_states)
+        code = main(["run", "--config", str(config), "--optimizer", name,
+                     "--steps", "5", "--resume", str(damaged)])
+        assert code == 2
+        assert f"checkpoint entry '{entry}'" in capsys.readouterr().err
 
 
 class TestInspectCommand:

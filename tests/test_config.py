@@ -60,7 +60,6 @@ BAD_OPTION_VALUES = {
     ("wavefunction", "correlation_order"): ("nan", "2.5", "0"),
     ("wavefunction", "jastrow"): ("nan", "0.5", "2"),
     ("wavefunction", "init_noise"): ("nan", "some", "-5e-324", "inf"),
-    ("wavefunction", "fd_step"): ("nan", "small", "0", "inf"),
     ("wavefunction", "radial_powers"): ("nan", "0.5", "-1", ""),
     ("wavefunction", "ell_max"): ("nan", "1.5", "-1", "2"),
     ("wavefunction", "basis"): ("nan", "0 0 0 0 1.0", "0 0 2 0 1.0 up", "0 0 0 0 inf up"),

@@ -15,7 +15,7 @@ def _descendants(cls):
 def test_every_error_derives_from_exactly_one_exit_base():
     assert (NumericalError.exit_code, InputError.exit_code) == (3, 2)
     errors = [cls for cls in set(_descendants(VmcError)) if cls not in BASES]
-    assert len(errors) == 13
+    assert len(errors) == 12
     for cls in errors:
         assert issubclass(cls, NumericalError) != issubclass(cls, InputError), cls.__name__
         assert cls.exit_code == (3 if issubclass(cls, NumericalError) else 2), cls.__name__

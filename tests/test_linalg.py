@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_solve
 
 from vmcsr.errors import NotPositiveDefinite, ZeroMatrix
 from vmcsr.linalg import exact_svd, qr_orthonormalize, spd_factorize
@@ -134,49 +135,56 @@ class TestExactSvd:
 
 
 class TestSpdSolve:
+    """spd_factorize factors the caller's own matrix in place: any shift is
+    the caller's, and the factor overwrites the input."""
+
     def test_identity_returns_rhs(self):
         b = np.array([1.0, -2.0, 3.0])
-        np.testing.assert_allclose(spd_factorize(np.eye(3)).solve(b), b, atol=1e-15)
+        np.testing.assert_allclose(cho_solve(spd_factorize(np.eye(3)), b), b, atol=1e-15)
 
     def test_scaled_identity_halves_rhs(self):
         b = np.array([2.0, 4.0])
-        np.testing.assert_allclose(spd_factorize(2.0 * np.eye(2)).solve(b), b / 2.0, atol=1e-15)
+        x = cho_solve(spd_factorize(2.0 * np.eye(2)), b)
+        np.testing.assert_allclose(x, b / 2.0, atol=1e-15)
 
     def test_random_spd_residual(self):
         rng = np.random.default_rng(11)
         g = rng.standard_normal((10, 10))
         t = g @ g.T + np.eye(10)
         b = rng.standard_normal(10)
-        x = spd_factorize(t).solve(b)
+        x = cho_solve(spd_factorize(t.copy()), b)
         assert np.linalg.norm(t @ x - b) < 1e-10
 
     def test_shift_is_applied(self):
+        # the caller shifts its own matrix in place before factoring it
         rng = np.random.default_rng(12)
         g = rng.standard_normal((5, 5))
         t = g @ g.T
         b = rng.standard_normal(5)
-        x = spd_factorize(t, 0.5).solve(b)
+        shifted = t.copy()
+        shifted[np.diag_indices_from(shifted)] += 0.5
+        x = cho_solve(spd_factorize(shifted), b)
         assert np.linalg.norm((t + 0.5 * np.eye(5)) @ x - b) < 1e-10
 
     def test_indefinite_rejected(self):
         with pytest.raises(NotPositiveDefinite):
             spd_factorize(np.diag([1.0, -1.0]))
 
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            spd_factorize(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
     def test_matrix_rhs_gives_inverse(self):
         rng = np.random.default_rng(13)
         g = rng.standard_normal((6, 6))
         t = g @ g.T + 2.0 * np.eye(6)
-        x = spd_factorize(t).solve(np.eye(6))
+        x = cho_solve(spd_factorize(t.copy()), np.eye(6))
         np.testing.assert_allclose(x @ t, np.eye(6), atol=1e-10)
 
     def test_factorization_reconstructs(self):
         rng = np.random.default_rng(14)
         g = rng.standard_normal((4, 4))
         t = g @ g.T + np.eye(4)
-        fact = spd_factorize(t, 0.25)
-        lower = fact.chol_lower
-        np.testing.assert_allclose(lower @ lower.T, t + 0.25 * np.eye(4), atol=1e-12)
+        work = t.copy()
+        factor, lower = spd_factorize(work)
+        assert lower and np.shares_memory(factor, work)
+        chol = np.tril(factor)
+        np.testing.assert_allclose(chol @ chol.T, t, atol=1e-12)
+        # the input now holds the factor: t.T's lower triangle is L
+        np.testing.assert_array_equal(np.tril(work.T), chol)

@@ -2,11 +2,12 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from vmcsr.errors import SingularMatrix
+from vmcsr.errors import NotPositiveDefinite
 from vmcsr.estimators import EstimatorBundle, SampleBatch, assemble, s_matrix
 from vmcsr.linalg import qr_orthonormalize
 from vmcsr.optimizers import (
@@ -163,12 +164,33 @@ class TestFullSr:
     def test_rank_deficient_unshifted_raises(self):
         rng = np.random.default_rng(5)
         bundle = raw_bundle(rng.standard_normal((6, 3)), rng.standard_normal(3))
-        with pytest.raises(SingularMatrix):
+        with pytest.raises(NotPositiveDefinite, match=r"\(diagonal_shift, eps=0\)"):
             full_sr_update(np.zeros(6), bundle, 0.1, SrOptions("diagonal_shift", 0.0))
 
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="diagonal_shift"):
             SrOptions("ridge", 0.1)
+
+
+class TestRegularizedSolve:
+    """sr, minsr and spring regularize and factor the matrix they build in
+    place, so a step holds one n x n array (plus a boolean finiteness
+    mask of an eighth of its size)."""
+
+    @pytest.mark.parametrize("update, n_params, batch", [
+        (full_sr_update, 800, 16), (minsr_update, 16, 800),
+    ], ids=["sr", "minsr"])
+    def test_peak_memory_is_one_matrix(self, update, n_params, batch):
+        rng = np.random.default_rng(9)
+        bundle = raw_bundle(rng.standard_normal((n_params, batch)), rng.standard_normal(batch))
+        n = max(n_params, batch)
+        tracemalloc.start()
+        try:
+            update(np.zeros(n_params), bundle, 0.1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * n * n * 8
 
 
 class TestMinsr:

@@ -33,10 +33,10 @@ def test_compare_optimizers_runs_every_rule(tmp_path, capsys):
 
 
 def test_trajectory_digest_split_matches_straight(capsys):
-    argv = ["--optimizers", "wssr,minsr", "--steps", "2"]
+    argv = ["--optimizers", "wssr,minsr-eps0,sr-pinv", "--steps", "2"]
     assert _load_script("trajectory_digest").main(argv) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
-    assert [row[0] for row in rows] == ["wssr", "minsr"]
+    assert [row[0] for row in rows] == ["wssr", "minsr-eps0", "sr-pinv"]
     for row in rows:
         assert row[1] == "trace" and row[3] == "checkpoint" and row[5] == "theta"
         assert len(row[2]) == len(row[4]) == len(row[6]) == 64

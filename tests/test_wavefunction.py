@@ -8,6 +8,7 @@ import pytest
 import vmcsr.wavefunction
 from vmcsr.system import SPIN_DOWN, SPIN_UP, MolecularSystem, preset_system
 from vmcsr.wavefunction import (
+    DEFAULT_FD_STEP,
     AceWavefunction,
     OneBodyBasisSpec,
     SlaterOrbital,
@@ -433,7 +434,7 @@ class TestCoordinateDerivatives:
         wf = AceWavefunction(system=system, basis=basis, correlation_order=2)
         wf.set_theta(initial_theta(system, wf.basis, len(wf.tails), seed=3))
         positions = np.random.default_rng(14).normal(size=(7, 4, 3))
-        step = wf.fd_step
+        step = DEFAULT_FD_STEP
 
         w, n, _ = positions.shape
         stacked = np.broadcast_to(positions, (6 * n + 1, w, n, 3)).copy()
