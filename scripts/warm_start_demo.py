@@ -17,8 +17,7 @@ import sys
 
 import numpy as np
 
-from vmcsr.linalg import qr_orthonormalize
-from vmcsr.svdengine import ssi_svd
+from vmcsr.svdengine import qr_orthonormalize, ssi_svd
 
 
 def drifting_pair(rng, drift, m=80, n=60):

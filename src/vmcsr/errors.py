@@ -38,15 +38,6 @@ class NotPositiveDefinite(NumericalError):
     """Symmetric factorization hit a nonpositive pivot."""
 
 
-class RankCollapse(NumericalError):
-    """Effective rank fell to zero.
-
-    Unreachable under the relative-spectrum rank rule (the leading mode
-    always qualifies); kept as a typed guard so a logic error surfaces
-    loudly instead of as a shape mismatch.
-    """
-
-
 class CoalescencePoint(NumericalError):
     """Two charged particles are closer than the coalescence guard."""
 

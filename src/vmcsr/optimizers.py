@@ -7,21 +7,21 @@ averages the preconditioner across steps with a decaying weight.  The
 low-rank scheme never forms the parameter-square covariance; it keeps a
 thin factorization refreshed by subspace iteration (or a random sketch)
 and applies the inverse through two projections. The three dense
-preconditioners share one regularized solve, which works in place on
-the matrix each has just built.
+preconditioners share one regularized solve and its Cholesky
+factorization, both in place on the matrix each has just built.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .errors import NotPositiveDefinite, RankCollapse
+from .errors import NotPositiveDefinite
 from .estimators import s_matrix, t_matrix
-from .linalg import qr_orthonormalize, spd_factorize
 from .svdengine import (
     exact_truncated_svd,
+    qr_orthonormalize,
     randomized_svd,
     ssi_svd,
     subspace_drift,
@@ -126,6 +126,29 @@ class WssrOptions:
 def sgd_update(theta, bundle, eta):
     """theta - eta * gradient."""
     return np.asarray(theta, dtype=np.float64) - eta * bundle.gradient
+
+
+def spd_factorize(t):
+    """Cholesky-factorize a symmetric matrix in place.
+
+    The caller owns t and has already regularized it; the factor
+    overwrites t, so no second n x n array is made. t must be exactly
+    symmetric, as O @ O.T and O.T @ O are when numpy builds them: LAPACK
+    reads the lower triangle of t.T, which is the upper triangle of t.
+
+    Args:
+      t: (n, n) float64 array, factored in place when C-contiguous.
+
+    Returns:
+      (c, lower) for scipy.linalg.cho_solve; c is t.T, holding the factor.
+
+    Raises:
+      NotPositiveDefinite: if the matrix has a nonpositive pivot.
+    """
+    try:
+        return cho_factor(t.T, lower=True, overwrite_a=True)
+    except LinAlgError as exc:
+        raise NotPositiveDefinite(str(exc)) from exc
 
 
 def _regularized_solve(matrix, rhs, mode, eps):
@@ -362,9 +385,8 @@ def wssr_step(theta, bundle, eta, state, options=WssrOptions(), rng_seed=0,
         )
 
     top_sq = factors.sigma[0] ** 2
+    # the leading mode always passes, since r_reg < 1 and sigma[0] > 0
     r_eff = int(np.count_nonzero(factors.sigma**2 >= options.r_reg * top_sq))
-    if r_eff < 1:
-        raise RankCollapse("no singular value passed the relative cutoff")
     binding = factors.rank == requested == state.r_max and r_eff == state.r_max
     next_r_max = state.r_max
     if binding:

@@ -237,7 +237,10 @@ def run(config, resume_path=None):
     uninterrupted one.
     """
     out_dir = config.run.out_dir
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"[run] out_dir: cannot create it: {exc}") from exc
     trace_path = os.path.join(out_dir, TRACE_FILENAME)
     checkpoint_path = os.path.join(out_dir, CHECKPOINT_FILENAME)
 

@@ -8,16 +8,25 @@ which is exact for any basis of an invariant span. The Gaussian range
 sketch is one budgeted pass of the same engine from an oversampled block
 (Halko, Martinsson & Tropp, SIAM Review 53 (2011), Alg. 5.1). Both are
 checked against the dense SVD in the test suite.
+
+The dense kernels live here too: the sign-fixed QR that orthonormalizes
+every block (and wssr's widened warm start), and the one dense SVD, the
+finish shared by the exact truncation and the Rayleigh-Ritz step. Both
+treat a value at or below DEFICIENT_COLUMN_REL * ||ohat||_F as zero.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, RankTooLarge
-from .linalg import DEFICIENT_COLUMN_REL, exact_svd, qr_orthonormalize
+from .errors import DegenerateInput, RankTooLarge, ZeroMatrix
 
 _COLD_START_SEED = 0x5EED
+# Below this Frobenius norm a matrix is numerically zero.
+ZERO_MATRIX_NORM = 1e-300
+# A QR pivot or singular value at or below this fraction of the matrix's
+# Frobenius norm is an exact zero.
+DEFICIENT_COLUMN_REL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -44,29 +53,89 @@ class TruncatedSvd:
         return self.sigma.shape[0]
 
 
-def _positive_prefix(sigma, limit, fro):
-    """Leading singular values above qr_orthonormalize's zero threshold,
-    DEFICIENT_COLUMN_REL * ||ohat||_F; the rest count as exact zeros."""
-    return int(np.count_nonzero(sigma[:limit] > DEFICIENT_COLUMN_REL * fro))
+def qr_orthonormalize(a):
+    """Thin QR with orthonormal Q and a nonnegative diagonal of R.
+
+    One path for every input: LAPACK Householder QR, a column sign fix
+    that makes diag(R) nonnegative, and every diagonal of R at or below
+    DEFICIENT_COLUMN_REL * ||A||_F set to exactly zero. A column of Q at
+    such a zero pivot is Householder's orthonormal completion direction,
+    so Q stays orthonormal and Q R still reconstructs A to tolerance.
+
+    Args:
+      a: (m, n) array, m >= n.
+
+    Returns:
+      (q, r): q of shape (m, n) with orthonormal columns, r of shape
+      (n, n) upper triangular with diag(r) >= 0 and q @ r == a.
+
+    Raises:
+      ZeroMatrix: if ||a||_F < ZERO_MATRIX_NORM.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] < a.shape[1]:
+        raise ValueError(f"need a matrix with at least as many rows as columns, got {a.shape}")
+    fro = float(np.linalg.norm(a))
+    if fro < ZERO_MATRIX_NORM:
+        raise ZeroMatrix(f"cannot orthonormalize a numerically zero matrix (norm {fro:.3e})")
+
+    q, r = np.linalg.qr(a, mode="reduced")
+    signs = np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
+    q = q * signs
+    r = r * signs[:, None]
+    deficient = np.flatnonzero(np.diagonal(r) <= DEFICIENT_COLUMN_REL * fro)
+    r[deficient, deficient] = 0.0
+    return q, r
 
 
-def _frobenius(ohat):
+def _checked(ohat, rank, width):
+    """ohat as a float64 matrix and its Frobenius norm.
+
+    Raises:
+      RankTooLarge: unless 1 <= rank <= width <= min(ohat.shape).
+      DegenerateInput: if ohat is all zeros.
+    """
+    ohat = np.asarray(ohat, dtype=np.float64)
+    if not 1 <= rank <= width <= min(ohat.shape):
+        raise RankTooLarge(
+            f"rank {rank} in a block of {width} outside [1, {min(ohat.shape)}] "
+            f"for shape {ohat.shape}"
+        )
     fro = float(np.linalg.norm(ohat))
     if fro == 0.0:
         raise DegenerateInput("cannot factorize an all-zero matrix")
-    return fro
+    return ohat, fro
+
+
+def _finish(a, fro, rank, basis=None):
+    """Dense SVD of a, truncated to its leading `rank` triplets.
+
+    fro is the Frobenius norm of ohat, and singular values at or below
+    DEFICIENT_COLUMN_REL * fro are dropped as exact zeros, the threshold
+    qr_orthonormalize applies to its pivots. A wide a is factored through
+    its transpose: LAPACK's divide and conquer is markedly faster on the
+    tall orientation. With a basis, a is the projection basis.T @ ohat
+    and the left vectors come back as basis @ u (the Rayleigh-Ritz
+    finish).
+    """
+    if not np.all(np.isfinite(a)):
+        raise ValueError("matrix has non-finite entries")
+    if a.shape[0] < a.shape[1]:
+        v, sigma, ut = np.linalg.svd(a.T, full_matrices=False)
+        u, vt = ut.T, v.T
+    else:
+        u, sigma, vt = np.linalg.svd(a, full_matrices=False)
+    k = int(np.count_nonzero(sigma[:rank] > DEFICIENT_COLUMN_REL * fro))
+    if k == 0:
+        raise DegenerateInput("factorization produced no positive singular values")
+    u = u[:, :k]
+    return TruncatedSvd(u=u if basis is None else basis @ u, sigma=sigma[:k], v=vt[:k, :])
 
 
 def exact_truncated_svd(ohat, rank):
     """Dense SVD truncated to the leading triplets (dropping zeros)."""
-    ohat = np.asarray(ohat, dtype=np.float64)
-    m, n = ohat.shape
-    if rank < 1 or rank > min(m, n):
-        raise RankTooLarge(f"rank {rank} outside [1, {min(m, n)}] for shape {ohat.shape}")
-    fro = _frobenius(ohat)
-    u, sigma, vt = exact_svd(ohat)
-    k = _positive_prefix(sigma, rank, fro)
-    return TruncatedSvd(u=u[:, :k], sigma=sigma[:k], v=vt[:k, :])
+    ohat, fro = _checked(ohat, rank, rank)
+    return _finish(ohat, fro, rank)
 
 
 def ssi_svd(ohat, rank, *, max_iters, residual_tol, u_init=None):
@@ -99,12 +168,8 @@ def ssi_svd(ohat, rank, *, max_iters, residual_tol, u_init=None):
       (TruncatedSvd, iterations_used). The returned rank can be below
       `rank` when the matrix rank is smaller (zeros are dropped).
     """
-    ohat = np.asarray(ohat, dtype=np.float64)
+    ohat, fro = _checked(ohat, rank, rank)
     m, n = ohat.shape
-    if rank < 1 or rank > min(m, n):
-        raise RankTooLarge(f"rank {rank} outside [1, {min(m, n)}] for shape {ohat.shape}")
-    fro = _frobenius(ohat)
-
     if u_init is not None:
         block = np.asarray(u_init, dtype=np.float64)
         if block.ndim != 2 or block.shape[0] != m or not rank <= block.shape[1] <= min(m, n):
@@ -130,11 +195,7 @@ def ssi_svd(ohat, rank, *, max_iters, residual_tol, u_init=None):
         if float(np.linalg.norm(u - q @ (q.T @ u))) / fro2 < residual_tol:
             break
 
-    u_b, sigma, vt = exact_svd(b_t.T)
-    k = _positive_prefix(sigma, rank, fro)
-    if k == 0:
-        raise DegenerateInput("iteration produced no positive singular values")
-    return TruncatedSvd(u=q @ u_b[:, :k], sigma=sigma[:k], v=vt[:k, :]), iterations
+    return _finish(b_t.T, fro, rank, basis=q), iterations
 
 
 def randomized_svd(ohat, rank, oversample=10, rng_seed=0):
@@ -155,14 +216,8 @@ def randomized_svd(ohat, rank, oversample=10, rng_seed=0):
     Returns:
       TruncatedSvd of rank at most `rank`.
     """
-    ohat = np.asarray(ohat, dtype=np.float64)
-    m, n = ohat.shape
-    width = rank + oversample
-    if rank < 1 or oversample < 0 or width > min(m, n):
-        raise RankTooLarge(
-            f"rank+oversample {width} outside [1, {min(m, n)}] for shape {ohat.shape}"
-        )
-    omega = np.random.default_rng(rng_seed).standard_normal((m, width))
+    ohat, _ = _checked(ohat, rank, rank + oversample)
+    omega = np.random.default_rng(rng_seed).standard_normal((ohat.shape[0], rank + oversample))
     return ssi_svd(ohat, rank, max_iters=1, residual_tol=0.0, u_init=omega)[0]
 
 

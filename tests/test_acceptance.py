@@ -13,7 +13,6 @@ import pytest
 
 from vmcsr.config import parse_config_text
 from vmcsr.estimators import EstimatorBundle, SampleBatch, assemble, clip_local_energies
-from vmcsr.linalg import qr_orthonormalize
 from vmcsr.optimizers import (
     SSI_MAX_ITERS,
     LearningRateSchedule,
@@ -30,7 +29,7 @@ from vmcsr.optimizers import (
 )
 from vmcsr.runner import run
 from vmcsr.sampler import WalkerEnsemble, sample_batch
-from vmcsr.svdengine import exact_truncated_svd, randomized_svd, ssi_svd
+from vmcsr.svdengine import exact_truncated_svd, qr_orthonormalize, randomized_svd, ssi_svd
 from vmcsr.system import preset_system
 from vmcsr.trace import smooth_trace
 from vmcsr.wavefunction import (

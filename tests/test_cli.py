@@ -95,6 +95,17 @@ class TestRunCommand:
         assert "completed 2 steps" in capsys.readouterr().out
         assert (alt / "trace.csv").exists()
 
+    def test_uncreatable_out_dir_exits_2_naming_the_key(self, tmp_path, capsys):
+        blocker = tmp_path / "afile"
+        blocker.write_text("", encoding="utf-8")
+        code = main(
+            ["run", "--config", str(write_config(tmp_path)), "--out", str(blocker / "sub")]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "out_dir" in err and "Not a directory" in err
+        assert "Traceback" not in err
+
     def test_resume_flag(self, tmp_path, capsys):
         config = write_config(tmp_path)
         assert main(["run", "--config", str(config)]) == 0
