@@ -1,10 +1,10 @@
 """Digest each optimizer's trajectory, to compare two versions bit for bit.
 
 For every row, one per optimizer plus the pseudo-solve branches of sr
-(reg_mode = pseudo_inverse) and minsr (tikhonov_eps = 0), a fixed small
-helium run (ell_max = 0, 16 walkers, seed 3) goes through the command
-line twice: straight through, and split in two with --resume at the
-halfway step. Each output line names the row, a SHA-256 of the trace
+(reg_mode = pseudo_inverse) and minsr (tikhonov_eps = 0) and a wssr run
+whose block is the whole row space (wssr-full), a fixed small helium run
+(ell_max = 0, 16 walkers, seed 3) goes through the command line twice:
+straight through, and split in two with --resume at the halfway step. Each output line names the row, a SHA-256 of the trace
 rows without the wall_ms column, a SHA-256 of the final checkpoint file
 and a SHA-256 of the final theta array's bytes; the last still compares
 two versions whose checkpoint layouts differ. The exit status is 1 if
@@ -19,6 +19,7 @@ against its parent is one diff:
 """
 
 import argparse
+import configparser
 import contextlib
 import csv
 import hashlib
@@ -30,39 +31,39 @@ from pathlib import Path
 from vmcsr.checkpoint import read_checkpoint
 from vmcsr.cli import main as vmcsr_main
 
-# row name -> (optimizer, extra INI sections)
+# row name -> (optimizer, INI values over BASE). The wssr row's block
+# stays below the 144-row parameter count; wssr-full's batch of 160 makes
+# every block the whole row space, the dense-SVD route.
 ROWS = {
-    "sgd": ("sgd", ""),
-    "sr": ("sr", ""),
-    "sr-pinv": ("sr", "[sr]\nreg_mode = pseudo_inverse\n"),
-    "minsr": ("minsr", ""),
-    "minsr-eps0": ("minsr", "[minsr]\ntikhonov_eps = 0\n"),
-    "spring": ("spring", ""),
-    "wssr": ("wssr", ""),
-    "rssr": ("rssr", ""),
+    "sgd": ("sgd", {}),
+    "sr": ("sr", {}),
+    "sr-pinv": ("sr", {"sr": {"reg_mode": "pseudo_inverse"}}),
+    "minsr": ("minsr", {}),
+    "minsr-eps0": ("minsr", {"minsr": {"tikhonov_eps": "0"}}),
+    "spring": ("spring", {}),
+    "wssr": ("wssr", {}),
+    "rssr": ("rssr", {}),
+    "wssr-full": ("wssr", {"sampler": {"samples_per_step": "160"},
+                           "wssr": {"rank_init": "400"}}),
 }
 
-CONFIG = """\
-[system]
-preset = he
+BASE = {
+    "system": {"preset": "he"},
+    "wavefunction": {"ell_max": "0"},
+    "sampler": {"walkers": "16", "burn_in": "100", "thinning": "2"},
+    "wssr": {"rank_init": "6"},
+    "run": {"seed": "3"},
+}
 
-[wavefunction]
-ell_max = 0
 
-[sampler]
-walkers = 16
-burn_in = 100
-thinning = 2
-
-[optimizer]
-name = {name}
-
-[wssr]
-rank_init = 6
-
-[run]
-seed = 3
-{extra}"""
+def _write_ini(path, name):
+    """The row's config file: BASE, its optimizer, then its own values."""
+    optimizer, values = ROWS[name]
+    parser = configparser.ConfigParser(interpolation=None)
+    for layer in (BASE, {"optimizer": {"name": optimizer}}, values):
+        parser.read_dict(layer)
+    with open(path, "w", encoding="utf-8") as handle:
+        parser.write(handle)
 
 
 def _vmcsr(*argv):
@@ -110,8 +111,7 @@ def main(argv=None):
             root = Path(tmp) / name
             root.mkdir()
             ini = root / "run.ini"
-            ini.write_text(CONFIG.format(name=ROWS[name][0], extra=ROWS[name][1]),
-                           encoding="utf-8")
+            _write_ini(ini, name)
             straight, halves = root / "straight", root / "split"
             _vmcsr("run", "--config", str(ini), "--steps", str(args.steps),
                    "--out", str(straight))

@@ -9,7 +9,7 @@ import argparse
 import sys
 
 from .checkpoint import read_checkpoint
-from .config import apply_overrides, parse_config, render_key_help
+from .config import parse_config, render_key_help
 from .errors import ConfigError, InputError
 from .runner import run
 from .system import preset_names, preset_system
@@ -36,8 +36,8 @@ def build_parser():
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     runp.add_argument("--config", required=True, help="INI config file")
-    runp.add_argument("--seed", type=int, help="override [run] seed")
-    runp.add_argument("--steps", type=int, help="override [run] steps (total target)")
+    runp.add_argument("--seed", help="override [run] seed")
+    runp.add_argument("--steps", help="override [run] steps (total target)")
     runp.add_argument("--optimizer", help="override [optimizer] name")
     runp.add_argument("--out", help="override [run] out_dir")
     runp.add_argument("--resume", help="continue from a checkpoint file")
@@ -50,14 +50,15 @@ def build_parser():
 
 
 def _cmd_run(args):
-    config = parse_config(args.config)
-    config = apply_overrides(
-        config,
-        seed=args.seed,
-        steps=args.steps,
-        optimizer=args.optimizer,
-        out_dir=args.out,
-    )
+    # each flag is an INI value, read after the file's own
+    flags = {
+        "run": {"seed": args.seed, "steps": args.steps, "out_dir": args.out},
+        "optimizer": {"name": args.optimizer},
+    }
+    config = parse_config(args.config, {
+        section: {key: text for key, text in keys.items() if text is not None}
+        for section, keys in flags.items()
+    })
     result = run(config, resume_path=args.resume)
     if result.aborted:
         print(result.message, file=sys.stderr)

@@ -1,14 +1,14 @@
 """INI run configuration: one frozen dataclass per section, parsing, builders.
 
 Each INI section is a dataclass whose fields are the section's keys: a
-field default is the only place that default is written, and the class's
-__post_init__ is the only place its range is checked. The update-rule
-sections ([sr], [minsr], [spring], [wssr]) are the options classes of
-optimizers.py; the others are defined here. RunConfig holds one of each,
-in --help order, and the parser, --help and the command-line overrides
-all go through these classes. Unknown sections or keys fail fast with
-ConfigError, as do values outside their documented ranges, so a run
-never starts on a half-understood config. A default of None marks a key
+field is the only place its key's default and --help text are written,
+and the class's __post_init__ is the only place its range is checked.
+The update-rule sections ([sr], [minsr], [spring], [wssr]) are the
+options classes of optimizers.py; the others are defined here. RunConfig
+holds one of each, in --help order. The command-line overrides are INI
+values read after the file, so every value is parsed one way. Unknown
+sections or keys fail fast with ConfigError, as do values outside their
+documented ranges, so a run never starts on a half-understood config. A default of None marks a key
 as unset; an empty INI value leaves such a key unset.
 """
 
@@ -21,12 +21,12 @@ import numpy as np
 
 from .errors import ConfigError
 from .optimizers import (
-    SR_REG_MODES,
     LearningRateSchedule,
     MinsrOptions,
     SpringOptions,
     SrOptions,
     WssrOptions,
+    _key,
     _require,
 )
 from .system import MolecularSystem, preset_names, preset_system
@@ -46,11 +46,12 @@ _EXPLICIT_KEYS = ("charges", "positions", "n_up", "n_down")
 class SystemConfig:
     """[system]: a preset name, or the explicit route (the other four keys)."""
 
-    preset: str = None
-    charges: tuple[int, ...] = None
-    positions: np.ndarray = None
-    n_up: int = None
-    n_down: int = None
+    preset: str = _key(None, "built-in system name (run the presets subcommand for the list)")
+    charges: tuple[int, ...] = _key(None, "explicit route: nuclear charges, e.g. '1, 1'")
+    positions: np.ndarray = _key(
+        None, "explicit route: 'x y z' per nucleus in Bohr, ';'-separated")
+    n_up: int = _key(None, "explicit route: spin-up electron count")
+    n_down: int = _key(None, "explicit route: spin-down electron count")
 
     def __post_init__(self):
         given = [k for k in _EXPLICIT_KEYS if getattr(self, k) is not None]
@@ -81,12 +82,15 @@ class SystemConfig:
 class WavefunctionConfig:
     """[wavefunction]: the ansatz, its start and its basis."""
 
-    correlation_order: int = 2
-    jastrow: bool = True
-    init_noise: float = 0.01
-    radial_powers: tuple[int, ...] = (0, 1)
-    ell_max: int = 1
-    basis: tuple[SlaterOrbital, ...] = None
+    correlation_order: int = _key(2, "pooled-feature tuple order (1 = bare orbitals)")
+    jastrow: bool = _key(True, "multiply by the electron-electron cusp factor")
+    init_noise: float = _key(0.01, "Gaussian spread around the product-state start")
+    radial_powers: tuple[int, ...] = _key((0, 1), "default basis: radial monomial powers")
+    ell_max: int = _key(
+        1, "default basis: highest angular momentum (0 = s only, 1 = s and p)")
+    basis: tuple[SlaterOrbital, ...] = _key(
+        None, "explicit rows 'center n ell m zeta spin', ';'-separated; "
+              "replaces the default basis")
 
     def __post_init__(self):
         _require(self, "correlation_order", self.correlation_order >= 1, "be >= 1")
@@ -102,11 +106,12 @@ class WavefunctionConfig:
 class SamplerConfig:
     """[sampler]: the Metropolis walker ensemble and its batches."""
 
-    walkers: int = 2048
-    burn_in: int = 1000
-    thinning: int = 10
-    proposal_std: float = 0.5
-    samples_per_step: int = None
+    walkers: int = _key(2048, "parallel Metropolis walkers")
+    burn_in: int = _key(1000, "equilibration steps before the first batch")
+    thinning: int = _key(10, "Metropolis steps between collected samples")
+    proposal_std: float = _key(0.5, "initial Gaussian proposal spread (Bohr)")
+    samples_per_step: int = _key(
+        None, "batch size per optimizer step (empty = walker count)")
 
     def __post_init__(self):
         _require(self, "walkers", self.walkers >= 1, "be >= 1")
@@ -125,10 +130,11 @@ class SamplerConfig:
 class OptimizerConfig:
     """[optimizer]: the update rule, its learning rate and the energy clip."""
 
-    name: str = "wssr"
-    alpha: float = LearningRateSchedule.alpha
-    beta: float = LearningRateSchedule.beta
-    clip_n_std: float = 5.0
+    name: str = _key("wssr", "one of " + ", ".join(OPTIMIZER_NAMES))
+    alpha: float = _key(LearningRateSchedule.alpha, "learning-rate numerator")
+    beta: float = _key(LearningRateSchedule.beta, "learning-rate decay constant, in steps")
+    clip_n_std: float = _key(
+        5.0, "local-energy clip width in population stds; 'inf' disables")
 
     def __post_init__(self):
         _require(self, "name", self.name in OPTIMIZER_NAMES,
@@ -145,11 +151,12 @@ class OptimizerConfig:
 class RunSettings:
     """[run]: length, seed, artifacts and reporting."""
 
-    steps: int = 2000
-    seed: int = 0
-    out_dir: str = "vmc_out"
-    smooth_window: int = 50
-    checkpoint_every: int = 0
+    steps: int = _key(2000, "optimizer steps")
+    seed: int = _key(0, "master seed for walkers, parameter init, and sketches")
+    out_dir: str = _key("vmc_out", "artifact directory (trace.csv, checkpoint.bin)")
+    smooth_window: int = _key(50, "trailing window for the reported smoothed energy")
+    checkpoint_every: int = _key(
+        0, "periodic checkpoint interval in steps (0 = final only)")
 
     def __post_init__(self):
         _require(self, "steps", self.steps >= 1, "be >= 1")
@@ -176,65 +183,6 @@ class RunConfig:
 
 # section name -> its dataclass
 SECTIONS = {f.name: f.type for f in dataclasses.fields(RunConfig)}
-
-# section -> key -> help text; the defaults come from the field defaults.
-KEY_HELP = {
-    "system": {
-        "preset": "built-in system name (run the presets subcommand for the list)",
-        "charges": "explicit route: nuclear charges, e.g. '1, 1'",
-        "positions": "explicit route: 'x y z' per nucleus in Bohr, ';'-separated",
-        "n_up": "explicit route: spin-up electron count",
-        "n_down": "explicit route: spin-down electron count",
-    },
-    "wavefunction": {
-        "correlation_order": "pooled-feature tuple order (1 = bare orbitals)",
-        "jastrow": "multiply by the electron-electron cusp factor",
-        "init_noise": "Gaussian spread around the product-state start",
-        "radial_powers": "default basis: radial monomial powers",
-        "ell_max": "default basis: highest angular momentum (0 = s only, 1 = s and p)",
-        "basis": "explicit rows 'center n ell m zeta spin', ';'-separated; "
-                 "replaces the default basis",
-    },
-    "sampler": {
-        "walkers": "parallel Metropolis walkers",
-        "burn_in": "equilibration steps before the first batch",
-        "thinning": "Metropolis steps between collected samples",
-        "proposal_std": "initial Gaussian proposal spread (Bohr)",
-        "samples_per_step": "batch size per optimizer step (empty = walker count)",
-    },
-    "optimizer": {
-        "name": "one of " + ", ".join(OPTIMIZER_NAMES),
-        "alpha": "learning-rate numerator",
-        "beta": "learning-rate decay constant, in steps",
-        "clip_n_std": "local-energy clip width in population stds; 'inf' disables",
-    },
-    "sr": {
-        "reg_mode": "one of " + ", ".join(SR_REG_MODES),
-        "reg_eps": "regularization strength / pseudo-inverse cutoff",
-    },
-    "minsr": {
-        "tikhonov_eps": "shift on the sample-side Gram matrix (0 = pseudo-solve)",
-    },
-    "spring": {
-        "mu": "momentum weight on the previous update",
-        "tikhonov_eps": "shift on the regularized Gram matrix",
-    },
-    "wssr": {
-        "delta": "weight of the averaged history vs the fresh batch",
-        "sigma_floor": "preconditioner floor outside the kept subspace",
-        "r_reg": "relative squared-singular-value cutoff for the kept rank",
-        "eps_grow": "rank budget growth factor when the cutoff binds",
-        "rank_init": "initial rank budget",
-    },
-    "run": {
-        "steps": "optimizer steps",
-        "seed": "master seed for walkers, parameter init, and sketches",
-        "out_dir": "artifact directory (trace.csv, checkpoint.bin)",
-        "smooth_window": "trailing window for the reported smoothed energy",
-        "checkpoint_every": "periodic checkpoint interval in steps (0 = final only)",
-    },
-}
-
 
 def _expecting(what, convert):
     """A parser that reports a failed convert(text) as 'expected <what>'."""
@@ -311,11 +259,17 @@ def _build_section(section, values):
     return _checked(section, SECTIONS[section], **given)
 
 
-def parse_config_text(text):
-    """Parse INI text into a validated RunConfig."""
+def parse_config_text(text, overrides=None):
+    """Parse INI text into a validated RunConfig.
+
+    overrides ({section: {key: text}}, the command-line values) are read
+    after the text as INI values of their own: each replaces the file's
+    value and goes through the same parsing and checks.
+    """
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
+        parser.read_dict(overrides or {})
     except configparser.Error as exc:
         raise ConfigError(f"config syntax error: {exc}") from exc
     for section in parser.sections():
@@ -331,28 +285,13 @@ def parse_config_text(text):
     })
 
 
-def parse_config(path):
+def parse_config(path, overrides=None):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    return parse_config_text(text)
-
-
-def apply_overrides(config, seed=None, steps=None, optimizer=None, out_dir=None):
-    """Fold command-line overrides into a parsed config; None keeps a value.
-
-    The sections' own checks run again on the overridden values.
-    """
-    run = {k: v for k, v in dict(seed=seed, steps=steps, out_dir=out_dir).items()
-           if v is not None}
-    opt = {} if optimizer is None else {"name": optimizer}
-    return dataclasses.replace(
-        config,
-        run=_checked("run", dataclasses.replace, config.run, **run),
-        optimizer=_checked("optimizer", dataclasses.replace, config.optimizer, **opt),
-    )
+    return parse_config_text(text, overrides)
 
 
 def build_system(config):
@@ -420,5 +359,5 @@ def render_key_help():
     for section, cls in SECTIONS.items():
         lines.append(f"  [{section}]")
         for f in dataclasses.fields(cls):
-            lines.append(f"    {f.name} [{_shown(f.default)}]: {KEY_HELP[section][f.name]}")
+            lines.append(f"    {f.name} [{_shown(f.default)}]: {f.metadata['help']}")
     return "\n".join(lines)

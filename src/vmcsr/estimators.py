@@ -87,14 +87,17 @@ def assemble(batch, clip_n_std):
     clipped = clip_local_energies(batch.local_energies, clip_n_std)
     loss = float(np.mean(clipped))
     raw_loss = float(np.mean(batch.local_energies))
+    # one temporary: the centred derivatives, scaled in place and used
+    # through their transpose (a Fortran-ordered view)
     scale = 1.0 / np.sqrt(batch.size)
-    o_matrix = ((derivs - np.mean(derivs, axis=0)) * scale).T
+    o_matrix = (derivs - np.mean(derivs, axis=0)).T
+    o_matrix *= scale
     l_vector = (clipped - loss) * scale
     gradient = 2.0 * (o_matrix @ l_vector)
     return EstimatorBundle(
         loss=loss,
         raw_loss=raw_loss,
-        o_matrix=np.ascontiguousarray(o_matrix),
+        o_matrix=o_matrix,
         l_vector=l_vector,
         gradient=gradient,
     )

@@ -12,7 +12,7 @@ factorization, both in place on the matrix each has just built.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -45,6 +45,11 @@ def _require(options, name, ok, rule):
         raise ValueError(f"{name}: must {rule}, got {getattr(options, name)!r}")
 
 
+def _key(default, help_text):
+    """A field of an INI section: its default, and its --help line as metadata."""
+    return field(default=default, metadata={"help": help_text})
+
+
 @dataclass(frozen=True)
 class LearningRateSchedule:
     """Hyperbolic decay: rate(k) = alpha / (1 + k / beta)."""
@@ -63,8 +68,8 @@ class LearningRateSchedule:
 
 
 # Hyperparameters of each update rule, one frozen dataclass per method.
-# A field default is the only place that default is written and
-# __post_init__ the only place its range is checked; the configuration
+# A field is the only place its key's default and --help text are written
+# and __post_init__ the only place its range is checked; the configuration
 # layer builds these from their fields.
 
 
@@ -72,8 +77,8 @@ class LearningRateSchedule:
 class SrOptions:
     """Settings of full_sr_update ([sr])."""
 
-    reg_mode: str = "diagonal_shift"
-    reg_eps: float = 1e-3
+    reg_mode: str = _key("diagonal_shift", "one of " + ", ".join(SR_REG_MODES))
+    reg_eps: float = _key(1e-3, "regularization strength / pseudo-inverse cutoff")
 
     def __post_init__(self):
         _require(self, "reg_mode", self.reg_mode in SR_REG_MODES,
@@ -85,7 +90,7 @@ class SrOptions:
 class MinsrOptions:
     """Settings of minsr_update ([minsr])."""
 
-    tikhonov_eps: float = 1e-3
+    tikhonov_eps: float = _key(1e-3, "shift on the sample-side Gram matrix (0 = pseudo-solve)")
 
     def __post_init__(self):
         _require(self, "tikhonov_eps", 0.0 <= self.tikhonov_eps < math.inf,
@@ -96,8 +101,8 @@ class MinsrOptions:
 class SpringOptions:
     """Settings of spring_update ([spring])."""
 
-    mu: float = 0.99
-    tikhonov_eps: float = 1e-3
+    mu: float = _key(0.99, "momentum weight on the previous update")
+    tikhonov_eps: float = _key(1e-3, "shift on the regularized Gram matrix")
 
     def __post_init__(self):
         _require(self, "mu", 0.0 <= self.mu < 1.0, "lie in [0, 1)")
@@ -109,11 +114,11 @@ class SpringOptions:
 class WssrOptions:
     """Settings of wssr_step ([wssr]; rssr shares them)."""
 
-    delta: float = 0.95
-    sigma_floor: float = 1e-3
-    r_reg: float = 1e-6
-    eps_grow: float = 0.1
-    rank_init: int = 400
+    delta: float = _key(0.95, "weight of the averaged history vs the fresh batch")
+    sigma_floor: float = _key(1e-3, "preconditioner floor outside the kept subspace")
+    r_reg: float = _key(1e-6, "relative squared-singular-value cutoff for the kept rank")
+    eps_grow: float = _key(0.1, "rank budget growth factor when the cutoff binds")
+    rank_init: int = _key(400, "initial rank budget")
 
     def __post_init__(self):
         _require(self, "delta", 0.0 <= self.delta < 1.0, "lie in [0, 1)")
@@ -349,10 +354,12 @@ def wssr_step(theta, bundle, eta, state, options=WssrOptions(), rng_seed=0,
     was binding at r_max (never beyond the parameter count).  delta,
     r_reg, sigma_floor and eps_grow come from options.
 
-    The first step factorizes densely. After it, wssr runs at most
-    SSI_MAX_ITERS subspace iterations warm-started from u_prev; with
-    sketch=True (rssr, the cold-restart ablation) a one-pass Gaussian
-    sketch seeded per step replaces them.
+    The first step factorizes densely, and so does every step whose
+    block is the whole row space of ohat (requested == m), where
+    iterating could only reproduce the dense result. Otherwise wssr runs
+    at most SSI_MAX_ITERS subspace iterations warm-started from u_prev;
+    with sketch=True (rssr, the cold-restart ablation) a one-pass
+    Gaussian sketch seeded per step replaces them.
 
     Returns:
       (theta', state', WssrDiagnostics).
@@ -367,12 +374,11 @@ def wssr_step(theta, bundle, eta, state, options=WssrOptions(), rng_seed=0,
 
     requested = min(state.r_max, m, ohat.shape[1])
     iterations = 0
-    if state.step == 0:
+    if state.step == 0 or requested == m:
         factors = exact_truncated_svd(ohat, requested)
     elif sketch:
-        room = min(ohat.shape) - requested
         factors = randomized_svd(
-            ohat, requested, oversample=min(10, max(0, room)),
+            ohat, requested, oversample=min(10, min(ohat.shape) - requested),
             rng_seed=_per_step_seed(rng_seed, state.step),
         )
     else:
@@ -387,9 +393,9 @@ def wssr_step(theta, bundle, eta, state, options=WssrOptions(), rng_seed=0,
     top_sq = factors.sigma[0] ** 2
     # the leading mode always passes, since r_reg < 1 and sigma[0] > 0
     r_eff = int(np.count_nonzero(factors.sigma**2 >= options.r_reg * top_sq))
-    binding = factors.rank == requested == state.r_max and r_eff == state.r_max
     next_r_max = state.r_max
-    if binding:
+    # r_eff <= factors.rank <= requested <= r_max, so this is a binding cut
+    if r_eff == state.r_max:
         next_r_max = math.ceil(min((1.0 + options.eps_grow) * state.r_max, m))
 
     u = factors.u[:, :r_eff]
@@ -403,7 +409,10 @@ def wssr_step(theta, bundle, eta, state, options=WssrOptions(), rng_seed=0,
     sigma_drift, projector_drift = subspace_drift(state.u_prev, state.sigma, u, sigma)
 
     state_next = WssrState(
-        u_prev=u,
+        # C order, as a checkpoint restores it: a Fortran-ordered u_prev
+        # (a wide dense SVD's) would make ohat Fortran-ordered next step,
+        # and a resumed run would round differently from a straight one
+        u_prev=np.ascontiguousarray(u),
         sigma=sigma,
         lbar=factors.v[:r_eff, :] @ lhat,
         r_max=next_r_max,

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import zlib
 
@@ -94,6 +95,29 @@ class TestRunCommand:
         assert code == 0
         assert "completed 2 steps" in capsys.readouterr().out
         assert (alt / "trace.csv").exists()
+
+    @pytest.mark.parametrize("flag, section, key, value", [
+        ("--seed", "run", "seed", "-1"),
+        ("--steps", "run", "steps", "0"),
+        ("--steps", "run", "steps", "2.5"),
+        ("--optimizer", "optimizer", "name", "newton"),
+        ("--out", "run", "out_dir", ""),
+    ])
+    def test_bad_flag_exits_2_like_the_same_ini_value(
+        self, tmp_path, capsys, flag, section, key, value
+    ):
+        config = write_config(tmp_path)
+        code = main(["run", "--config", str(config), flag, value])
+        from_flag = capsys.readouterr().err
+        written = tmp_path / "written.ini"
+        written.write_text(
+            re.sub(rf"^{key} = .*$", f"{key} = {value}", config.read_text(encoding="utf-8"),
+                   flags=re.MULTILINE),
+            encoding="utf-8",
+        )
+        assert main(["run", "--config", str(written)]) == code == 2
+        assert capsys.readouterr().err == from_flag
+        assert from_flag.startswith(f"error: [{section}] {key}: ")
 
     def test_uncreatable_out_dir_exits_2_naming_the_key(self, tmp_path, capsys):
         blocker = tmp_path / "afile"

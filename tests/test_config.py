@@ -5,10 +5,8 @@ import pytest
 from numpy.testing import assert_array_equal
 
 from vmcsr.config import (
-    KEY_HELP,
     OPTIMIZER_NAMES,
     SECTIONS,
-    apply_overrides,
     build_system,
     build_wavefunction,
     parse_config,
@@ -118,13 +116,17 @@ class TestDefaultsSnapshot:
             assert getattr(getattr(cfg, section), f.name) == f.default
 
     def test_help_covers_every_key(self):
-        assert list(KEY_HELP) == list(SECTIONS)
-        text = render_key_help()
-        for section, cls in SECTIONS.items():
-            assert f"[{section}]" in text
-            assert list(KEY_HELP[section]) == [f.name for f in dataclasses.fields(cls)]
-            for key in KEY_HELP[section]:
-                assert f"    {key} [" in text
+        # every field carries its own non-empty help text, and --help
+        # lists it under the field's section, in field order
+        lines = render_key_help().splitlines()
+        assert [row for row in lines if row.startswith("  [")] == [f"  [{s}]" for s in SECTIONS]
+        listed = [row for row in lines if row.startswith("    ")]
+        fields = [f for cls in SECTIONS.values() for f in dataclasses.fields(cls)]
+        assert len(listed) == len(fields)
+        for row, f in zip(listed, fields):
+            assert f.metadata["help"].strip(), f.name
+            assert row.startswith(f"    {f.name} [")
+            assert row.endswith(f"]: {f.metadata['help']}")
 
 
 class TestRejection:
@@ -284,35 +286,48 @@ class TestBasisRows:
 
 
 class TestOverrides:
+    """Command-line overrides are INI values read after the file's own."""
+
     def test_override_fields(self):
         cfg = parse_config_text(MINIMAL)
-        out = apply_overrides(cfg, seed=9, steps=77, optimizer="sgd", out_dir="/tmp/x")
+        out = parse_config_text(MINIMAL, {
+            "run": {"seed": "9", "steps": "77", "out_dir": "/tmp/x"},
+            "optimizer": {"name": "sgd"},
+        })
         assert out.run.seed == 9
         assert out.run.steps == 77
         assert out.optimizer.name == "sgd"
         assert out.run.out_dir == "/tmp/x"
         # untouched fields survive
-        assert out.sampler.walkers == cfg.sampler.walkers
+        assert out.sampler == cfg.sampler
 
     def test_none_means_keep(self):
-        cfg = parse_config_text(MINIMAL + "[run]\nseed = 5\n")
-        assert apply_overrides(cfg) == cfg
+        text = MINIMAL + "[run]\nseed = 5\n"
+        cfg = parse_config_text(text)
+        assert parse_config_text(text, {}) == cfg
+        assert parse_config_text(text, {"run": {}}) == cfg
+
+    def test_override_replaces_the_file_value_and_keeps_its_neighbours(self):
+        text = MINIMAL + "[run]\nseed = 5\nsteps = 12\n"
+        out = parse_config_text(text, {"run": {"seed": "7"}})
+        assert (out.run.seed, out.run.steps) == (7, 12)
+
+    def test_override_is_stripped_like_an_ini_value(self):
+        out = parse_config_text(MINIMAL, {"run": {"seed": " 7 ", "out_dir": " out "}})
+        assert (out.run.seed, out.run.out_dir) == (7, "out")
 
     def test_invalid_override_optimizer(self):
-        cfg = parse_config_text(MINIMAL)
         with pytest.raises(ConfigError, match="valid optimizers"):
-            apply_overrides(cfg, optimizer="newton")
+            parse_config_text(MINIMAL, {"optimizer": {"name": "newton"}})
 
     def test_invalid_override_steps(self):
-        cfg = parse_config_text(MINIMAL)
         with pytest.raises(ConfigError, match="steps"):
-            apply_overrides(cfg, steps=0)
+            parse_config_text(MINIMAL, {"run": {"steps": "0"}})
 
-    @pytest.mark.parametrize("override,key", [(dict(seed=-1), "seed"), (dict(out_dir=""), "out_dir")])
+    @pytest.mark.parametrize("override,key", [({"seed": "-1"}, "seed"), ({"out_dir": ""}, "out_dir")])
     def test_overrides_rerun_the_section_checks(self, override, key):
-        cfg = parse_config_text(MINIMAL)
         with pytest.raises(ConfigError, match=rf"^\[run\] {key}: "):
-            apply_overrides(cfg, **override)
+            parse_config_text(MINIMAL, {"run": override})
 
 
 class TestBuildWavefunction:

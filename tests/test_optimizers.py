@@ -8,9 +8,12 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve
 
+from vmcsr import optimizers
 from vmcsr.errors import NotPositiveDefinite
 from vmcsr.estimators import EstimatorBundle, SampleBatch, assemble, s_matrix
 from vmcsr.optimizers import (
+    SSI_MAX_ITERS,
+    SSI_RESIDUAL_TOL,
     LearningRateSchedule,
     MinsrOptions,
     SpringOptions,
@@ -25,7 +28,7 @@ from vmcsr.optimizers import (
     spring_update,
     wssr_step,
 )
-from vmcsr.svdengine import qr_orthonormalize
+from vmcsr.svdengine import exact_truncated_svd, qr_orthonormalize, ssi_svd
 
 
 def raw_bundle(o, l):
@@ -516,6 +519,35 @@ class TestWssrStep:
         bundle2 = raw_bundle(rng.standard_normal((6, 10)), rng.standard_normal(10))
         _, _, diag1 = wssr_step(theta, bundle2, 0.01, state)
         assert diag1.ssi_iterations >= 1
+
+    @pytest.mark.parametrize("sketch", [False, True], ids=["wssr", "rssr"])
+    def test_full_space_block_takes_the_dense_svd(self, monkeypatch, sketch):
+        # with rank_init = m every block after the first is the whole row
+        # space, where subspace iteration can only reproduce the dense SVD
+        rng = np.random.default_rng(21)
+        m, n = 6, 10
+        theta = np.zeros(m)
+        state = WssrState.initial(m, rank_init=m)
+        bundle = raw_bundle(rng.standard_normal((m, n)), rng.standard_normal(n))
+        theta, state, _ = wssr_step(theta, bundle, 0.01, state, sketch=sketch)
+        bundle2 = raw_bundle(rng.standard_normal((m, n)), rng.standard_normal(n))
+
+        calls = []
+
+        def spy(ohat, rank):
+            calls.append(ohat.shape)
+            return exact_truncated_svd(ohat, rank)
+
+        monkeypatch.setattr(optimizers, "exact_truncated_svd", spy)
+        got, _, diag = wssr_step(theta, bundle2, 0.01, state, sketch=sketch)
+        assert calls == [(m, state.sigma.size + n)]
+        assert diag.ssi_iterations == 0
+
+        # the subspace-iteration update on the same full-width block
+        monkeypatch.setattr(optimizers, "exact_truncated_svd", lambda ohat, rank: ssi_svd(
+            ohat, rank, max_iters=SSI_MAX_ITERS, residual_tol=SSI_RESIDUAL_TOL)[0])
+        want, _, _ = wssr_step(theta, bundle2, 0.01, state, sketch=sketch)
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
 
 def shared_left_space_bundle(w, diag_values, n, seed):
