@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .optimizers import (
-    LearningRateSchedule,
     MinsrOptions,
     SpringOptions,
     SrOptions,
@@ -128,23 +127,29 @@ class SamplerConfig:
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """[optimizer]: the update rule, its learning rate and the energy clip."""
+    """[optimizer]: the update rule, its learning rate and the energy clip.
+
+    The learning rate decays hyperbolically: eta(k) = alpha / (1 + k / beta).
+    """
 
     name: str = _key("wssr", "one of " + ", ".join(OPTIMIZER_NAMES))
-    alpha: float = _key(LearningRateSchedule.alpha, "learning-rate numerator")
-    beta: float = _key(LearningRateSchedule.beta, "learning-rate decay constant, in steps")
+    alpha: float = _key(0.015, "learning-rate numerator")
+    beta: float = _key(1000.0, "learning-rate decay constant, in steps")
     clip_n_std: float = _key(
         5.0, "local-energy clip width in population stds; 'inf' disables")
 
     def __post_init__(self):
         _require(self, "name", self.name in OPTIMIZER_NAMES,
                  "be one of the valid optimizers: " + ", ".join(OPTIMIZER_NAMES))
-        self.schedule  # building it checks alpha and beta
+        _require(self, "alpha", 0.0 < self.alpha < math.inf, "be finite and > 0")
+        _require(self, "beta", self.beta > 0.0, "be > 0")
         _require(self, "clip_n_std", self.clip_n_std > 0.0, "be > 0")
 
-    @property
-    def schedule(self):
-        return LearningRateSchedule(alpha=self.alpha, beta=self.beta)
+    def eta(self, step):
+        """The learning rate at schedule index step (0 for the first step)."""
+        if step < 0:
+            raise ValueError("step index must be nonnegative")
+        return self.alpha / (1.0 + step / self.beta)
 
 
 @dataclass(frozen=True)

@@ -41,14 +41,6 @@ class EstimatorBundle:
     l_vector: np.ndarray       # (batch,), clipped residuals, 1/sqrt(batch)
     gradient: np.ndarray       # (n_params,) = 2 * O @ L
 
-    @property
-    def n_params(self):
-        return self.o_matrix.shape[0]
-
-    @property
-    def batch_size(self):
-        return self.o_matrix.shape[1]
-
 
 def clip_local_energies(energies, n_std):
     """Clamp outliers to mean +- n_std * population standard deviation.

@@ -50,23 +50,6 @@ def _key(default, help_text):
     return field(default=default, metadata={"help": help_text})
 
 
-@dataclass(frozen=True)
-class LearningRateSchedule:
-    """Hyperbolic decay: rate(k) = alpha / (1 + k / beta)."""
-
-    alpha: float = 0.015
-    beta: float = 1000.0
-
-    def __post_init__(self):
-        _require(self, "alpha", 0.0 < self.alpha < math.inf, "be finite and > 0")
-        _require(self, "beta", self.beta > 0.0, "be > 0")
-
-    def eta(self, step):
-        if step < 0:
-            raise ValueError("step index must be nonnegative")
-        return self.alpha / (1.0 + step / self.beta)
-
-
 # Hyperparameters of each update rule, one frozen dataclass per method.
 # A field is the only place its key's default and --help text are written
 # and __post_init__ the only place its range is checked; the configuration
@@ -245,8 +228,10 @@ def spring_update(theta, bundle, eta, state, options=SpringOptions()):
 
     The residual target removes the part of the momentum already
     explained by the current batch: Ltilde = L - mu * O^T prev_update.
-    The dual matrix gets the Tikhonov shift plus a constant 1/batch in
-    every entry, and the step is phi + mu * prev_update with
+    The dual matrix gets the Tikhonov shift only: the constant 1/batch
+    that SPRING adds to every entry compensates for an uncentred O, and
+    assemble has centred it (T 1 = 0), so the constant would change the
+    step by rounding alone. The step is phi + mu * prev_update with
     phi = -eta * 2 O (T_reg)^-1 Ltilde; the factor 2 matches the
     gradient convention of the dual step, so mu = 0 recovers it exactly.
 
@@ -257,9 +242,7 @@ def spring_update(theta, bundle, eta, state, options=SpringOptions()):
     o = bundle.o_matrix
     mu = options.mu
     ltilde = bundle.l_vector - mu * (o.T @ state.prev_update)
-    t_reg = t_matrix(bundle)
-    t_reg += 1.0 / bundle.batch_size
-    x = _dual_solve(t_reg, options.tikhonov_eps, ltilde)
+    x = _dual_solve(t_matrix(bundle), options.tikhonov_eps, ltilde)
     phi = -eta * 2.0 * (o @ x)
     delta = phi + mu * state.prev_update
     return theta + delta, SpringState(prev_update=delta)

@@ -106,7 +106,7 @@ def _keep_heap_resident():
     mallopt(_M_TOP_PAD, 4 * EVAL_CHUNK_BYTES)
 
 
-def _snapshot(path, step, config, seed, theta, ensemble, opt_state, prefix):
+def _snapshot(path, step, config, system, seed, theta, ensemble, opt_state, prefix):
     scalars = {
         "step": step,
         "optimizer": config.optimizer.name,
@@ -119,7 +119,7 @@ def _snapshot(path, step, config, seed, theta, ensemble, opt_state, prefix):
     arrays = {
         "theta": theta,
         "positions": ensemble.positions,
-        "spins": ensemble.spins,
+        "spins": system.spins,
         "log_abs": ensemble.log_abs,
     }
     if opt_state is not None:
@@ -156,10 +156,9 @@ def _restore(resume_path, config, system, wavefunction, initial_state, prefix):
         rng.bit_generator.state = rng_states[0]
         name = scalars["optimizer"]
         step, seed = int(scalars["step"]), int(scalars["seed"])
-        theta = arrays["theta"]
+        theta, spins = arrays["theta"], arrays["spins"]
         ensemble = WalkerEnsemble(
             positions=arrays["positions"],
-            spins=arrays["spins"],
             log_abs=arrays["log_abs"],
             rng=rng,
             proposal_std=float(scalars["proposal_std"]),
@@ -181,9 +180,9 @@ def _restore(resume_path, config, system, wavefunction, initial_state, prefix):
             f"checkpoint has {theta.shape[0]} parameters, the configured "
             f"wavefunction has {wavefunction.n_params}"
         )
-    if not np.array_equal(ensemble.spins, system.spins):
+    if not np.array_equal(spins, system.spins):
         raise ConfigError(
-            f"checkpoint spin labels {ensemble.spins.tolist()} do not match the "
+            f"checkpoint spin labels {spins.tolist()} do not match the "
             f"system's {system.spins.tolist()}"
         )
     if ensemble.n_walkers != config.sampler.walkers:
@@ -272,7 +271,6 @@ def run(config, resume_path=None):
             proposal_std=config.sampler.proposal_std,
         )
 
-    schedule = config.optimizer.schedule
     n_samples = config.sampler.samples_per_step or config.sampler.walkers
     k_max = config.run.steps
     every = config.run.checkpoint_every
@@ -299,7 +297,7 @@ def run(config, resume_path=None):
                 # a non-finite log-derivative makes the gradient non-finite
                 if not np.all(np.isfinite(bundle.gradient)):
                     raise NumericalAbort(f"non-finite log-derivatives at step {step}")
-                eta = schedule.eta(step - 1)
+                eta = config.optimizer.eta(step - 1)
                 theta_next, opt_state_next, diag = update(
                     theta, bundle, eta, opt_state, seed
                 )
@@ -312,7 +310,7 @@ def run(config, resume_path=None):
                 exc.__traceback__ = None
                 reason = f"out of memory: {exc}" if isinstance(exc, MemoryError) else exc
                 _snapshot(
-                    checkpoint_path, step - 1, config, seed, theta, ensemble,
+                    checkpoint_path, step - 1, config, system, seed, theta, ensemble,
                     opt_state, prefix,
                 )
                 aborted = True
@@ -345,7 +343,7 @@ def run(config, resume_path=None):
 
             if (every and step % every == 0) or step == k_max:
                 _snapshot(
-                    checkpoint_path, step, config, seed, theta, ensemble,
+                    checkpoint_path, step, config, system, seed, theta, ensemble,
                     opt_state, prefix,
                 )
 

@@ -25,7 +25,6 @@ class WalkerEnsemble:
     """Mutable ensemble state advanced in place by metropolis_step."""
 
     positions: np.ndarray        # (walkers, N, 3)
-    spins: np.ndarray            # (N,)
     log_abs: np.ndarray          # (walkers,) cached log-amplitudes
     rng: np.random.Generator     # the one ensemble-wide stream
     proposal_std: float
@@ -62,7 +61,6 @@ class WalkerEnsemble:
             raise NumericalAbort("NaN log-amplitude at walker initialization")
         return cls(
             positions=positions,
-            spins=system.spins,
             log_abs=log_abs,
             rng=rng,
             proposal_std=float(proposal_std),

@@ -4,18 +4,20 @@ Electrons carry a fixed spin label (all up electrons first); nuclei are
 clamped point charges. Energies are evaluated for a batch of
 configurations, positions of shape (W, N, 3); one configuration x is the
 batch x[None]. The kinetic part of the local energy is evaluated through
-the log-derivative identity, so any object exposing batched
-log-amplitudes and their coordinate derivatives can be plugged in.
+the log-derivative identity, so any object exposing the batched
+coordinate gradient and Laplacian of log|psi| can be plugged in. The
+provider owns the node guard: the finite-difference one
+(wavefunction.fd_gradient_and_laplacian) raises NodeProximity where
+log|psi| underflows.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CoalescencePoint, NodeProximity
+from .errors import CoalescencePoint
 
 COALESCENCE_GUARD = 1e-12
-LOG_ABS_UNDERFLOW = -700.0
 
 SPIN_UP = 0
 SPIN_DOWN = 1
@@ -115,7 +117,7 @@ def local_energy_batch(system, wavefunction, positions):
 
     Args:
       system: MolecularSystem.
-      wavefunction: object with log_abs_batch(positions) -> (W,) and
+      wavefunction: object with
         gradient_and_laplacian_batch(positions) -> ((W, N, 3), (W,)).
       positions: (W, N, 3).
 
@@ -123,12 +125,9 @@ def local_energy_batch(system, wavefunction, positions):
       (W,) local energies.
 
     Raises:
-      NodeProximity: some log-amplitude is below -700.
+      NodeProximity: from the provider, near a node.
     """
     positions = np.asarray(positions, dtype=np.float64)
-    log_abs = np.asarray(wavefunction.log_abs_batch(positions), dtype=np.float64)
-    if np.any(~np.isfinite(log_abs)) or np.any(log_abs < LOG_ABS_UNDERFLOW):
-        raise NodeProximity("log-amplitude underflow; derivatives unreliable near a node")
     grad, lap = wavefunction.gradient_and_laplacian_batch(positions)
     kinetic = -0.5 * (lap + np.sum(grad * grad, axis=(1, 2)))
     return kinetic + potential_energy_batch(system, positions)

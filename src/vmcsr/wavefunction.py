@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NodeProximity
-from .system import LOG_ABS_UNDERFLOW, SPIN_UP
+from .system import SPIN_UP
 
 SPIN_GATES = ("up", "down", "either")
 _SPIN_ORDER = {"up": 0, "down": 1, "either": 2}
@@ -31,6 +31,9 @@ JASTROW_OPPOSITE_SPIN = 0.5
 JASTROW_SAME_SPIN = 0.25
 
 DEFAULT_FD_STEP = 1e-4
+# Below this log-amplitude a configuration is treated as on a node: the
+# determinant's inverse and the stencil's differences are unreliable there.
+LOG_ABS_UNDERFLOW = -700.0
 
 # Every per-configuration batch is evaluated in walker chunks sized so
 # that the largest intermediate, the (N, N, n_tails) block of mixed
@@ -360,6 +363,10 @@ def fd_gradient_and_laplacian(log_abs_fn, positions, step):
 
     Returns:
       (grad (W, N, 3), laplacian_sum (W,)).
+
+    Raises:
+      NodeProximity: some base-point log-amplitude is non-finite or below
+        -700.
     """
     positions = np.asarray(positions, dtype=np.float64)
     w, n, _ = positions.shape
@@ -373,6 +380,8 @@ def fd_gradient_and_laplacian(log_abs_fn, positions, step):
     values = np.asarray(log_abs_fn(stacked.reshape(-1, n, 3))).reshape(-1, w)
 
     base = values[0]
+    if np.any(~np.isfinite(base)) or np.any(base < LOG_ABS_UNDERFLOW):
+        raise NodeProximity("log-amplitude underflow; derivatives unreliable near a node")
     plus = values[1::2]
     minus = values[2::2]
     grad = np.ascontiguousarray(((plus - minus) / (2.0 * step)).T).reshape(w, n, 3)

@@ -15,7 +15,6 @@ from vmcsr.config import parse_config_text
 from vmcsr.estimators import EstimatorBundle, SampleBatch, assemble, clip_local_energies
 from vmcsr.optimizers import (
     SSI_MAX_ITERS,
-    LearningRateSchedule,
     MinsrOptions,
     SpringOptions,
     SpringState,
@@ -466,11 +465,9 @@ def test_criterion_09_convergence_ordering_and_stability(helium_starved_runs):
 
 
 def test_criterion_10_schedule_and_defaults_snapshot():
-    schedule = LearningRateSchedule()
-    assert schedule.eta(0) == 0.015
-    assert schedule.eta(1000) == 0.0075
-
     config = parse_config_text("[system]\npreset = he\n")
+    assert config.optimizer.eta(0) == 0.015
+    assert config.optimizer.eta(1000) == 0.0075
     assert config.sampler.walkers == 2048
     assert config.sampler.burn_in == 1000
     assert config.sampler.thinning == 10

@@ -46,7 +46,6 @@ def make_line_ensemble(n_walkers, seed, spread=1.0):
     return (
         WalkerEnsemble(
             positions=positions,
-            spins=np.array([0]),
             log_abs=model.log_abs_batch(positions),
             rng=np.random.default_rng(seed),
             proposal_std=1.0,
@@ -86,7 +85,6 @@ class TestMetropolisStep:
         positions = np.full((n, 1, 3), -0.05)
         ensemble = WalkerEnsemble(
             positions=positions.copy(),
-            spins=np.array([0]),
             log_abs=model.log_abs_batch(positions),
             rng=np.random.default_rng(3),
             proposal_std=2.0,

@@ -3,11 +3,16 @@
 import importlib.util
 from pathlib import Path
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+import pytest
+
+from vmcsr.config import parse_config_text
+
+TESTS = Path(__file__).resolve().parent
+SCRIPTS = TESTS.parent / "scripts"
 
 
-def _load_script(name):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+def _load_script(name, directory=SCRIPTS):
+    spec = importlib.util.spec_from_file_location(name, directory / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -30,6 +35,18 @@ def test_compare_optimizers_runs_every_rule(tmp_path, capsys):
     assert "aborted" not in out
     rows = [line.split() for line in out.splitlines()[2:]]
     assert [row[0] for row in rows] == list(names)
+
+
+@pytest.mark.parametrize("name, delta", [("wssr", 0.95), ("wssr", 0.0), ("sgd", 0.95)])
+def test_compare_optimizers_runs_criterion_9s_configuration(name, delta):
+    """At its default steps, seed and window the script races the exact
+    configuration of acceptance criterion 9, for each of that criterion's runs."""
+    template = _load_script("compare_optimizers").TEMPLATE
+    starved = _load_script("test_acceptance", TESTS).STARVED_HELIUM
+    script = template.format(name=name, delta=delta, steps=2000, seed=11, window=100,
+                             out="out")
+    criterion = starved.format(name=name, delta=str(delta), out="out")
+    assert parse_config_text(script) == parse_config_text(criterion)
 
 
 def test_trajectory_digest_split_matches_straight(capsys):

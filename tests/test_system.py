@@ -11,7 +11,7 @@ from vmcsr.system import (
     preset_names,
     preset_system,
 )
-from vmcsr.wavefunction import fd_gradient_and_laplacian
+from vmcsr.wavefunction import AceWavefunction, default_basis, fd_gradient_and_laplacian
 
 
 class AnalyticLogAmplitude:
@@ -158,6 +158,23 @@ class TestLocalEnergy:
         energies = local_energy_batch(system, psi, direction * radii)
         assert abs(np.mean(energies) + 0.5) < 1e-7
         assert np.std(energies) < 1e-6
+
+    def test_ansatz_is_evaluated_on_the_stencil_only(self, monkeypatch):
+        """W beryllium configurations cost the 6N + 1 = 25 stencil rows of
+        each, and no separate evaluation for the node guard."""
+        system = preset_system("be")
+        wf = AceWavefunction(system=system, basis=default_basis(system, (0, 1), ell_max=1))
+        evaluate = wf.log_abs_sign_batch
+        counted = []
+
+        def spy(positions):
+            counted.append(positions.shape[0])
+            return evaluate(positions)
+
+        monkeypatch.setattr(wf, "log_abs_sign_batch", spy)
+        positions = np.random.default_rng(33).normal(0.0, 1.5, size=(8, 4, 3))
+        local_energy_batch(system, wf, positions)
+        assert sum(counted) == 25 * 8
 
     def test_node_proximity_guard(self):
         system = preset_system("h")

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import vmcsr.wavefunction
+from vmcsr.errors import NodeProximity
 from vmcsr.system import SPIN_DOWN, SPIN_UP, MolecularSystem, preset_system
 from vmcsr.wavefunction import (
     DEFAULT_FD_STEP,
@@ -452,6 +453,24 @@ class TestCoordinateDerivatives:
         grad, lap = fd_gradient_and_laplacian(wf.log_abs_batch, positions, step)
         np.testing.assert_array_equal(grad, expected_grad)
         np.testing.assert_array_equal(lap, expected_lap)
+
+
+    @pytest.mark.parametrize("base_value, raises", [
+        (-np.inf, True), (np.nan, True), (-800.0, True), (-699.0, False),
+    ])
+    def test_fd_provider_guards_the_base_point(self, base_value, raises):
+        """The stencil's base row is the node guard: NodeProximity where it
+        is non-finite or below -700, even when every shifted row is finite."""
+        positions = np.array([[[0.4, -0.2, 0.7]], [[1.1, 0.0, -0.5]]])
+
+        def log_abs(p):
+            return np.where(np.all(p == positions[1], axis=(1, 2)), base_value, -1.0)
+
+        if raises:
+            with pytest.raises(NodeProximity, match="near a node"):
+                fd_gradient_and_laplacian(log_abs, positions, 1e-4)
+        else:
+            fd_gradient_and_laplacian(log_abs, positions, 1e-4)
 
 
 class TestChunkedEvaluation:
