@@ -11,6 +11,7 @@ preconditioners share one regularized solve and its Cholesky
 factorization, both in place on the matrix each has just built.
 """
 
+import ctypes
 import math
 from dataclasses import dataclass, field
 
@@ -26,6 +27,39 @@ from .svdengine import (
     ssi_svd,
     subspace_drift,
 )
+
+
+def _single_thread_scipy_lapack(maps="/proc/self/maps"):
+    """Run the OpenBLAS bundled with scipy on one thread.
+
+    numpy's and scipy's wheels each load their own OpenBLAS, each with a
+    pool sized by OPENBLAS_NUM_THREADS. scipy runs only the Cholesky
+    factor and solve of the three dense preconditioners; with two pools,
+    its idle workers spin on cores numpy's pool needs and its small
+    factors wait on sleeping workers, so both libraries slow down. Only
+    scipy's library exports scipy_openblas_set_num_threads (numpy's has
+    the 64_ suffix), so numpy keeps its pool. openblas_set_num_threads is
+    never called: where the two share one library it would pin numpy's
+    pool too. Without the symbol, or without a readable map of loaded
+    libraries, nothing changes. One thread can round a factor
+    differently, and it makes large factors slower.
+    """
+    try:
+        with open(maps, encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return
+    for path in paths:
+        try:
+            set_threads = ctypes.CDLL(path).scipy_openblas_set_num_threads
+        except (AttributeError, OSError):
+            continue
+        set_threads.argtypes, set_threads.restype = (ctypes.c_int,), None
+        set_threads(1)
+        return
+
+
+_single_thread_scipy_lapack()
 
 SR_REG_MODES = ("diagonal_shift", "diagonal_scale", "pseudo_inverse")
 

@@ -88,19 +88,23 @@ def qr_orthonormalize(a):
     return q, r
 
 
-def _checked(ohat, rank, width):
+def _check_width(shape, rank, width):
+    """Raise RankTooLarge unless 1 <= rank <= width <= min(shape)."""
+    if not 1 <= rank <= width <= min(shape):
+        raise RankTooLarge(
+            f"rank {rank} in a block of {width} outside [1, {min(shape)}] for shape {shape}"
+        )
+
+
+def _checked(ohat, rank):
     """ohat as a float64 matrix and its Frobenius norm.
 
     Raises:
-      RankTooLarge: unless 1 <= rank <= width <= min(ohat.shape).
+      RankTooLarge: unless 1 <= rank <= min(ohat.shape).
       DegenerateInput: if ohat is all zeros.
     """
     ohat = np.asarray(ohat, dtype=np.float64)
-    if not 1 <= rank <= width <= min(ohat.shape):
-        raise RankTooLarge(
-            f"rank {rank} in a block of {width} outside [1, {min(ohat.shape)}] "
-            f"for shape {ohat.shape}"
-        )
+    _check_width(ohat.shape, rank, rank)
     fro = float(np.linalg.norm(ohat))
     if fro == 0.0:
         raise DegenerateInput("cannot factorize an all-zero matrix")
@@ -134,7 +138,7 @@ def _finish(a, fro, rank, basis=None):
 
 def exact_truncated_svd(ohat, rank):
     """Dense SVD truncated to the leading triplets (dropping zeros)."""
-    ohat, fro = _checked(ohat, rank, rank)
+    ohat, fro = _checked(ohat, rank)
     return _finish(ohat, fro, rank)
 
 
@@ -168,7 +172,7 @@ def ssi_svd(ohat, rank, *, max_iters, residual_tol, u_init=None):
       (TruncatedSvd, iterations_used). The returned rank can be below
       `rank` when the matrix rank is smaller (zeros are dropped).
     """
-    ohat, fro = _checked(ohat, rank, rank)
+    ohat, fro = _checked(ohat, rank)
     m, n = ohat.shape
     if u_init is not None:
         block = np.asarray(u_init, dtype=np.float64)
@@ -216,7 +220,8 @@ def randomized_svd(ohat, rank, oversample=10, rng_seed=0):
     Returns:
       TruncatedSvd of rank at most `rank`.
     """
-    ohat, _ = _checked(ohat, rank, rank + oversample)
+    ohat = np.asarray(ohat, dtype=np.float64)
+    _check_width(ohat.shape, rank, rank + oversample)
     omega = np.random.default_rng(rng_seed).standard_normal((ohat.shape[0], rank + oversample))
     return ssi_svd(ohat, rank, max_iters=1, residual_tol=0.0, u_init=omega)[0]
 

@@ -1,8 +1,14 @@
 """Update rules: reduction identities, low-rank averaging, rank adaptation."""
 
+import ctypes
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -628,3 +634,111 @@ class TestRssr:
             t_sketch, _, _ = wssr_step(
                 theta, bundle, eta, state, options, rng_seed=seed, sketch=True)
             assert np.linalg.norm(t_sketch - t_exact) <= bound
+
+
+# Reads each loaded OpenBLAS's thread count, before and after importing
+# the optimizers, as {"before"/"after": {get-symbol: count}}.
+POOL_THREADS = """
+import ctypes, json
+import numpy, scipy.linalg
+
+def threads():
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    counts = {}
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        if hasattr(lib, "scipy_openblas_set_num_threads"):
+            counts["settable"] = True
+        for symbol in ("scipy_openblas_get_num_threads", "scipy_openblas_get_num_threads64_"):
+            if hasattr(lib, symbol):
+                counts[symbol] = getattr(lib, symbol)()
+    return counts
+
+before = threads()
+import vmcsr.optimizers
+print(json.dumps({"before": before, "after": threads()}))
+"""
+
+NUMPY_LIB = "/site/numpy.libs/libscipy_openblas64_-aaaa.so"
+SCIPY_LIB = "/site/scipy.libs/libscipy_openblas-bbbb.so"
+
+
+class _FakeLibrary:
+    """A loaded library whose thread setters record their calls."""
+
+    def __init__(self, path, symbols, calls):
+        for symbol in symbols:
+            def setter(*args, symbol=symbol):
+                calls.append((path, symbol, args))
+            setattr(self, symbol, setter)
+
+
+class TestScipyThreadPin:
+    def test_import_pins_scipy_pool_and_leaves_numpys(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+        child = subprocess.run(
+            [sys.executable, "-c", POOL_THREADS],
+            env=env, capture_output=True, text=True, check=False,
+        )
+        assert child.returncode == 0, child.stderr
+        counts = json.loads(child.stdout)
+        before, after = counts["before"], counts["after"]
+        if not before.get("settable"):
+            pytest.skip("no loaded OpenBLAS exports scipy_openblas_set_num_threads")
+        if "scipy_openblas_get_num_threads64_" not in before:
+            pytest.skip("numpy's OpenBLAS is not the scipy-openblas64 wheel library")
+        pool = min(2, len(os.sched_getaffinity(0)))
+        assert before["scipy_openblas_get_num_threads"] == pool
+        assert after["scipy_openblas_get_num_threads"] == 1
+        assert before["scipy_openblas_get_num_threads64_"] == pool
+        assert after["scipy_openblas_get_num_threads64_"] == pool
+
+    @staticmethod
+    def _pin(tmp_path, monkeypatch, libraries):
+        """Run the helper over a map listing `libraries` ({path: symbols});
+        return the setter calls it made."""
+        maps = tmp_path / "maps"
+        maps.write_text(
+            "".join(
+                f"7f00{i:04x}000-7f00{i:04x}fff r-xp 00000000 08:01 {i} {path}\n"
+                for i, path in enumerate(libraries)
+            )
+            + "7ffd0000-7ffd1000 rw-p 00000000 00:00 0 \n"
+        )
+        calls = []
+        fakes = {path: _FakeLibrary(path, symbols, calls) for path, symbols in libraries.items()}
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: fakes[path])
+        optimizers._single_thread_scipy_lapack(str(maps))
+        return calls
+
+    def test_calls_only_scipys_own_setter_once(self, tmp_path, monkeypatch):
+        every_setter = (
+            "scipy_openblas_set_num_threads",
+            "scipy_openblas_set_num_threads64_",
+            "openblas_set_num_threads",
+            "openblas_set_num_threads64_",
+        )
+        calls = self._pin(tmp_path, monkeypatch, {
+            NUMPY_LIB: every_setter[1:],
+            SCIPY_LIB: every_setter,
+        })
+        assert calls == [(SCIPY_LIB, "scipy_openblas_set_num_threads", (1,))]
+
+    def test_library_without_the_symbol_is_left_alone(self, tmp_path, monkeypatch):
+        calls = self._pin(tmp_path, monkeypatch, {
+            NUMPY_LIB: ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads"),
+        })
+        assert calls == []
+
+    def test_failing_cdll_and_unreadable_map_are_left_alone(self, tmp_path, monkeypatch):
+        def refuse(path):
+            raise OSError(f"cannot load {path}")
+
+        maps = tmp_path / "maps"
+        maps.write_text(f"7f0000000-7f0000fff r-xp 00000000 08:01 1 {SCIPY_LIB}\n")
+        monkeypatch.setattr(ctypes, "CDLL", refuse)
+        optimizers._single_thread_scipy_lapack(str(maps))
+        optimizers._single_thread_scipy_lapack(str(tmp_path / "missing"))
