@@ -3,12 +3,16 @@
 For every row, one per optimizer plus the pseudo-solve branches of sr
 (reg_mode = pseudo_inverse) and minsr (tikhonov_eps = 0) and a wssr run
 whose block is the whole row space (wssr-full), a fixed small helium run
-(ell_max = 0, 16 walkers, seed 3) goes through the command line twice:
-straight through, and split in two with --resume at the halfway step. Each output line names the row, a SHA-256 of the trace
-rows without the wall_ms column, a SHA-256 of the final checkpoint file
-and a SHA-256 of the final theta array's bytes; the last still compares
-two versions whose checkpoint layouts differ. The exit status is 1 if
-a split run's digests differ from its straight run's.
+(ell_max = 0, 16 walkers, seed 3) goes through the command line. The
+minsr-be-p row runs beryllium with the p shell (ell_max = 1) instead, so
+orbitals that share a zeta and pooled sums over four electrons are
+covered. Each run goes through twice: straight through, and split in two
+with --resume at the halfway step. Each output line names the row, a
+SHA-256 of the trace rows without the wall_ms column, a SHA-256 of the
+final checkpoint file and a SHA-256 of the final theta array's bytes;
+the last still compares two versions whose checkpoint layouts differ.
+The exit status is 1 if a split run's digests differ from its straight
+run's.
 
 The vmcsr on the import path is the one that runs, so checking a change
 against its parent is one diff:
@@ -45,6 +49,8 @@ ROWS = {
     "rssr": ("rssr", {}),
     "wssr-full": ("wssr", {"sampler": {"samples_per_step": "160"},
                            "wssr": {"rank_init": "400"}}),
+    "minsr-be-p": ("minsr", {"system": {"preset": "be"},
+                             "wavefunction": {"ell_max": "1"}}),
 }
 
 BASE = {
@@ -103,8 +109,8 @@ def main(argv=None):
         parser.error(f"unknown rows: {', '.join(unknown)}")
     split = args.steps // 2
 
-    print(f"# he ell_max=0, 16 walkers, seed 3, {args.steps} steps, "
-          f"split {split} + resume")
+    print(f"# he ell_max=0 (minsr-be-p: be ell_max=1), 16 walkers, seed 3, "
+          f"{args.steps} steps, split {split} + resume")
     mismatched = []
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:

@@ -98,8 +98,8 @@ def metropolis_step(ensemble, wavefunction):
         accept = np.log(uniforms) < log_ratio
     accept &= ~np.isnan(log_ratio)
 
-    ensemble.positions[accept] = proposals[accept]
-    ensemble.log_abs[accept] = new_log[accept]
+    np.copyto(ensemble.positions, proposals, where=accept[:, None, None])
+    np.copyto(ensemble.log_abs, new_log, where=accept)
     ensemble.proposed += w
     ensemble.accepted += int(np.count_nonzero(accept))
     return ensemble

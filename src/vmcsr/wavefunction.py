@@ -141,6 +141,13 @@ def build_tuple_index(basis, correlation_order):
 def orbital_values(basis, nuclear_positions, positions, spins):
     """Evaluate every orbital at every electron.
 
+    Each distinct ungated function is evaluated once, with one exponential
+    per (center, zeta); the spin gates are then one multiply by an
+    (N, n_orb) 0/1 mask, and orbital_matrix_batch adds the pooled sums
+    electron by electron. These are the floating-point operations of one
+    exponential and one gate per orbital and of numpy's axis-1 sum, in
+    the same order, so every value is unchanged bit for bit.
+
     Args:
       basis: OneBodyBasisSpec.
       nuclear_positions: (n_nuclei, 3).
@@ -154,26 +161,37 @@ def orbital_values(basis, nuclear_positions, positions, spins):
     w, n, _ = positions.shape
     values = np.empty((w, n, len(basis)))
 
-    centers = {orb.center for orb in basis.orbitals}
-    center_delta = {}
-    center_radius = {}
-    for c in centers:
-        delta = positions - nuclear_positions[c][None, None, :]
-        center_delta[c] = delta
-        center_radius[c] = np.sqrt(np.sum(delta * delta, axis=-1))
+    delta, radius, decay, ungated = {}, {}, {}, {}
+    for idx, orb in enumerate(basis.orbitals):
+        c = orb.center
+        key = (c, orb.n, orb.ell, orb.m, orb.zeta)
+        if key not in ungated:
+            if c not in delta:
+                delta[c] = positions - nuclear_positions[c][None, None, :]
+                radius[c] = np.sqrt(np.sum(delta[c] * delta[c], axis=-1))
+            if (c, orb.zeta) not in decay:
+                decay[c, orb.zeta] = np.exp(-orb.zeta * radius[c])
+            val = decay[c, orb.zeta]
+            if orb.n:
+                val = val * radius[c] ** orb.n
+            if orb.ell == 1:
+                val = val * delta[c][..., _M_TO_AXIS[orb.m]]
+            ungated[key] = val
+        values[:, :, idx] = ungated[key]
 
     up_mask = (np.asarray(spins) == SPIN_UP).astype(np.float64)
     gate_vec = {"up": up_mask, "down": 1.0 - up_mask, "either": np.ones(n)}
-
-    for idx, orb in enumerate(basis.orbitals):
-        r = center_radius[orb.center]
-        val = np.exp(-orb.zeta * r)
-        if orb.n:
-            val = val * r**orb.n
-        if orb.ell == 1:
-            val = val * center_delta[orb.center][..., _M_TO_AXIS[orb.m]]
-        values[:, :, idx] = val * gate_vec[orb.spin][None, :]
+    values *= np.stack([gate_vec[orb.spin] for orb in basis.orbitals], axis=1)
     return values
+
+
+def _cusp_pairs(spins):
+    """(i, j, c_ij) over the electron pairs i < j: the Jastrow's pair
+    indices and their cusp coefficients."""
+    spins = np.asarray(spins)
+    iu, ju = np.triu_indices(len(spins), k=1)
+    coeff = np.where(spins[iu] == spins[ju], JASTROW_SAME_SPIN, JASTROW_OPPOSITE_SPIN)
+    return iu, ju, coeff
 
 
 def jastrow_log_batch(positions, spins):
@@ -183,13 +201,15 @@ def jastrow_log_batch(positions, spins):
     cancel the electron-electron Coulomb singularities of the local
     energy at coalescence.
     """
+    return _pair_cusp_log(positions, _cusp_pairs(spins))
+
+
+def _pair_cusp_log(positions, pairs):
+    """jastrow_log_batch with the pairs of _cusp_pairs(spins) given."""
     positions = np.asarray(positions, dtype=np.float64)
-    w, n, _ = positions.shape
-    iu, ju = np.triu_indices(n, k=1)
+    iu, ju, coeff = pairs
     if not iu.size:
-        return np.zeros(w)
-    spins = np.asarray(spins)
-    coeff = np.where(spins[iu] == spins[ju], JASTROW_SAME_SPIN, JASTROW_OPPOSITE_SPIN)
+        return np.zeros(positions.shape[0])
     diff = positions[:, iu, :] - positions[:, ju, :]
     dist = np.sqrt(np.sum(diff * diff, axis=-1))
     return -np.sum(coeff[None, :] / (1.0 + dist), axis=1)
@@ -216,11 +236,13 @@ class AceWavefunction:
 
     def __post_init__(self):
         self.tails = build_tuple_index(self.basis, self.correlation_order)
-        # orbital indices of the tails of each length >= 1, in tail order
+        # orbital indices of the tails of each length >= 2, in tail order;
+        # the length-1 tails are the orbitals themselves, in basis order
         self._tail_orbitals = [
             np.array([tail for tail in self.tails if len(tail) == length], dtype=np.intp)
-            for length in range(1, self.correlation_order)
+            for length in range(2, self.correlation_order)
         ]
+        self._jastrow_pairs = _cusp_pairs(self.system.spins)
         if self.theta is None:
             self.theta = initial_theta(self.system, self.basis, len(self.tails))
         self.set_theta(self.theta)
@@ -247,12 +269,23 @@ class AceWavefunction:
             self.basis, self.system.nuclear_positions, positions, self.system.spins
         )
         w, n, n_orb = phi.shape
-        pooled = np.sum(phi, axis=1, keepdims=True) - phi  # sums over j != i
-        products = np.concatenate(
-            [np.ones((w, n, 1))]
-            + [np.prod(pooled[:, :, orbs], axis=-1) for orbs in self._tail_orbitals],
-            axis=-1,
-        )
+        # sums over j != i: the rows added in electron order, then i taken out
+        total = phi[:, 0].copy()
+        for j in range(1, n):
+            total += phi[:, j]
+        pooled = total[:, None, :] - phi
+        products = np.empty((w, n, len(self.tails)))
+        products[..., 0] = 1.0
+        if self.correlation_order > 1:
+            products[..., 1 : 1 + n_orb] = pooled
+        lo = 1 + n_orb
+        for orbs in self._tail_orbitals:
+            # T[i, t] for the tails t = (a, b, ...): pooled_a * pooled_b * ...
+            out = products[..., lo : lo + len(orbs)]
+            np.multiply(pooled[..., orbs[:, 0]], pooled[..., orbs[:, 1]], out=out)
+            for column in orbs[:, 2:].T:
+                out *= pooled[..., column]
+            lo += len(orbs)
         # mixed[w, i, k, t] = sum_h phi[w, i, h] A[k, h, t]
         blocks = self.coefficients.transpose(1, 0, 2).reshape(n_orb, -1)
         mixed = (phi.reshape(w * n, n_orb) @ blocks).reshape(w, n, n, -1)
@@ -278,7 +311,7 @@ class AceWavefunction:
             matrix, _, _ = self.orbital_matrix_batch(positions[chunk])
             sign[chunk], log_abs[chunk] = np.linalg.slogdet(matrix)
             if self.jastrow_enabled:
-                log_abs[chunk] += jastrow_log_batch(positions[chunk], self.system.spins)
+                log_abs[chunk] += _pair_cusp_log(positions[chunk], self._jastrow_pairs)
         return log_abs, sign
 
     def log_abs_batch(self, positions):

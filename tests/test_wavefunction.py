@@ -216,6 +216,105 @@ class TestPooledFeatures:
         np.testing.assert_allclose(matrix[1, 0], matrix[0, 0], rtol=1e-12)
 
 
+def literal_orbital_values(basis, nuclear_positions, positions, spins):
+    """The per-orbital loop: one exponential and one gate multiply per orbital."""
+    w, n, _ = positions.shape
+    values = np.empty((w, n, len(basis)))
+    center_delta = {}
+    center_radius = {}
+    for c in {orb.center for orb in basis.orbitals}:
+        delta = positions - nuclear_positions[c][None, None, :]
+        center_delta[c] = delta
+        center_radius[c] = np.sqrt(np.sum(delta * delta, axis=-1))
+    up_mask = (np.asarray(spins) == SPIN_UP).astype(np.float64)
+    gate_vec = {"up": up_mask, "down": 1.0 - up_mask, "either": np.ones(n)}
+    axis = {-1: 1, 0: 2, 1: 0}
+    for idx, orb in enumerate(basis.orbitals):
+        r = center_radius[orb.center]
+        val = np.exp(-orb.zeta * r)
+        if orb.n:
+            val = val * r**orb.n
+        if orb.ell == 1:
+            val = val * center_delta[orb.center][..., axis[orb.m]]
+        values[:, :, idx] = val * gate_vec[orb.spin][None, :]
+    return values
+
+
+def literal_amplitudes(wf, positions):
+    """(phi, M, log|psi|, sign, d log|psi| / d theta) from the per-orbital
+    loop, a strided np.sum for the pooled sums and a gather plus np.prod
+    for every tail, chunked as the wavefunction chunks."""
+    system = wf.system
+    n, n_orb, n_tails = wf.coefficients.shape
+    tail_orbitals = [
+        np.array([tail for tail in wf.tails if len(tail) == length], dtype=np.intp)
+        for length in range(1, wf.correlation_order)
+    ]
+    iu, ju = np.triu_indices(n, k=1)
+    coeff = np.where(system.spins[iu] == system.spins[ju], 0.25, 0.5)
+    parts = []
+    for chunk in wf._chunks(positions.shape[0]):
+        x = positions[chunk]
+        w = x.shape[0]
+        phi = literal_orbital_values(wf.basis, system.nuclear_positions, x, system.spins)
+        pooled = np.sum(phi, axis=1, keepdims=True) - phi
+        products = np.concatenate(
+            [np.ones((w, n, 1))]
+            + [np.prod(pooled[:, :, orbs], axis=-1) for orbs in tail_orbitals],
+            axis=-1,
+        )
+        blocks = wf.coefficients.transpose(1, 0, 2).reshape(n_orb, -1)
+        mixed = (phi.reshape(w * n, n_orb) @ blocks).reshape(w, n, n, -1)
+        matrix = (mixed @ products[..., None])[..., 0]
+        sign, log_abs = np.linalg.slogdet(matrix)
+        diff = x[:, iu, :] - x[:, ju, :]
+        dist = np.sqrt(np.sum(diff * diff, axis=-1))
+        log_abs += -np.sum(coeff[None, :] / (1.0 + dist), axis=1)
+        grad = np.einsum("wki,wih,wit->wkht", np.linalg.inv(matrix), phi, products,
+                         optimize=True).reshape(w, -1)
+        parts.append((phi, matrix, log_abs, sign, grad))
+    return [np.concatenate(arrays) for arrays in zip(*parts)]
+
+
+# preset, walkers, correlation order, ell_max
+LITERAL_CASES = {
+    "he-s-2048": ("he", 2048, 3, 0),
+    "he-s-order2-2048": ("he", 2048, 2, 0),
+    "be-p": ("be", 16, 3, 1),
+    "lih": ("lih", 8, 3, 1),
+    "li2": ("li2", 4, 3, 1),
+    "ne": ("ne", 8, 3, 1),
+    "be-p-one-configuration": ("be", 1, 3, 1),
+}
+
+
+class TestLiteralKernel:
+    """The amplitude kernel repeats the per-orbital loop's floating-point
+    operations in the same order, so every value is bitwise equal."""
+
+    @pytest.mark.parametrize("case", sorted(LITERAL_CASES))
+    def test_bitwise_equal_to_the_per_orbital_loop(self, case):
+        preset, walkers, order, ell_max = LITERAL_CASES[case]
+        system = preset_system(preset)
+        basis = default_basis(system, radial_powers=(0, 1), ell_max=ell_max)
+        wf = AceWavefunction(system=system, basis=basis, correlation_order=order)
+        rng = np.random.default_rng(20)
+        wf.set_theta(wf.theta + 0.05 * rng.standard_normal(wf.n_params))
+        n = system.n_electrons
+        sites = system.nuclear_positions[np.arange(n) % len(system.nuclear_charges)]
+        positions = sites + rng.normal(size=(walkers, n, 3))
+
+        phi, matrix, log_abs, sign, grad = literal_amplitudes(wf, positions)
+        np.testing.assert_array_equal(
+            orbital_values(basis, system.nuclear_positions, positions, system.spins), phi
+        )
+        np.testing.assert_array_equal(wf.orbital_matrix_batch(positions)[0], matrix)
+        ours_log, ours_sign = wf.log_abs_sign_batch(positions)
+        np.testing.assert_array_equal(ours_log, log_abs)
+        np.testing.assert_array_equal(ours_sign, sign)
+        np.testing.assert_array_equal(wf.grad_theta_batch(positions), grad)
+
+
 class TestJastrow:
     def test_opposite_spin_unit_distance(self):
         positions = np.array([[[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]]])
