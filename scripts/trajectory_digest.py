@@ -37,7 +37,8 @@ from vmcsr.cli import main as vmcsr_main
 
 # row name -> (optimizer, INI values over BASE). The wssr row's block
 # stays below the 144-row parameter count; wssr-full's batch of 160 makes
-# every block the whole row space, the dense-SVD route.
+# every block the whole row space, the route through the eigh of the
+# 144 x 144 Gram matrix.
 ROWS = {
     "sgd": ("sgd", {}),
     "sr": ("sr", {}),

@@ -4,9 +4,10 @@ Plain gradient descent, covariance-preconditioned descent in three
 regularized flavors, its batch-sized dual form, the momentum-corrected
 variant of that dual form, and the warm-started low-rank scheme that
 averages the preconditioner across steps with a decaying weight.  The
-low-rank scheme never forms the parameter-square covariance; it keeps a
-thin factorization refreshed by subspace iteration (or a random sketch)
-and applies the inverse through two projections. The three dense
+low-rank scheme keeps a thin factorization refreshed by subspace
+iteration (or a random sketch) and applies the inverse through two
+projections; it forms the parameter-square matrix only when its rank
+budget spans every parameter, and then factors it exactly. The three dense
 preconditioners share one regularized solve and its Cholesky
 factorization, both in place on the matrix each has just built.
 """
@@ -22,6 +23,7 @@ from .errors import NotPositiveDefinite
 from .estimators import s_matrix, t_matrix
 from .svdengine import (
     exact_truncated_svd,
+    full_space_svd,
     qr_orthonormalize,
     randomized_svd,
     ssi_svd,
@@ -371,12 +373,13 @@ def wssr_step(theta, bundle, eta, state, options=WssrOptions(), rng_seed=0,
     was binding at r_max (never beyond the parameter count).  delta,
     r_reg, sigma_floor and eps_grow come from options.
 
-    The first step factorizes densely, and so does every step whose
-    block is the whole row space of ohat (requested == m), where
-    iterating could only reproduce the dense result. Otherwise wssr runs
-    at most SSI_MAX_ITERS subspace iterations warm-started from u_prev;
-    with sketch=True (rssr, the cold-restart ablation) a one-pass
-    Gaussian sketch seeded per step replaces them.
+    A step whose block is the whole row space of ohat (requested == m),
+    where iterating could only reproduce the exact factors, takes them
+    from the eigendecomposition of the m x m Gram matrix
+    (full_space_svd). Otherwise the first step factorizes by dense SVD,
+    and later steps run at most SSI_MAX_ITERS subspace iterations
+    warm-started from u_prev; with sketch=True (rssr, the cold-restart
+    ablation) a one-pass Gaussian sketch seeded per step replaces them.
 
     Returns:
       (theta', state', WssrDiagnostics).
@@ -391,7 +394,9 @@ def wssr_step(theta, bundle, eta, state, options=WssrOptions(), rng_seed=0,
 
     requested = min(state.r_max, m, ohat.shape[1])
     iterations = 0
-    if state.step == 0 or requested == m:
+    if requested == m:
+        factors = full_space_svd(ohat)
+    elif state.step == 0:
         factors = exact_truncated_svd(ohat, requested)
     elif sketch:
         factors = randomized_svd(

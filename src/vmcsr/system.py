@@ -69,6 +69,17 @@ class MolecularSystem:
         return total
 
 
+def vector_length(d):
+    """Euclidean length of each 3-vector on d's last axis.
+
+    The three squares are added as (x + y) + z, the order of numpy's sum
+    over a length-3 axis, so the result equals
+    np.sqrt(np.sum(d * d, axis=-1)) bit for bit without the reduction.
+    """
+    x, y, z = d[..., 0], d[..., 1], d[..., 2]
+    return np.sqrt(x * x + y * y + z * z)
+
+
 def potential_energy_batch(system, positions):
     """Coulomb potential for a batch of configurations, the internuclear
     constant included.
@@ -88,7 +99,7 @@ def potential_energy_batch(system, positions):
     charges = np.asarray(system.nuclear_charges, dtype=np.float64)
 
     delta = positions[:, :, None, :] - system.nuclear_positions[None, None, :, :]
-    dist_en = np.sqrt(np.sum(delta * delta, axis=-1))  # (W, N, n_nuclei)
+    dist_en = vector_length(delta)  # (W, N, n_nuclei)
     if np.any(dist_en < COALESCENCE_GUARD):
         raise CoalescencePoint("electron on top of a nucleus")
     # terms are sorted before each reduction so electron relabeling cannot
@@ -99,7 +110,7 @@ def potential_energy_batch(system, positions):
     iu, ju = np.triu_indices(n, k=1)
     if iu.size:
         diff = positions[:, iu, :] - positions[:, ju, :]
-        dist_ee = np.sqrt(np.sum(diff * diff, axis=-1))  # (W, n_pairs)
+        dist_ee = vector_length(diff)  # (W, n_pairs)
         if np.any(dist_ee < COALESCENCE_GUARD):
             raise CoalescencePoint("two electrons coincide")
         energy += np.sum(np.sort(1.0 / dist_ee, axis=1), axis=1)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NodeProximity
-from .system import SPIN_UP
+from .system import SPIN_UP, vector_length
 
 SPIN_GATES = ("up", "down", "either")
 _SPIN_ORDER = {"up": 0, "down": 1, "either": 2}
@@ -168,7 +168,7 @@ def orbital_values(basis, nuclear_positions, positions, spins):
         if key not in ungated:
             if c not in delta:
                 delta[c] = positions - nuclear_positions[c][None, None, :]
-                radius[c] = np.sqrt(np.sum(delta[c] * delta[c], axis=-1))
+                radius[c] = vector_length(delta[c])
             if (c, orb.zeta) not in decay:
                 decay[c, orb.zeta] = np.exp(-orb.zeta * radius[c])
             val = decay[c, orb.zeta]
@@ -211,7 +211,7 @@ def _pair_cusp_log(positions, pairs):
     if not iu.size:
         return np.zeros(positions.shape[0])
     diff = positions[:, iu, :] - positions[:, ju, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=-1))
+    dist = vector_length(diff)
     return -np.sum(coeff[None, :] / (1.0 + dist), axis=1)
 
 

@@ -34,7 +34,7 @@ from vmcsr.optimizers import (
     spring_update,
     wssr_step,
 )
-from vmcsr.svdengine import exact_truncated_svd, qr_orthonormalize, ssi_svd
+from vmcsr.svdengine import full_space_svd, qr_orthonormalize, ssi_svd
 
 
 def raw_bundle(o, l):
@@ -531,9 +531,9 @@ class TestWssrStep:
         assert diag1.ssi_iterations >= 1
 
     @pytest.mark.parametrize("sketch", [False, True], ids=["wssr", "rssr"])
-    def test_full_space_block_takes_the_dense_svd(self, monkeypatch, sketch):
-        # with rank_init = m every block after the first is the whole row
-        # space, where subspace iteration can only reproduce the dense SVD
+    def test_full_space_block_takes_the_gram_route(self, monkeypatch, sketch):
+        # with rank_init = m every block is the whole row space, where
+        # subspace iteration can only reproduce the exact factors
         rng = np.random.default_rng(21)
         m, n = 6, 10
         theta = np.zeros(m)
@@ -544,20 +544,37 @@ class TestWssrStep:
 
         calls = []
 
-        def spy(ohat, rank):
+        def spy(ohat):
             calls.append(ohat.shape)
-            return exact_truncated_svd(ohat, rank)
+            return full_space_svd(ohat)
 
-        monkeypatch.setattr(optimizers, "exact_truncated_svd", spy)
+        monkeypatch.setattr(optimizers, "full_space_svd", spy)
         got, _, diag = wssr_step(theta, bundle2, 0.01, state, sketch=sketch)
         assert calls == [(m, state.sigma.size + n)]
         assert diag.ssi_iterations == 0
 
         # the subspace-iteration update on the same full-width block
-        monkeypatch.setattr(optimizers, "exact_truncated_svd", lambda ohat, rank: ssi_svd(
-            ohat, rank, max_iters=SSI_MAX_ITERS, residual_tol=SSI_RESIDUAL_TOL)[0])
+        monkeypatch.setattr(optimizers, "full_space_svd", lambda ohat: ssi_svd(
+            ohat, m, max_iters=SSI_MAX_ITERS, residual_tol=SSI_RESIDUAL_TOL)[0])
         want, _, _ = wssr_step(theta, bundle2, 0.01, state, sketch=sketch)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("sketch", [False, True], ids=["wssr", "rssr"])
+    def test_block_narrower_than_the_row_space_skips_the_gram_route(
+            self, monkeypatch, sketch):
+        # criterion 9's shape: 544 parameters, rank_init 64, 96 samples
+        def refuse(ohat):
+            raise AssertionError(f"full_space_svd called on {ohat.shape}")
+
+        monkeypatch.setattr(optimizers, "full_space_svd", refuse)
+        rng = np.random.default_rng(22)
+        m, n = 544, 96
+        theta = np.zeros(m)
+        state = WssrState.initial(m, rank_init=64)
+        for _ in range(4):
+            bundle = raw_bundle(rng.standard_normal((m, n)), rng.standard_normal(n))
+            theta, state, _ = wssr_step(theta, bundle, 0.01, state, sketch=sketch)
+        assert state.step == 4 and state.r_max < m
 
 
 def shared_left_space_bundle(w, diag_values, n, seed):

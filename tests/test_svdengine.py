@@ -9,6 +9,7 @@ from vmcsr.errors import DegenerateInput, RankTooLarge, ZeroMatrix
 from vmcsr.optimizers import SSI_MAX_ITERS, SSI_RESIDUAL_TOL
 from vmcsr.svdengine import (
     exact_truncated_svd,
+    full_space_svd,
     qr_orthonormalize,
     randomized_svd,
     ssi_svd,
@@ -161,6 +162,47 @@ class TestExactTruncatedSvd:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             exact_truncated_svd(np.array([[1.0, np.nan], [0.0, 1.0]]), 2)
+
+
+class TestFullSpaceSvd:
+    def test_matches_dense_svd_at_he_step_shape(self):
+        """(144, 2089) with 64 dead parameter rows, the shape of a He
+        ell_max = 0 wssr step: the Gram route keeps the same 80 triplets."""
+        rng = np.random.default_rng(8)
+        a = rng.standard_normal((144, 2089))
+        a[rng.choice(144, size=64, replace=False)] = 0.0
+        fact, exact = full_space_svd(a), exact_truncated_svd(a, 144)
+        assert fact.rank == exact.rank == 80
+        np.testing.assert_allclose(fact.sigma, exact.sigma, rtol=1e-12)
+        projector_gap = fact.u @ fact.u.T - exact.u @ exact.u.T
+        assert np.linalg.norm(projector_gap, ord=2) <= 1e-10
+        np.testing.assert_allclose(fact.u.T @ fact.u, np.eye(80), atol=1e-12)
+        assert np.linalg.norm(_rebuild(fact) - a) <= 1e-12 * np.linalg.norm(a)
+
+    def test_graded_spectrum_above_the_resolution_limit(self):
+        """Singular values from 1 down to 1e-9: every one with
+        sigma / sigma_1 >= 1e-3, all that the default r_reg keeps, matches
+        the dense SVD to 1e-10 relative."""
+        rng = np.random.default_rng(12)
+        sigma = np.geomspace(1.0, 1e-9, 60)
+        a, _, _ = _matrix_with_spectrum(rng, 60, 300, sigma)
+        fact = full_space_svd(a)
+        dense = np.linalg.svd(a, compute_uv=False)
+        kept = np.count_nonzero(dense >= 1e-3 * dense[0])
+        assert fact.rank >= kept
+        np.testing.assert_allclose(fact.sigma[:kept], dense[:kept], rtol=1e-10)
+
+    def test_zero_matrix_rejected(self):
+        with pytest.raises(DegenerateInput):
+            full_space_svd(np.zeros((3, 5)))
+
+    def test_tall_matrix_refused(self):
+        with pytest.raises(ValueError):
+            full_space_svd(np.ones((5, 3)))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ValueError):
+            full_space_svd(np.array([[1.0, np.inf], [0.0, 1.0]]))
 
 
 class TestSsiSvd:
