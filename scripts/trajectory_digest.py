@@ -6,11 +6,13 @@ whose block is the whole row space (wssr-full), a fixed small helium run
 (ell_max = 0, 16 walkers, seed 3) goes through the command line. The
 minsr-be-p row runs beryllium with the p shell (ell_max = 1) instead, so
 orbitals that share a zeta and pooled sums over four electrons are
-covered. Each run goes through twice: straight through, and split in two
-with --resume at the halfway step. Each output line names the row, a
-SHA-256 of the trace rows without the wall_ms column, a SHA-256 of the
-final checkpoint file and a SHA-256 of the final theta array's bytes;
-the last still compares two versions whose checkpoint layouts differ.
+covered, and the minsr-lih row runs LiH, the one row with two nuclei and
+so a nonzero internuclear repulsion. Each run goes through twice:
+straight through, and split in two with --resume at the halfway step.
+Each output line names the row, a SHA-256 of the trace rows without the
+wall_ms column, a SHA-256 of the final checkpoint file and a SHA-256 of
+the final theta array's bytes; the last still compares two versions
+whose checkpoint layouts differ.
 The exit status is 1 if a split run's digests differ from its straight
 run's.
 
@@ -52,6 +54,7 @@ ROWS = {
                            "wssr": {"rank_init": "400"}}),
     "minsr-be-p": ("minsr", {"system": {"preset": "be"},
                              "wavefunction": {"ell_max": "1"}}),
+    "minsr-lih": ("minsr", {"system": {"preset": "lih"}}),
 }
 
 BASE = {
@@ -110,8 +113,8 @@ def main(argv=None):
         parser.error(f"unknown rows: {', '.join(unknown)}")
     split = args.steps // 2
 
-    print(f"# he ell_max=0 (minsr-be-p: be ell_max=1), 16 walkers, seed 3, "
-          f"{args.steps} steps, split {split} + resume")
+    print(f"# he ell_max=0 (minsr-be-p: be ell_max=1, minsr-lih: lih), 16 walkers, "
+          f"seed 3, {args.steps} steps, split {split} + resume")
     mismatched = []
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:

@@ -201,10 +201,6 @@ def _expecting(what, convert):
     return parse
 
 
-_BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
-             "false": False, "no": False, "off": False, "0": False}
-
-
 def _split_rows(text):
     return [row.strip() for row in text.replace("\n", ";").split(";") if row.strip()]
 
@@ -227,7 +223,8 @@ def _basis_rows(text):
 _PARSERS = {
     int: _expecting("an integer", int),
     float: _expecting("a number", float),
-    bool: _expecting("a boolean", lambda text: _BOOLEANS[text.lower()]),
+    bool: _expecting(
+        "a boolean", lambda text: configparser.ConfigParser.BOOLEAN_STATES[text.lower()]),
     str: str,
     tuple[int, ...]: _expecting(
         "integers", lambda text: tuple(int(p) for p in text.replace(",", " ").split())),
@@ -320,17 +317,11 @@ def build_wavefunction(config, system, seed):
     The parameter start is the near-product state seeded by the run
     seed, so two runs with the same config land on the same theta.
     """
-    if config.basis is not None:
-        for orbital in config.basis:
-            if orbital.center >= len(system.nuclear_charges):
-                raise ConfigError(
-                    f"[wavefunction] basis: center {orbital.center} out of range "
-                    f"for {len(system.nuclear_charges)} nuclei"
-                )
-        basis = OneBodyBasisSpec(orbitals=config.basis)
-    else:
-        basis = default_basis(system, config.radial_powers, config.ell_max)
     try:
+        if config.basis is not None:
+            basis = OneBodyBasisSpec(orbitals=config.basis)
+        else:
+            basis = default_basis(system, config.radial_powers, config.ell_max)
         wavefunction = AceWavefunction(
             system=system,
             basis=basis,

@@ -22,16 +22,8 @@ class InputError(VmcError):
     exit_code = 2
 
 
-class ZeroMatrix(NumericalError):
-    """Matrix is numerically zero where a nonzero one is required."""
-
-
-class RankTooLarge(NumericalError):
-    """Requested rank exceeds what the matrix dimensions admit."""
-
-
 class DegenerateInput(NumericalError):
-    """Matrix carries no signal to factorize (zero Frobenius norm)."""
+    """Matrix carries no signal to factorize (numerically zero)."""
 
 
 class NotPositiveDefinite(NumericalError):

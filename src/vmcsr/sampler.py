@@ -93,10 +93,10 @@ def metropolis_step(ensemble, wavefunction):
             f"walker positions span |x| <= {np.max(np.abs(proposals)):.3e}"
         )
 
+    # a NaN ratio (a node on both sides) compares False: rejected
     with np.errstate(divide="ignore", invalid="ignore"):
         log_ratio = 2.0 * (new_log - ensemble.log_abs)
         accept = np.log(uniforms) < log_ratio
-    accept &= ~np.isnan(log_ratio)
 
     np.copyto(ensemble.positions, proposals, where=accept[:, None, None])
     np.copyto(ensemble.log_abs, new_log, where=accept)

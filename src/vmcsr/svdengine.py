@@ -19,6 +19,12 @@ would span, is factored through the eigendecomposition of its m x m Gram
 matrix instead (full_space_svd). Squaring the spectrum costs half the
 digits, so there a singular value at or below GRAM_ZERO_REL * ||ohat||_F
 is zero.
+
+Every entry point checks its arguments once, through _checked. A shape,
+rank or block width the matrix cannot hold, or a non-finite entry, is a
+caller's mistake and raises ValueError. A matrix whose Frobenius norm is
+below ZERO_MATRIX_NORM carries no signal to factorize and raises
+DegenerateInput, a NumericalError like every failure on the data itself.
 """
 
 import math
@@ -26,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInput, RankTooLarge, ZeroMatrix
+from .errors import DegenerateInput
 
 _COLD_START_SEED = 0x5EED
 # Below this Frobenius norm a matrix is numerically zero.
@@ -74,22 +80,17 @@ def qr_orthonormalize(a):
     so Q stays orthonormal and Q R still reconstructs A to tolerance.
 
     Args:
-      a: (m, n) array, m >= n.
+      a: (m, n) array, 1 <= n <= m.
 
     Returns:
       (q, r): q of shape (m, n) with orthonormal columns, r of shape
       (n, n) upper triangular with diag(r) >= 0 and q @ r == a.
 
     Raises:
-      ZeroMatrix: if ||a||_F < ZERO_MATRIX_NORM.
+      ValueError: unless a is a finite matrix with 1 <= n <= m.
+      DegenerateInput: if ||a||_F < ZERO_MATRIX_NORM.
     """
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] < a.shape[1]:
-        raise ValueError(f"need a matrix with at least as many rows as columns, got {a.shape}")
-    fro = float(np.linalg.norm(a))
-    if fro < ZERO_MATRIX_NORM:
-        raise ZeroMatrix(f"cannot orthonormalize a numerically zero matrix (norm {fro:.3e})")
-
+    a, fro = _checked(a, np.shape(a)[-1])
     q, r = np.linalg.qr(a, mode="reduced")
     signs = np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
     q = q * signs
@@ -99,27 +100,41 @@ def qr_orthonormalize(a):
     return q, r
 
 
-def _check_width(shape, rank, width):
-    """Raise RankTooLarge unless 1 <= rank <= width <= min(shape)."""
-    if not 1 <= rank <= width <= min(shape):
-        raise RankTooLarge(
-            f"rank {rank} in a block of {width} outside [1, {min(shape)}] for shape {shape}"
-        )
+def _checked(a, rank, block=None):
+    """a as a float64 matrix and its Frobenius norm: the one argument
+    check of every entry point.
 
-
-def _checked(ohat, rank):
-    """ohat as a float64 matrix and its Frobenius norm.
+    Args:
+      a: the (m, n) matrix.
+      rank: triplets wanted (for the QR, its column count), within
+        [1, min(m, n)].
+      block: optional (m, width) start block, rank <= width <= min(m, n).
+        None means a block of width `rank`.
 
     Raises:
-      RankTooLarge: unless 1 <= rank <= min(ohat.shape).
-      DegenerateInput: if ohat is all zeros.
+      ValueError: if a is not a matrix, rank or the block's shape lies
+        outside those bounds, or a has a non-finite entry.
+      DegenerateInput: if ||a||_F < ZERO_MATRIX_NORM.
     """
-    ohat = np.asarray(ohat, dtype=np.float64)
-    _check_width(ohat.shape, rank, rank)
-    fro = float(np.linalg.norm(ohat))
-    if fro == 0.0:
-        raise DegenerateInput("cannot factorize an all-zero matrix")
-    return ohat, fro
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2:
+        raise ValueError(f"need a matrix, got shape {a.shape}")
+    width = rank
+    if block is not None:
+        if block.ndim != 2 or block.shape[0] != a.shape[0]:
+            raise ValueError(f"start block must have {a.shape[0]} rows, got shape {block.shape}")
+        width = block.shape[1]
+    if not 1 <= rank <= width <= min(a.shape):
+        raise ValueError(
+            f"rank {rank} in a block of width {width} outside [1, {min(a.shape)}] "
+            f"for shape {a.shape}"
+        )
+    fro = float(np.linalg.norm(a))
+    if not math.isfinite(fro):
+        raise ValueError("matrix has non-finite entries")
+    if fro < ZERO_MATRIX_NORM:
+        raise DegenerateInput(f"cannot factorize a numerically zero matrix (norm {fro:.3e})")
+    return a, fro
 
 
 def _finish(a, fro, rank, basis=None):
@@ -133,8 +148,6 @@ def _finish(a, fro, rank, basis=None):
     and the left vectors come back as basis @ u (the Rayleigh-Ritz
     finish).
     """
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
     if a.shape[0] < a.shape[1]:
         v, sigma, ut = np.linalg.svd(a.T, full_matrices=False)
         u, vt = ut.T, v.T
@@ -148,7 +161,12 @@ def _finish(a, fro, rank, basis=None):
 
 
 def exact_truncated_svd(ohat, rank):
-    """Dense SVD truncated to the leading triplets (dropping zeros)."""
+    """Dense SVD truncated to the leading triplets (dropping zeros).
+
+    Raises:
+      ValueError: unless 1 <= rank <= min(ohat.shape) and ohat is finite.
+      DegenerateInput: if ohat is numerically zero.
+    """
     ohat, fro = _checked(ohat, rank)
     return _finish(ohat, fro, rank)
 
@@ -165,19 +183,15 @@ def full_space_svd(ohat):
 
     Raises:
       ValueError: if ohat has more rows than columns or non-finite entries.
-      DegenerateInput: if ohat is all zeros.
+      DegenerateInput: if ohat is numerically zero, or its Gram matrix
+        underflows to zero.
     """
-    ohat = np.asarray(ohat, dtype=np.float64)
-    if ohat.ndim != 2 or ohat.shape[0] > ohat.shape[1]:
-        raise ValueError(f"need a matrix with no more rows than columns, got {ohat.shape}")
-    fro = float(np.linalg.norm(ohat))
-    if not math.isfinite(fro):
-        raise ValueError("matrix has non-finite entries")
+    ohat, fro = _checked(ohat, np.shape(ohat)[0])
     lam, w = np.linalg.eigh(ohat @ ohat.T)
     sigma = np.sqrt(np.maximum(lam[::-1], 0.0))
     k = int(np.count_nonzero(sigma > GRAM_ZERO_REL * fro))
     if k == 0:
-        raise DegenerateInput("cannot factorize a numerically zero matrix")
+        raise DegenerateInput("Gram matrix underflowed: no singular value left")
     u = np.ascontiguousarray(w[:, ::-1][:, :k])
     sigma = sigma[:k]
     return TruncatedSvd(u=u, sigma=sigma, v=(u.T @ ohat) / sigma[:, None])
@@ -212,18 +226,16 @@ def ssi_svd(ohat, rank, *, max_iters, residual_tol, u_init=None):
     Returns:
       (TruncatedSvd, iterations_used). The returned rank can be below
       `rank` when the matrix rank is smaller (zeros are dropped).
+
+    Raises:
+      ValueError: for a rank or block outside those bounds, or a
+        non-finite entry.
+      DegenerateInput: if ohat is numerically zero.
     """
-    ohat, fro = _checked(ohat, rank)
-    m, n = ohat.shape
-    if u_init is not None:
-        block = np.asarray(u_init, dtype=np.float64)
-        if block.ndim != 2 or block.shape[0] != m or not rank <= block.shape[1] <= min(m, n):
-            raise ValueError(
-                f"u_init must have shape ({m}, w) with {rank} <= w <= {min(m, n)}, "
-                f"got {block.shape}"
-            )
-    else:
-        block = np.random.default_rng(_COLD_START_SEED).standard_normal((m, rank))
+    block = None if u_init is None else np.asarray(u_init, dtype=np.float64)
+    ohat, fro = _checked(ohat, rank, block)
+    if block is None:
+        block = np.random.default_rng(_COLD_START_SEED).standard_normal((ohat.shape[0], rank))
 
     fro2 = fro**2
     q, _ = qr_orthonormalize(block)
@@ -260,10 +272,12 @@ def randomized_svd(ohat, rank, oversample=10, rng_seed=0):
 
     Returns:
       TruncatedSvd of rank at most `rank`.
+
+    Raises:
+      ValueError, DegenerateInput: as ssi_svd, the sketch being its block.
     """
-    ohat = np.asarray(ohat, dtype=np.float64)
-    _check_width(ohat.shape, rank, rank + oversample)
-    omega = np.random.default_rng(rng_seed).standard_normal((ohat.shape[0], rank + oversample))
+    shape = (np.shape(ohat)[0], rank + oversample)
+    omega = np.random.default_rng(rng_seed).standard_normal(shape)
     return ssi_svd(ohat, rank, max_iters=1, residual_tol=0.0, u_init=omega)[0]
 
 

@@ -11,7 +11,7 @@ provider owns the node guard: the finite-difference one
 log|psi| underflows.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,12 +25,18 @@ SPIN_DOWN = 1
 
 @dataclass(frozen=True)
 class MolecularSystem:
-    """Clamped nuclei plus electron counts per spin channel."""
+    """Clamped nuclei plus electron counts per spin channel.
+
+    nuclear_repulsion, the internuclear Coulomb constant
+    sum_{I<J} Z_I Z_J / R_IJ, is computed once at construction, which
+    refuses nuclei closer than COALESCENCE_GUARD.
+    """
 
     nuclear_charges: tuple
     nuclear_positions: np.ndarray  # (n_nuclei, 3), Bohr
     n_up: int
     n_down: int
+    nuclear_repulsion: float = field(init=False, repr=False)
 
     def __post_init__(self):
         charges = tuple(int(z) for z in self.nuclear_charges)
@@ -43,6 +49,14 @@ class MolecularSystem:
             raise ValueError("need at least one electron")
         if not np.all(np.isfinite(pos)):
             raise ValueError("nuclear positions must be finite")
+        repulsion = 0.0
+        for i in range(len(charges)):
+            for j in range(i + 1, len(charges)):
+                dist = float(np.linalg.norm(pos[i] - pos[j]))
+                if dist < COALESCENCE_GUARD:
+                    raise ValueError(f"nuclei {i} and {j} coincide")
+                repulsion += charges[i] * charges[j] / dist
+        object.__setattr__(self, "nuclear_repulsion", repulsion)
 
     @property
     def n_electrons(self):
@@ -55,18 +69,6 @@ class MolecularSystem:
             [np.full(self.n_up, SPIN_UP, dtype=np.int64),
              np.full(self.n_down, SPIN_DOWN, dtype=np.int64)]
         )
-
-    def nuclear_repulsion(self):
-        """Internuclear Coulomb constant sum_{I<J} Z_I Z_J / R_IJ."""
-        total = 0.0
-        z = self.nuclear_charges
-        for i in range(len(z)):
-            for j in range(i + 1, len(z)):
-                dist = float(np.linalg.norm(self.nuclear_positions[i] - self.nuclear_positions[j]))
-                if dist < COALESCENCE_GUARD:
-                    raise CoalescencePoint(f"nuclei {i} and {j} coincide")
-                total += z[i] * z[j] / dist
-        return total
 
 
 def vector_length(d):
@@ -92,7 +94,9 @@ def potential_energy_batch(system, positions):
       (W,) potential energies.
 
     Raises:
-      CoalescencePoint: any charged pair closer than 1e-12.
+      CoalescencePoint: an electron closer than COALESCENCE_GUARD to a
+        nucleus or to another electron. Coincident nuclei are refused
+        when the MolecularSystem is built.
     """
     positions = np.asarray(positions, dtype=np.float64)
     w, n, _ = positions.shape
@@ -115,7 +119,7 @@ def potential_energy_batch(system, positions):
             raise CoalescencePoint("two electrons coincide")
         energy += np.sum(np.sort(1.0 / dist_ee, axis=1), axis=1)
 
-    return energy + system.nuclear_repulsion()
+    return energy + system.nuclear_repulsion
 
 
 def local_energy_batch(system, wavefunction, positions):

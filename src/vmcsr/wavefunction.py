@@ -235,6 +235,10 @@ class AceWavefunction:
     tails: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
+        n_nuclei = len(self.system.nuclear_charges)
+        center = max(orbital.center for orbital in self.basis.orbitals)
+        if center >= n_nuclei:
+            raise ValueError(f"basis: center {center} out of range for {n_nuclei} nuclei")
         self.tails = build_tuple_index(self.basis, self.correlation_order)
         # orbital indices of the tails of each length >= 2, in tail order;
         # the length-1 tails are the orbitals themselves, in basis order
@@ -340,9 +344,9 @@ class AceWavefunction:
 
     def _grad_theta_chunk(self, positions):
         matrix, phi, products = self.orbital_matrix_batch(positions)
-        sign, logdet = np.linalg.slogdet(matrix)
-        if np.any(sign == 0.0) or np.any(logdet < LOG_ABS_UNDERFLOW):
-            raise NodeProximity("parameter gradient requested on top of a node")
+        # a singular matrix has sign 0 and logdet -inf
+        _refuse_node(np.linalg.slogdet(matrix)[1],
+                     "parameter gradient requested on top of a node")
         inv = np.linalg.inv(matrix)
         grad = np.einsum("wki,wih,wit->wkht", inv, phi, products, optimize=True)
         return grad.reshape(positions.shape[0], self.n_params)
@@ -383,6 +387,13 @@ def initial_theta(system, basis, n_tails, noise_scale=1e-2, seed=0):
     return coeff.ravel()
 
 
+def _refuse_node(log_abs, message):
+    """Raise NodeProximity(message) unless every log-amplitude is finite
+    and at least LOG_ABS_UNDERFLOW."""
+    if not np.all(np.isfinite(log_abs) & (log_abs >= LOG_ABS_UNDERFLOW)):
+        raise NodeProximity(message)
+
+
 def fd_gradient_and_laplacian(log_abs_fn, positions, step):
     """Central-difference gradient and Laplacian of a batched log-amplitude.
 
@@ -413,8 +424,7 @@ def fd_gradient_and_laplacian(log_abs_fn, positions, step):
     values = np.asarray(log_abs_fn(stacked.reshape(-1, n, 3))).reshape(-1, w)
 
     base = values[0]
-    if np.any(~np.isfinite(base)) or np.any(base < LOG_ABS_UNDERFLOW):
-        raise NodeProximity("log-amplitude underflow; derivatives unreliable near a node")
+    _refuse_node(base, "log-amplitude underflow; derivatives unreliable near a node")
     plus = values[1::2]
     minus = values[2::2]
     grad = np.ascontiguousarray(((plus - minus) / (2.0 * step)).T).reshape(w, n, 3)

@@ -130,6 +130,15 @@ class TestRunCommand:
         assert "out_dir" in err and "Not a directory" in err
         assert "Traceback" not in err
 
+    def test_coincident_nuclei_exit_2_before_any_step(self, tmp_path, capsys):
+        geometry = "charges = 1, 1\npositions = 0 0 0; 0 0 0\nn_up = 1\nn_down = 1"
+        config = write_config(tmp_path)
+        config.write_text(config.read_text().replace("preset = h", geometry))
+        code = main(["run", "--config", str(config)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: [system] nuclei 0 and 1 coincide\n"
+        assert not (tmp_path / "artifacts" / "checkpoint.bin").exists()
+
     def test_resume_flag(self, tmp_path, capsys):
         config = write_config(tmp_path)
         assert main(["run", "--config", str(config)]) == 0

@@ -277,7 +277,14 @@ class TestBasisRows:
             "[system]\npreset = h\n[wavefunction]\nbasis = 3 0 0 0 1.0 either\n"
         )
         system = build_system(cfg.system)
-        with pytest.raises(ConfigError, match="center 3 out of range"):
+        with pytest.raises(ConfigError,
+                           match=r"^\[wavefunction\] basis: center 3 out of range for 1 nuclei$"):
+            build_wavefunction(cfg.wavefunction, system, seed=0)
+
+    def test_empty_basis_fails_at_build(self):
+        cfg = parse_config_text("[system]\npreset = h\n[wavefunction]\nbasis = ;\n")
+        system = build_system(cfg.system)
+        with pytest.raises(ConfigError, match="at least one orbital"):
             build_wavefunction(cfg.wavefunction, system, seed=0)
 
     def test_negative_radial_power_rejected(self):

@@ -50,11 +50,12 @@ def test_compare_optimizers_runs_criterion_9s_configuration(name, delta):
 
 
 def test_trajectory_digest_split_matches_straight(capsys):
-    argv = ["--optimizers", "wssr,wssr-full,minsr-eps0,sr-pinv,minsr-be-p", "--steps", "2"]
+    argv = ["--optimizers", "wssr,wssr-full,minsr-eps0,sr-pinv,minsr-be-p,minsr-lih",
+            "--steps", "2"]
     assert _load_script("trajectory_digest").main(argv) == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
     assert [row[0] for row in rows] == [
-        "wssr", "wssr-full", "minsr-eps0", "sr-pinv", "minsr-be-p"
+        "wssr", "wssr-full", "minsr-eps0", "sr-pinv", "minsr-be-p", "minsr-lih"
     ]
     for row in rows:
         assert row[1] == "trace" and row[3] == "checkpoint" and row[5] == "theta"

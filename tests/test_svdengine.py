@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vmcsr.errors import DegenerateInput, RankTooLarge, ZeroMatrix
+from vmcsr.errors import DegenerateInput
 from vmcsr.optimizers import SSI_MAX_ITERS, SSI_RESIDUAL_TOL
 from vmcsr.svdengine import (
     exact_truncated_svd,
@@ -93,7 +93,7 @@ class TestQrOrthonormalize:
         np.testing.assert_array_equal(r, r_ref * signs[:, None])
 
     def test_zero_matrix_rejected(self):
-        with pytest.raises(ZeroMatrix):
+        with pytest.raises(DegenerateInput):
             qr_orthonormalize(np.zeros((4, 2)))
 
     def test_wide_matrix_rejected(self):
@@ -287,9 +287,9 @@ class TestSsiSvd:
 
     def test_rank_bounds_enforced(self):
         a = np.eye(4)
-        with pytest.raises(RankTooLarge):
+        with pytest.raises(ValueError):
             ssi_svd(a, rank=5, max_iters=3, residual_tol=1e-10)
-        with pytest.raises(RankTooLarge):
+        with pytest.raises(ValueError):
             ssi_svd(a, rank=0, max_iters=3, residual_tol=1e-10)
 
     def test_warm_block_width_bounds(self):
@@ -369,7 +369,7 @@ class TestRandomizedSvd:
             assert err <= 10.0 * tail
 
     def test_sketch_width_bound(self):
-        with pytest.raises(RankTooLarge):
+        with pytest.raises(ValueError):
             randomized_svd(np.eye(8), rank=4, oversample=5)
 
     def test_equals_one_cold_ssi_pass_from_the_same_block(self):
@@ -389,6 +389,36 @@ class TestRandomizedSvd:
         f2 = randomized_svd(a, rank=5, oversample=5, rng_seed=3)
         np.testing.assert_array_equal(f1.u, f2.u)
         np.testing.assert_array_equal(f1.sigma, f2.sigma)
+
+
+# entry point -> (its call on a matrix of the shape given, that shape,
+# a call with a shape, rank or block width the matrix cannot hold)
+ARGUMENT_CHECKS = {
+    "qr_orthonormalize": (qr_orthonormalize, (6, 4),
+                          lambda: qr_orthonormalize(np.ones((4, 6)))),
+    "exact_truncated_svd": (lambda a: exact_truncated_svd(a, 2), (4, 6),
+                            lambda: exact_truncated_svd(np.ones((4, 6)), 5)),
+    "full_space_svd": (full_space_svd, (4, 6), lambda: full_space_svd(np.ones((6, 4)))),
+    "ssi_svd": (lambda a: ssi_svd(a, 2, max_iters=3, residual_tol=0.0), (4, 6),
+                lambda: ssi_svd(np.ones((4, 6)), 2, max_iters=3, residual_tol=0.0,
+                                u_init=np.eye(4)[:, :1])),
+    "randomized_svd": (lambda a: randomized_svd(a, 2, oversample=1), (4, 6),
+                       lambda: randomized_svd(np.ones((4, 6)), 2, oversample=3)),
+}
+
+
+@pytest.mark.parametrize("entry", ARGUMENT_CHECKS)
+def test_bad_arguments_are_value_errors_and_a_zero_matrix_is_degenerate(entry):
+    """One check types every refusal alike: a caller's bad shape, rank,
+    width or non-finite entry is a ValueError, a numerically zero matrix
+    DegenerateInput."""
+    factorize, shape, bad_call = ARGUMENT_CHECKS[entry]
+    with pytest.raises(ValueError):
+        bad_call()
+    with pytest.raises(ValueError, match="non-finite"):
+        factorize(np.full(shape, np.nan))
+    with pytest.raises(DegenerateInput):
+        factorize(np.zeros(shape))
 
 
 class TestSubspaceDrift:

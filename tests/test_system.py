@@ -50,6 +50,13 @@ def potential(system, positions):
     return potential_energy_batch(system, np.asarray(positions, dtype=np.float64)[None])[0]
 
 
+class TestMolecularSystem:
+    def test_coincident_nuclei_refused_at_construction(self):
+        with pytest.raises(ValueError, match="nuclei 0 and 1 coincide"):
+            MolecularSystem(nuclear_charges=(1, 1), nuclear_positions=np.zeros((2, 3)),
+                            n_up=1, n_down=1)
+
+
 class TestPotentialEnergy:
     def test_helium_axis_pair(self):
         system = preset_system("he")

@@ -475,6 +475,17 @@ class TestThetaGradient:
         grad = wf.grad_theta_batch(positions[None])[0]
         assert float(grad @ wf.theta) == pytest.approx(4.0, rel=1e-10)
 
+    def test_refused_on_an_exact_node(self):
+        """Two same-spin electrons at one point make two rows of M equal:
+        slogdet's sign is 0 and its logdet -inf, and the inverse the
+        gradient needs does not exist."""
+        system = preset_system("be")
+        wf = AceWavefunction(system=system, basis=default_basis(system, (0, 1), 0))
+        positions = np.random.default_rng(12).normal(size=(1, 4, 3))
+        positions[0, 1] = positions[0, 0]  # electrons 0 and 1 are both up
+        with pytest.raises(NodeProximity, match="on top of a node"):
+            wf.grad_theta_batch(positions)
+
 
 class TestCoordinateDerivatives:
     def test_hydrogen_exponential(self):
@@ -655,6 +666,11 @@ class TestInitialTheta:
             assert basis.orbitals[head].admits(system.spins[k])
             heads.append(head)
         assert heads[0] != heads[1]
+
+    def test_center_outside_the_nuclei_refused_at_construction(self):
+        basis = OneBodyBasisSpec(orbitals=(SlaterOrbital(3, 0, 0, 0, 1.0, "either"),))
+        with pytest.raises(ValueError, match="center 3 out of range for 1 nuclei"):
+            AceWavefunction(system=preset_system("h"), basis=basis)
 
     def test_too_small_basis_rejected(self):
         system = single_nucleus_system(2, 2, 0)
