@@ -6,12 +6,20 @@ noisy and history averaging has something to earn. With --quick the run
 shrinks to a smoke test; the full default takes a few minutes per
 optimizer on a laptop core.
 
+At the default steps and seed this is the configuration of acceptance
+criterion 9. --ratio-seeds replaces the race with that criterion's
+stability statistic at each seed given: wssr run memoryless (delta 0)
+and averaged (delta 0.95), and the ratio of the variances of their last
+200 raw energies (inf when the memoryless run aborts).
+
 Usage:
     python scripts/compare_optimizers.py --out /tmp/vmc_compare
     python scripts/compare_optimizers.py --quick --optimizers wssr,sgd
+    python scripts/compare_optimizers.py --ratio-seeds 11 12 13 14
 """
 
 import argparse
+import math
 import sys
 import time
 
@@ -62,21 +70,42 @@ def main(argv=None):
                         help="comma-separated subset to race")
     parser.add_argument("--quick", action="store_true",
                         help="100 steps instead of the full schedule")
+    parser.add_argument("--ratio-seeds", type=int, nargs="+", metavar="S",
+                        help="print criterion 9's memoryless/averaged variance "
+                             "ratio at each seed S instead of racing")
     args = parser.parse_args(argv)
 
     steps = 100 if args.quick else args.steps
     window = max(1, min(100, steps // 4))
+
+    def race(name, delta, seed, out):
+        text = TEMPLATE.format(name=name, delta=delta, steps=steps, seed=seed,
+                               window=window, out=out)
+        return run(parse_config_text(text))
+
+    if args.ratio_seeds:
+        print(f"helium, {steps} steps, wssr: variance of the last 200 raw energies, "
+              f"memoryless (delta 0) over averaged (delta 0.95)")
+        for seed in args.ratio_seeds:
+            tails = []
+            for delta in (0.0, 0.95):
+                result = race("wssr", delta, seed, f"{args.out}/seed{seed}-delta{delta}")
+                energies = [rec.raw_energy for rec in result.records]
+                tails.append(math.inf if result.aborted else float(np.var(energies[-200:])))
+            if math.isinf(tails[1]):
+                print(f"seed {seed:>4}: averaged run aborted")
+            else:
+                print(f"seed {seed:>4}: ratio {tails[0] / tails[1]:.4g}")
+        return 0
+
     names = [n.strip() for n in args.optimizers.split(",") if n.strip()]
 
     print(f"helium, {steps} steps, seed {args.seed}, 544 params / 96 samples per step")
     print(f"{'optimizer':>10} {'smoothed E':>12} {'tail var':>10} "
           f"{'accept':>7} {'seconds':>8}")
     for name in names:
-        text = TEMPLATE.format(name=name, delta=args.delta, steps=steps,
-                               seed=args.seed, window=window,
-                               out=f"{args.out}/{name}")
         t0 = time.perf_counter()
-        result = run(parse_config_text(text))
+        result = race(name, args.delta, args.seed, f"{args.out}/{name}")
         elapsed = time.perf_counter() - t0
         if result.aborted:
             print(f"{name:>10} {'aborted at step ' + str(result.steps_completed):>31}")

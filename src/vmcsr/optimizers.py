@@ -22,8 +22,8 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from .errors import NotPositiveDefinite
 from .estimators import s_matrix, t_matrix
 from .svdengine import (
-    exact_truncated_svd,
-    full_space_svd,
+    exact_truncated_svd,  # noqa: F401  (unused; vmcbench/tracer.py patches it here)
+    gram_svd,
     qr_orthonormalize,
     randomized_svd,
     ssi_svd,
@@ -373,13 +373,14 @@ def wssr_step(theta, bundle, eta, state, options=WssrOptions(), rng_seed=0,
     was binding at r_max (never beyond the parameter count).  delta,
     r_reg, sigma_floor and eps_grow come from options.
 
-    A step whose block is the whole row space of ohat (requested == m),
-    where iterating could only reproduce the exact factors, takes them
-    from the eigendecomposition of the m x m Gram matrix
-    (full_space_svd). Otherwise the first step factorizes by dense SVD,
-    and later steps run at most SSI_MAX_ITERS subspace iterations
-    warm-started from u_prev; with sketch=True (rssr, the cold-restart
-    ablation) a one-pass Gaussian sketch seeded per step replaces them.
+    Three routes. The first step, and any step whose block is the whole
+    row space of ohat (requested == m), where iterating could only
+    reproduce the exact factors, take them from the eigendecomposition of
+    the Gram matrix of ohat's smaller side (gram_svd). Later narrower
+    blocks run at most SSI_MAX_ITERS subspace iterations warm-started
+    from u_prev; with sketch=True (rssr, the cold-restart ablation) a
+    one-pass Gaussian sketch seeded per step replaces them. No route takes
+    a dense SVD of the whole stack.
 
     Returns:
       (theta', state', WssrDiagnostics).
@@ -394,10 +395,8 @@ def wssr_step(theta, bundle, eta, state, options=WssrOptions(), rng_seed=0,
 
     requested = min(state.r_max, m, ohat.shape[1])
     iterations = 0
-    if requested == m:
-        factors = full_space_svd(ohat)
-    elif state.step == 0:
-        factors = exact_truncated_svd(ohat, requested)
+    if requested == m or state.step == 0:
+        factors = gram_svd(ohat, requested)
     elif sketch:
         factors = randomized_svd(
             ohat, requested, oversample=min(10, min(ohat.shape) - requested),
@@ -432,8 +431,8 @@ def wssr_step(theta, bundle, eta, state, options=WssrOptions(), rng_seed=0,
 
     state_next = WssrState(
         # C order, as a checkpoint restores it: a Fortran-ordered u_prev
-        # (a wide dense SVD's) would make ohat Fortran-ordered next step,
-        # and a resumed run would round differently from a straight one
+        # would make ohat Fortran-ordered next step, and a resumed run
+        # would round differently from a straight one
         u_prev=np.ascontiguousarray(u),
         sigma=sigma,
         lbar=factors.v[:r_eff, :] @ lhat,

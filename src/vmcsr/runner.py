@@ -136,11 +136,15 @@ def _snapshot(path, step, config, system, seed, theta, ensemble, opt_state, pref
 
 
 def _restore(resume_path, config, system, wavefunction, initial_state, prefix):
-    """Rebuild (step, theta, ensemble, opt_state, seed) from a snapshot.
+    """Rebuild (step, theta, ensemble, opt_state) from a snapshot.
 
-    The optimizer state has the class of initial_state; its fields are
-    read back from the section _snapshot wrote under prefix, which must
-    hold exactly those fields. Hyperparameters always come from config.
+    The checkpoint must match the configured run: the same optimizer,
+    seed and spin labels, and every array the shape the run gives it. An
+    optimizer array has the shape of its field in initial_state, where a
+    0 takes any length. The optimizer state has the class of
+    initial_state; its fields are read back from the section _snapshot
+    wrote under prefix, which must hold exactly those fields.
+    Hyperparameters always come from config.
     """
     try:
         scalars, arrays, rng_states = ckpt.read_checkpoint(resume_path)
@@ -154,9 +158,8 @@ def _restore(resume_path, config, system, wavefunction, initial_state, prefix):
     rng = np.random.Generator(np.random.PCG64())
     try:
         rng.bit_generator.state = rng_states[0]
-        name = scalars["optimizer"]
-        step, seed = int(scalars["step"]), int(scalars["seed"])
-        theta, spins = arrays["theta"], arrays["spins"]
+        step = int(scalars["step"])
+        theta = arrays["theta"]
         ensemble = WalkerEnsemble(
             positions=arrays["positions"],
             log_abs=arrays["log_abs"],
@@ -166,32 +169,24 @@ def _restore(resume_path, config, system, wavefunction, initial_state, prefix):
             proposed=int(scalars["proposed"]),
             burned_in=bool(scalars["burned_in"]),
         )
+        for entry, got, want in (
+            ("optimizer", scalars["optimizer"], config.optimizer.name),
+            ("seed", int(scalars["seed"]), config.run.seed),
+            ("spin labels", arrays["spins"].tolist(), system.spins.tolist()),
+        ):
+            if got != want:
+                raise ConfigError(
+                    f"checkpoint has {entry} {got!r}, the configured run {want!r}"
+                )
     except KeyError as exc:
         raise ConfigError(f"checkpoint lacks the entry {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"checkpoint is malformed: {exc}") from exc
-    if name != config.optimizer.name:
-        raise ConfigError(
-            f"checkpoint was written by optimizer {name!r}, config asks for "
-            f"{config.optimizer.name!r}"
-        )
-    if theta.shape != (wavefunction.n_params,):
-        raise ConfigError(
-            f"checkpoint has {theta.shape[0]} parameters, the configured "
-            f"wavefunction has {wavefunction.n_params}"
-        )
-    if not np.array_equal(spins, system.spins):
-        raise ConfigError(
-            f"checkpoint spin labels {spins.tolist()} do not match the "
-            f"system's {system.spins.tolist()}"
-        )
-    if ensemble.n_walkers != config.sampler.walkers:
-        raise ConfigError(
-            f"checkpoint has {ensemble.n_walkers} walkers, the config asks for "
-            f"{config.sampler.walkers}"
-        )
 
-    opt_state = None
+    walkers, n = config.sampler.walkers, system.n_electrons
+    shapes = {"theta": (wavefunction.n_params,), "positions": (walkers, n, 3),
+              "log_abs": (walkers,)}
+    section = None
     if initial_state is not None:
         section = scalars.get(prefix, {})
         if not isinstance(section, dict):
@@ -209,22 +204,23 @@ def _restore(resume_path, config, system, wavefunction, initial_state, prefix):
                 f"unknown fields {sorted(set(section) - expected)}, "
                 f"missing fields {sorted(expected - set(section))}"
             )
-        for f in dataclasses.fields(initial_state):
-            start, shape = getattr(initial_state, f.name), np.shape(section[f.name])
-            # an array keeps every axis length that is nonzero at the start
-            if isinstance(start, np.ndarray) and (
-                len(shape) != start.ndim
-                or any(n and n != m for n, m in zip(start.shape, shape))
-            ):
-                raise ConfigError(
-                    f"checkpoint entry '{head}{f.name}' has shape {shape}, which "
-                    f"does not fit the initial state's {start.shape}"
-                )
+        shapes.update(
+            (head + name, start.shape) for name, start in vars(initial_state).items()
+            if isinstance(start, np.ndarray)
+        )
+    for entry, want in shapes.items():
+        got = np.shape(arrays.get(entry))  # an optimizer field stored as a scalar: ()
+        if len(got) != len(want) or any(k and k != g for k, g in zip(want, got)):
+            raise ConfigError(
+                f"checkpoint entry '{entry}' has shape {got}, the configured run's is {want}"
+            )
+    opt_state = None
+    if section is not None:
         try:
             opt_state = type(initial_state)(**section)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"checkpoint {prefix} state is malformed: {exc}") from exc
-    return step, theta, ensemble, opt_state, seed
+    return step, theta, ensemble, opt_state
 
 
 def run(config, resume_path=None):
@@ -251,7 +247,7 @@ def run(config, resume_path=None):
 
     records = []
     if resume_path is not None:
-        start_step, theta, ensemble, opt_state, seed = _restore(
+        start_step, theta, ensemble, opt_state = _restore(
             resume_path, config, system, wavefunction, opt_state, prefix
         )
         wavefunction.set_theta(theta)

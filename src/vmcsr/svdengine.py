@@ -14,11 +14,13 @@ every block (and wssr's widened warm start), and the dense SVD, the
 finish shared by the exact truncation and the Rayleigh-Ritz step. Both
 treat a value at or below DEFICIENT_COLUMN_REL * ||ohat||_F as zero.
 
-A matrix with no more rows than columns, whose whole row space a block
-would span, is factored through the eigendecomposition of its m x m Gram
-matrix instead (full_space_svd). Squaring the spectrum costs half the
-digits, so there a singular value at or below GRAM_ZERO_REL * ||ohat||_F
-is zero.
+The one exact factorization on the optimizer's path is gram_svd: the
+eigendecomposition of the Gram matrix of the smaller side (ohat @ ohat.T
+or ohat.T @ ohat), the other factor from one product. wssr and rssr take
+it at their first step and whenever a block would span the whole row
+space. Squaring the spectrum costs half the digits, so there a singular
+value at or below GRAM_ZERO_REL * ||ohat||_F is zero. The dense
+exact_truncated_svd stays as the oracle the tests compare against.
 
 Every entry point checks its arguments once, through _checked. A shape,
 rank or block width the matrix cannot hold, or a non-finite entry, is a
@@ -171,30 +173,36 @@ def exact_truncated_svd(ohat, rank):
     return _finish(ohat, fro, rank)
 
 
-def full_space_svd(ohat):
-    """Every nonzero triplet of a matrix with no more rows than columns.
+def gram_svd(ohat, rank):
+    """The leading `rank` triplets, through the Gram matrix of the smaller side.
 
-    Takes the eigendecomposition of the m x m Gram matrix G = ohat @ ohat.T
-    in place of a dense SVD: sigma is the square root of G's eigenvalues,
-    descending, u their eigenvectors and v = sigma^-1 u.T @ ohat. A
-    singular value at or below GRAM_ZERO_REL * ||ohat||_F is dropped as
-    zero, so at ratios sigma / sigma_1 above about 1e-3 the values agree
-    with the dense SVD to about 1e-10 relative.
+    Takes the eigendecomposition of G = ohat @ ohat.T (m x m) when
+    m <= n, else of G = ohat.T @ ohat (n x n), in place of a dense SVD:
+    sigma is the square root of G's eigenvalues, descending, and their
+    eigenvectors are one factor, u when m <= n and v otherwise. The other
+    factor comes from one product, v = sigma^-1 u.T @ ohat or
+    u = ohat @ v.T sigma^-1. A singular value at or below
+    GRAM_ZERO_REL * ||ohat||_F is dropped as zero, so at ratios
+    sigma / sigma_1 above about 1e-3 the values agree with the dense SVD
+    to about 1e-10 relative.
 
     Raises:
-      ValueError: if ohat has more rows than columns or non-finite entries.
+      ValueError: unless 1 <= rank <= min(ohat.shape) and ohat is finite.
       DegenerateInput: if ohat is numerically zero, or its Gram matrix
         underflows to zero.
     """
-    ohat, fro = _checked(ohat, np.shape(ohat)[0])
-    lam, w = np.linalg.eigh(ohat @ ohat.T)
+    ohat, fro = _checked(ohat, rank)
+    wide = ohat.shape[0] <= ohat.shape[1]
+    lam, w = np.linalg.eigh(ohat @ ohat.T if wide else ohat.T @ ohat)
     sigma = np.sqrt(np.maximum(lam[::-1], 0.0))
-    k = int(np.count_nonzero(sigma > GRAM_ZERO_REL * fro))
+    k = int(np.count_nonzero(sigma[:rank] > GRAM_ZERO_REL * fro))
     if k == 0:
         raise DegenerateInput("Gram matrix underflowed: no singular value left")
-    u = np.ascontiguousarray(w[:, ::-1][:, :k])
+    w = np.ascontiguousarray(w[:, ::-1][:, :k])
     sigma = sigma[:k]
-    return TruncatedSvd(u=u, sigma=sigma, v=(u.T @ ohat) / sigma[:, None])
+    if wide:
+        return TruncatedSvd(u=w, sigma=sigma, v=(w.T @ ohat) / sigma[:, None])
+    return TruncatedSvd(u=(ohat @ w) / sigma, sigma=sigma, v=np.ascontiguousarray(w.T))
 
 
 def ssi_svd(ohat, rank, *, max_iters, residual_tol, u_init=None):

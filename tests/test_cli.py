@@ -229,7 +229,36 @@ class TestRunCommand:
         ckpt = tmp_path / "artifacts" / "checkpoint.bin"
         code = main(["run", "--config", str(more), "--steps", "5", "--resume", str(ckpt)])
         assert code == 2
-        assert "checkpoint has 16 walkers, the config asks for 32" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "checkpoint entry 'positions' has shape (16, 1, 3)" in err
+        assert "the configured run's is (32, 1, 3)" in err
+
+    @pytest.mark.parametrize("entry, shape", [
+        ("log_abs", (5,)), ("positions", (16, 3, 3)), ("positions", (16, 2, 2)),
+    ], ids=["log_abs-5", "positions-3-electrons", "positions-2-axes"])
+    def test_resume_of_walker_arrays_that_do_not_fit_exits_2_naming_the_entry(
+        self, tmp_path, capsys, entry, shape
+    ):
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config)]) == 0
+        scalars, arrays, rng_states = read_checkpoint(tmp_path / "artifacts" / "checkpoint.bin")
+        arrays[entry] = np.zeros(shape)
+        damaged = tmp_path / "damaged.bin"
+        write_checkpoint(damaged, scalars, arrays, rng_states)
+        code = main(["run", "--config", str(config), "--steps", "5", "--resume", str(damaged)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"checkpoint entry '{entry}' has shape {shape}" in err
+        assert str({"log_abs": (16,), "positions": (16, 1, 3)}[entry]) in err
+
+    def test_resume_under_another_seed_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config)]) == 0
+        ckpt = tmp_path / "artifacts" / "checkpoint.bin"
+        code = main(["run", "--config", str(config), "--seed", "99", "--steps", "5",
+                     "--resume", str(ckpt)])
+        assert code == 2
+        assert "checkpoint has seed 1, the configured run 99" in capsys.readouterr().err
 
     def test_resume_under_another_spin_split_exits_2(self, tmp_path, capsys):
         # Li with three spin-agnostic orbitals: the electron and parameter
@@ -254,7 +283,8 @@ class TestRunCommand:
         ckpt = tmp_path / "li" / "checkpoint.bin"
         code = main(["run", "--config", str(flipped), "--steps", "2", "--resume", str(ckpt)])
         assert code == 2
-        assert "spin labels" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "checkpoint has spin labels [0, 0, 1], the configured run [0, 1, 1]" in err
 
     @pytest.mark.parametrize("damage", ["header", "row"])
     def test_resume_into_a_malformed_trace_exits_2_naming_it(self, tmp_path, capsys, damage):

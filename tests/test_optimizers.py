@@ -34,7 +34,7 @@ from vmcsr.optimizers import (
     spring_update,
     wssr_step,
 )
-from vmcsr.svdengine import full_space_svd, qr_orthonormalize, ssi_svd
+from vmcsr.svdengine import gram_svd, qr_orthonormalize, ssi_svd
 
 
 def raw_bundle(o, l):
@@ -544,37 +544,51 @@ class TestWssrStep:
 
         calls = []
 
-        def spy(ohat):
-            calls.append(ohat.shape)
-            return full_space_svd(ohat)
+        def spy(ohat, rank):
+            calls.append((ohat.shape, rank))
+            return gram_svd(ohat, rank)
 
-        monkeypatch.setattr(optimizers, "full_space_svd", spy)
+        monkeypatch.setattr(optimizers, "gram_svd", spy)
         got, _, diag = wssr_step(theta, bundle2, 0.01, state, sketch=sketch)
-        assert calls == [(m, state.sigma.size + n)]
+        assert calls == [((m, state.sigma.size + n), m)]
         assert diag.ssi_iterations == 0
 
         # the subspace-iteration update on the same full-width block
-        monkeypatch.setattr(optimizers, "full_space_svd", lambda ohat: ssi_svd(
-            ohat, m, max_iters=SSI_MAX_ITERS, residual_tol=SSI_RESIDUAL_TOL)[0])
+        monkeypatch.setattr(optimizers, "gram_svd", lambda ohat, rank: ssi_svd(
+            ohat, rank, max_iters=SSI_MAX_ITERS, residual_tol=SSI_RESIDUAL_TOL)[0])
         want, _, _ = wssr_step(theta, bundle2, 0.01, state, sketch=sketch)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
     @pytest.mark.parametrize("sketch", [False, True], ids=["wssr", "rssr"])
     def test_block_narrower_than_the_row_space_skips_the_gram_route(
             self, monkeypatch, sketch):
-        # criterion 9's shape: 544 parameters, rank_init 64, 96 samples
-        def refuse(ohat):
-            raise AssertionError(f"full_space_svd called on {ohat.shape}")
+        # criterion 9's shape: 544 parameters, rank_init 64, 96 samples.
+        # Step 1 takes the Gram route on its (544, 96) stack; later steps
+        # iterate (wssr) or sketch (rssr), and no step takes a dense SVD.
+        calls = []
 
-        monkeypatch.setattr(optimizers, "full_space_svd", refuse)
+        def spy(ohat, rank):
+            calls.append((ohat.shape, rank))
+            return gram_svd(ohat, rank)
+
+        def refuse(ohat, rank):
+            raise AssertionError(f"exact_truncated_svd called on {ohat.shape}")
+
+        monkeypatch.setattr(optimizers, "gram_svd", spy)
+        monkeypatch.setattr(optimizers, "exact_truncated_svd", refuse)
         rng = np.random.default_rng(22)
         m, n = 544, 96
         theta = np.zeros(m)
         state = WssrState.initial(m, rank_init=64)
+        iterations = []
         for _ in range(4):
             bundle = raw_bundle(rng.standard_normal((m, n)), rng.standard_normal(n))
-            theta, state, _ = wssr_step(theta, bundle, 0.01, state, sketch=sketch)
+            theta, state, diag = wssr_step(theta, bundle, 0.01, state, sketch=sketch)
+            iterations.append(diag.ssi_iterations)
         assert state.step == 4 and state.r_max < m
+        assert calls == [((m, n), 64)]
+        assert iterations[0] == 0
+        assert all((i == 0) if sketch else (i >= 1) for i in iterations[1:])
 
 
 def shared_left_space_bundle(w, diag_values, n, seed):
@@ -635,7 +649,7 @@ class TestRssr:
         theta = np.zeros(m)
         eta = 0.01
 
-        # the same history at step 0 takes the dense route
+        # the same history at step 0 takes the exact (Gram) route
         options = WssrOptions(delta=0.5)
         t_exact, _, _ = wssr_step(
             theta, bundle, eta, dataclasses.replace(state, step=0), options)

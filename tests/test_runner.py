@@ -195,7 +195,7 @@ class TestResumeDeterminism:
 
 class TestRankColumns:
     def test_optimizer_name_picks_the_factorization(self, tmp_path):
-        # Step 1 is dense for both; afterwards wssr iterates from its warm
+        # Step 1 is exact for both; afterwards wssr iterates from its warm
         # start and rssr sketches once, which counts no iterations.
         wssr = read_trace(run(helium_config(tmp_path, name="wssr", steps=4, sub="w")).trace_path)
         rssr = read_trace(run(helium_config(tmp_path, name="rssr", steps=4, sub="r")).trace_path)

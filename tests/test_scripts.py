@@ -37,6 +37,14 @@ def test_compare_optimizers_runs_every_rule(tmp_path, capsys):
     assert [row[0] for row in rows] == list(names)
 
 
+def test_compare_optimizers_prints_one_ratio_per_seed(tmp_path, capsys):
+    argv = ["--ratio-seeds", "11", "12", "--steps", "2", "--out", str(tmp_path)]
+    assert _load_script("compare_optimizers").main(argv) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split()[:3] for row in rows] == [["seed", "11:", "ratio"], ["seed", "12:", "ratio"]]
+    assert all(float(row.split()[3]) > 0.0 for row in rows)
+
+
 @pytest.mark.parametrize("name, delta", [("wssr", 0.95), ("wssr", 0.0), ("sgd", 0.95)])
 def test_compare_optimizers_runs_criterion_9s_configuration(name, delta):
     """At its default steps, seed and window the script races the exact

@@ -9,7 +9,7 @@ from vmcsr.errors import DegenerateInput
 from vmcsr.optimizers import SSI_MAX_ITERS, SSI_RESIDUAL_TOL
 from vmcsr.svdengine import (
     exact_truncated_svd,
-    full_space_svd,
+    gram_svd,
     qr_orthonormalize,
     randomized_svd,
     ssi_svd,
@@ -165,13 +165,15 @@ class TestExactTruncatedSvd:
 
 
 class TestFullSpaceSvd:
+    """gram_svd asked for every triplet of the smaller side."""
+
     def test_matches_dense_svd_at_he_step_shape(self):
         """(144, 2089) with 64 dead parameter rows, the shape of a He
         ell_max = 0 wssr step: the Gram route keeps the same 80 triplets."""
         rng = np.random.default_rng(8)
         a = rng.standard_normal((144, 2089))
         a[rng.choice(144, size=64, replace=False)] = 0.0
-        fact, exact = full_space_svd(a), exact_truncated_svd(a, 144)
+        fact, exact = gram_svd(a, 144), exact_truncated_svd(a, 144)
         assert fact.rank == exact.rank == 80
         np.testing.assert_allclose(fact.sigma, exact.sigma, rtol=1e-12)
         projector_gap = fact.u @ fact.u.T - exact.u @ exact.u.T
@@ -186,7 +188,7 @@ class TestFullSpaceSvd:
         rng = np.random.default_rng(12)
         sigma = np.geomspace(1.0, 1e-9, 60)
         a, _, _ = _matrix_with_spectrum(rng, 60, 300, sigma)
-        fact = full_space_svd(a)
+        fact = gram_svd(a, 60)
         dense = np.linalg.svd(a, compute_uv=False)
         kept = np.count_nonzero(dense >= 1e-3 * dense[0])
         assert fact.rank >= kept
@@ -194,15 +196,44 @@ class TestFullSpaceSvd:
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(DegenerateInput):
-            full_space_svd(np.zeros((3, 5)))
+            gram_svd(np.zeros((3, 5)), 3)
 
-    def test_tall_matrix_refused(self):
-        with pytest.raises(ValueError):
-            full_space_svd(np.ones((5, 3)))
+    def test_tall_matrix_served_through_its_column_gram(self):
+        """A tall matrix takes the n x n Gram ohat.T @ ohat: its factors are
+        those of its wide transpose, swapped."""
+        rng = np.random.default_rng(9)
+        a = rng.standard_normal((40, 120))
+        wide, tall = gram_svd(a, 40), gram_svd(a.T, 40)
+        assert tall.rank == wide.rank == 40
+        np.testing.assert_allclose(tall.sigma, wide.sigma, rtol=1e-12)
+        np.testing.assert_allclose(tall.v @ tall.v.T, np.eye(40), atol=1e-12)
+        np.testing.assert_allclose(np.abs(np.sum(tall.u * wide.v.T, axis=0)), 1.0, rtol=1e-12)
+        assert np.linalg.norm(_rebuild(tall) - a.T) <= 1e-12 * np.linalg.norm(a)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
-            full_space_svd(np.array([[1.0, np.inf], [0.0, 1.0]]))
+            gram_svd(np.array([[1.0, np.inf], [0.0, 1.0]]), 2)
+
+
+class TestGramSvd:
+    @pytest.mark.parametrize("m, n, rank, orthonormality", [
+        (144, 2048, 144, 1e-12),   # He s: the whole row space
+        (544, 96, 64, 1e-8),       # criterion 9's step 1: tall, narrow
+        (3720, 2048, 400, 1e-12),  # Be's step 1: tall, narrow
+    ], ids=["he-s", "criterion-9", "be"])
+    def test_matches_the_dense_svd(self, m, n, rank, orthonormality):
+        """A spectrum from 1 down to 1e-6: every sigma with
+        sigma / sigma_1 >= 1e-3 matches the dense SVD to 1e-10 relative.
+        u is orthonormal to rounding where it holds eigenvectors (m <= n);
+        from a tall matrix it is ohat @ v / sigma, whose error grows as
+        (sigma_1 / sigma_rank)^2, about 1e8 at criterion 9's block edge."""
+        rng = np.random.default_rng(13)
+        a, _, _ = _matrix_with_spectrum(rng, m, n, np.geomspace(1.0, 1e-6, min(m, n)))
+        fact, exact = gram_svd(a, rank), exact_truncated_svd(a, rank)
+        assert fact.rank == exact.rank == rank
+        kept = np.count_nonzero(exact.sigma >= 1e-3 * exact.sigma[0])
+        np.testing.assert_allclose(fact.sigma[:kept], exact.sigma[:kept], rtol=1e-10)
+        assert np.abs(fact.u.T @ fact.u - np.eye(rank)).max() <= orthonormality
 
 
 class TestSsiSvd:
@@ -398,7 +429,7 @@ ARGUMENT_CHECKS = {
                           lambda: qr_orthonormalize(np.ones((4, 6)))),
     "exact_truncated_svd": (lambda a: exact_truncated_svd(a, 2), (4, 6),
                             lambda: exact_truncated_svd(np.ones((4, 6)), 5)),
-    "full_space_svd": (full_space_svd, (4, 6), lambda: full_space_svd(np.ones((6, 4)))),
+    "gram_svd": (lambda a: gram_svd(a, 2), (4, 6), lambda: gram_svd(np.ones((6, 4)), 5)),
     "ssi_svd": (lambda a: ssi_svd(a, 2, max_iters=3, residual_tol=0.0), (4, 6),
                 lambda: ssi_svd(np.ones((4, 6)), 2, max_iters=3, residual_tol=0.0,
                                 u_init=np.eye(4)[:, :1])),
