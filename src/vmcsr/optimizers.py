@@ -24,7 +24,7 @@ from .estimators import s_matrix, t_matrix
 from .svdengine import (
     exact_truncated_svd,  # noqa: F401  (unused; vmcbench/tracer.py patches it here)
     gram_svd,
-    qr_orthonormalize,
+    qr_orthonormalize,  # noqa: F401  (unused; vmcbench/tracer.py patches it here)
     randomized_svd,
     ssi_svd,
     subspace_drift,
@@ -293,7 +293,8 @@ class WssrState:
     rank; zero columns before the first step), which also warm-start the
     next factorization, sigma the singular values, and lbar the matching
     residual history. r_max is the rank requested from the factorizer;
-    it only ever grows.
+    it only ever grows, and u_prev is never wider, so the next step's
+    block holds every carried vector.
     """
 
     u_prev: np.ndarray
@@ -309,6 +310,8 @@ class WssrState:
             raise ValueError("history rank mismatch between u_prev, sigma and lbar")
         if self.r_max < 1:
             raise ValueError("r_max must be at least 1")
+        if self.u_prev.shape[1] > self.r_max:
+            raise ValueError(f"history rank {self.u_prev.shape[1]} exceeds r_max {self.r_max}")
 
     @property
     def obar(self):
@@ -340,21 +343,6 @@ def _per_step_seed(rng_seed, step):
     return int(np.random.SeedSequence((int(rng_seed), int(step))).generate_state(1)[0])
 
 
-def _prepare_warm_start(u_prev, requested, n_rows, seed):
-    """Previous left vectors widened (or cut) to the requested block size.
-
-    Missing columns are filled with seeded Gaussian directions and the
-    whole block re-orthonormalized, so a rank grown since the last step
-    still warm-starts from everything already known.
-    """
-    if u_prev.shape[1] >= requested:
-        return np.ascontiguousarray(u_prev[:, :requested])
-    rng = np.random.default_rng(seed)
-    extra = rng.standard_normal((n_rows, requested - u_prev.shape[1]))
-    q, _ = qr_orthonormalize(np.concatenate([u_prev, extra], axis=1))
-    return q
-
-
 def wssr_step(theta, bundle, eta, state, options=WssrOptions(), rng_seed=0,
               *, sketch=False):
     """One step of the warm-started low-rank preconditioned descent.
@@ -378,9 +366,12 @@ def wssr_step(theta, bundle, eta, state, options=WssrOptions(), rng_seed=0,
     reproduce the exact factors, take them from the eigendecomposition of
     the Gram matrix of ohat's smaller side (gram_svd). Later narrower
     blocks run at most SSI_MAX_ITERS subspace iterations warm-started
-    from u_prev; with sketch=True (rssr, the cold-restart ablation) a
-    one-pass Gaussian sketch seeded per step replaces them. No route takes
-    a dense SVD of the whole stack.
+    from u_prev, widened to the working rank by Gaussian columns seeded
+    per step (requested is never below u_prev's width, since r_max never
+    is); ssi_svd's opening QR is the block's one orthonormalization.
+    With sketch=True (rssr, the cold-restart ablation) a one-pass
+    Gaussian sketch seeded per step replaces them. No route takes a dense
+    SVD of the whole stack.
 
     Returns:
       (theta', state', WssrDiagnostics).
@@ -403,9 +394,11 @@ def wssr_step(theta, bundle, eta, state, options=WssrOptions(), rng_seed=0,
             rng_seed=_per_step_seed(rng_seed, state.step),
         )
     else:
-        u_init = _prepare_warm_start(
-            state.u_prev, requested, m, _per_step_seed(rng_seed, state.step)
-        )
+        u_init = state.u_prev
+        if requested > u_init.shape[1]:
+            rng = np.random.default_rng(_per_step_seed(rng_seed, state.step))
+            extra = rng.standard_normal((m, requested - u_init.shape[1]))
+            u_init = np.concatenate([u_init, extra], axis=1)
         factors, iterations = ssi_svd(
             ohat, requested, max_iters=SSI_MAX_ITERS, u_init=u_init,
             residual_tol=SSI_RESIDUAL_TOL,

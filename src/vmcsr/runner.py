@@ -158,7 +158,10 @@ def _restore(resume_path, config, system, wavefunction, initial_state, prefix):
     rng = np.random.Generator(np.random.PCG64())
     try:
         rng.bit_generator.state = rng_states[0]
-        step = int(scalars["step"])
+        step = scalars["step"]
+        # JSON gives a plain int for every step _snapshot writes; bool is an int subclass
+        if type(step) is not int or step < 0:
+            raise ValueError(f"entry 'step' must be an integer >= 0, got {step!r}")
         theta = arrays["theta"]
         ensemble = WalkerEnsemble(
             positions=arrays["positions"],
@@ -253,7 +256,9 @@ def run(config, resume_path=None):
         wavefunction.set_theta(theta)
         if os.path.exists(trace_path):
             try:
-                records = [rec for rec in read_trace(trace_path) if rec.step <= start_step]
+                # rows run 1, 2, ... in step order, each flushed before its
+                # step's checkpoint, so the first start_step rows are the kept ones
+                records = read_trace(trace_path, start_step)
             except ValueError as exc:
                 raise ConfigError(f"cannot resume into {trace_path}: {exc}") from exc
     else:
@@ -299,6 +304,10 @@ def run(config, resume_path=None):
                 )
                 if not np.all(np.isfinite(theta_next)):
                     raise NumericalAbort(f"non-finite parameters at step {step}")
+                wavefunction.set_theta(theta_next)
+                ensemble.log_abs = np.asarray(
+                    wavefunction.log_abs_batch(ensemble.positions), dtype=np.float64
+                )
             except (NumericalError, MemoryError) as exc:
                 # Drop the traceback, and with it the failed step's arrays,
                 # then re-snapshot the state before the failing step so the
@@ -316,10 +325,6 @@ def run(config, resume_path=None):
 
             theta = theta_next
             opt_state = opt_state_next
-            wavefunction.set_theta(theta)
-            ensemble.log_abs = np.asarray(
-                wavefunction.log_abs_batch(ensemble.positions), dtype=np.float64
-            )
 
             proposed_now = ensemble.proposed - prop0
             accepted_now = ensemble.accepted - acc0

@@ -7,6 +7,7 @@ vector of acceptance uniforms. Results are bitwise reproducible, and a
 run resumes from the stream's saved state.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,13 @@ class WalkerEnsemble:
     accepted: int = 0            # ensemble-wide move counters
     proposed: int = 0
     burned_in: bool = False
+
+    def __post_init__(self):
+        # 0 is the degenerate limit metropolis_step documents, not an error
+        if not 0.0 <= self.proposal_std < math.inf:
+            raise ValueError(
+                f"proposal_std must be finite and >= 0, got {self.proposal_std!r}"
+            )
 
     @property
     def n_walkers(self):
@@ -78,8 +86,6 @@ def metropolis_step(ensemble, wavefunction):
     Returns the ensemble (the same, mutated, object).
     """
     std = ensemble.proposal_std
-    if std < 0.0:
-        raise ValueError("proposal spread must be nonnegative")
     w = ensemble.n_walkers
     n = ensemble.positions.shape[1]
 

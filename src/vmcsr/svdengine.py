@@ -10,7 +10,7 @@ sketch is one budgeted pass of the same engine from an oversampled block
 checked against the dense SVD in the test suite.
 
 The dense kernels live here too: the sign-fixed QR that orthonormalizes
-every block (and wssr's widened warm start), and the dense SVD, the
+every block, a start block included, and the dense SVD, the
 finish shared by the exact truncation and the Rayleigh-Ritz step. Both
 treat a value at or below DEFICIENT_COLUMN_REL * ||ohat||_F as zero.
 
@@ -227,9 +227,10 @@ def ssi_svd(ohat, rank, *, max_iters, residual_tol, u_init=None):
         which is zero exactly when span(q) is invariant. The last
         iteration the budget allows forms no residual.
       u_init: optional (m, width) warm-start block with
-        rank <= width <= min(m, n) (orthonormalized defensively); extra
-        columns oversample. None means a seeded random cold start of
-        width `rank`.
+        rank <= width <= min(m, n); extra columns oversample. Any block
+        of full column rank will do: the QR that opens the iteration is
+        its one orthonormalization, so callers pass it as it stands.
+        None means a seeded random cold start of width `rank`.
 
     Returns:
       (TruncatedSvd, iterations_used). The returned rank can be below

@@ -5,6 +5,7 @@ with 17 significant digits so a parsed file reproduces the original
 values bit for bit. UTF-8, LF line endings.
 """
 
+import itertools
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -84,13 +85,19 @@ class TraceWriter:
         return False
 
 
-def read_trace(path):
-    """All records of a trace file, header verified."""
+def read_trace(path, rows=None):
+    """The records of a trace file, header verified.
+
+    With rows, only the first `rows` records are parsed and the rest are
+    dropped unparsed: a resumed run keeps the rows up to its checkpointed
+    step, so a row cut short by a crash after that step does not stop it.
+    """
     with open(path, encoding="utf-8", newline="\n") as fh:
         header = fh.readline().rstrip("\n")
         if header != HEADER_LINE:
             raise ValueError(f"unexpected trace header: {header!r}")
-        return [parse_record(line) for line in fh if line.strip()]
+        lines = (line for line in fh if line.strip())
+        return [parse_record(line) for line in itertools.islice(lines, rows)]
 
 
 def smooth_trace(values, window):

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 import struct
@@ -9,6 +10,7 @@ import pytest
 import vmcsr.runner
 from vmcsr.checkpoint import FORMAT_VERSION, MAGIC, read_checkpoint, write_checkpoint
 from vmcsr.cli import main
+from vmcsr.trace import read_trace
 from vmcsr.wavefunction import AceWavefunction
 
 SMALL_RUN = """
@@ -40,6 +42,10 @@ def write_config(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text(SMALL_RUN.format(out=tmp_path / "artifacts"), encoding="utf-8")
     return path
+
+
+def strip_wall(records):
+    return [dataclasses.replace(r, wall_ms=0.0) for r in records]
 
 
 def write_sealed(path, entry):
@@ -302,6 +308,41 @@ class TestRunCommand:
         assert code == 2
         assert str(trace) in capsys.readouterr().err
 
+    def test_resume_past_a_cut_short_trace_row_matches_a_straight_run(self, tmp_path):
+        # A run killed mid-write can leave a partial last row; rows past
+        # the checkpointed step are dropped unread.
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config)]) == 0
+        trace = tmp_path / "artifacts" / "trace.csv"
+        with trace.open("a", encoding="utf-8") as fh:
+            fh.write("4,-0.49")
+        ckpt = tmp_path / "artifacts" / "checkpoint.bin"
+        assert main(["run", "--config", str(config), "--steps", "5", "--resume", str(ckpt)]) == 0
+        assert main(["run", "--config", str(config), "--steps", "5",
+                     "--out", str(tmp_path / "straight")]) == 0
+        resumed = read_trace(trace)
+        assert [r.step for r in resumed] == [1, 2, 3, 4, 5]
+        assert strip_wall(resumed) == strip_wall(read_trace(tmp_path / "straight" / "trace.csv"))
+
+    @pytest.mark.parametrize("entry, value", [
+        ("step", -5), ("step", True), ("step", 2.7),
+        ("proposal_std", -1.0), ("proposal_std", float("inf")),
+    ])
+    def test_resume_from_a_malformed_checkpoint_value_exits_2_naming_it(
+        self, tmp_path, capsys, entry, value
+    ):
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config)]) == 0
+        scalars, arrays, rng_states = read_checkpoint(tmp_path / "artifacts" / "checkpoint.bin")
+        scalars[entry] = value
+        damaged = tmp_path / "damaged.bin"
+        write_checkpoint(damaged, scalars, arrays, rng_states)
+        code = main(["run", "--config", str(config), "--steps", "5", "--resume", str(damaged)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "checkpoint is malformed" in err
+        assert entry in err and repr(value) in err
+
     @pytest.mark.parametrize("section, key", [
         ("wavefunction", "degree_cap"),
         ("wavefunction", "fd_step"),
@@ -405,6 +446,22 @@ class TestRunCommand:
         assert code == 2
         assert "unknown fields ['obar']" in capsys.readouterr().err
 
+
+    def test_resume_of_a_wssr_history_wider_than_its_budget_exits_2(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config), "--optimizer", "wssr"]) == 0
+        scalars, arrays, rng_states = read_checkpoint(tmp_path / "artifacts" / "checkpoint.bin")
+        # hydrogen's one parameter carries one vector; carry it twice under a budget of 1
+        assert arrays["wssr_u_prev"].shape == (1, 1)
+        for entry in ("wssr_u_prev", "wssr_sigma", "wssr_lbar"):
+            arrays[entry] = np.concatenate([arrays[entry]] * 2, axis=-1)
+        scalars["wssr"]["r_max"] = 1
+        damaged = tmp_path / "damaged.bin"
+        write_checkpoint(damaged, scalars, arrays, rng_states)
+        code = main(["run", "--config", str(config), "--optimizer", "wssr",
+                     "--steps", "5", "--resume", str(damaged)])
+        assert code == 2
+        assert "history rank 2 exceeds r_max 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("damage, entry", [
         ("scalars", "wssr"), ("rows", "wssr_u_prev"), ("shape", "spring_prev_update"),

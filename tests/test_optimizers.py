@@ -387,6 +387,13 @@ class TestWssrState:
         with pytest.raises(ValueError):
             WssrState.initial(3, rank_init=0)
 
+    def test_history_wider_than_the_rank_budget_is_refused(self):
+        # wssr_step never carries more vectors than its next block holds
+        u, _ = qr_orthonormalize(np.random.default_rng(12).standard_normal((6, 3)))
+        with pytest.raises(ValueError, match="history rank 3 exceeds r_max 2"):
+            WssrState(u_prev=u, sigma=np.ones(3), lbar=np.zeros(3), r_max=2, step=1)
+        WssrState(u_prev=u, sigma=np.ones(3), lbar=np.zeros(3), r_max=3, step=1)
+
 
 class TestWssrStep:
     def test_first_step_averages_current_batch_only(self):
@@ -529,6 +536,40 @@ class TestWssrStep:
         bundle2 = raw_bundle(rng.standard_normal((6, 10)), rng.standard_normal(10))
         _, _, diag1 = wssr_step(theta, bundle2, 0.01, state)
         assert diag1.ssi_iterations >= 1
+
+    def test_widened_warm_block_goes_to_ssi_unorthonormalized(self, monkeypatch):
+        # criterion 9's shape: random data keeps the rank cut binding, so
+        # r_max grows from 64 to 71 and step 2's block is u_prev (64
+        # columns) followed by 7 Gaussian columns seeded for step 1.
+        # ssi_svd's own QR is the block's only orthonormalization.
+        def refuse(a):
+            raise AssertionError(f"qr_orthonormalize called on {a.shape} outside ssi_svd")
+
+        blocks = []
+
+        def spy(ohat, rank, **kwargs):
+            blocks.append((rank, kwargs["u_init"]))
+            return ssi_svd(ohat, rank, **kwargs)
+
+        monkeypatch.setattr(optimizers, "qr_orthonormalize", refuse)
+        monkeypatch.setattr(optimizers, "ssi_svd", spy)
+        rng = np.random.default_rng(24)
+        m, n = 544, 96
+        state = WssrState.initial(m, rank_init=64)
+        theta, state, _ = wssr_step(
+            np.zeros(m), raw_bundle(rng.standard_normal((m, n)), rng.standard_normal(n)),
+            0.01, state, rng_seed=5)
+        assert state.u_prev.shape == (m, 64) and state.r_max == 71
+
+        bundle = raw_bundle(rng.standard_normal((m, n)), rng.standard_normal(n))
+        _, state2, diag = wssr_step(theta, bundle, 0.01, state, rng_seed=5)
+        assert diag.ssi_iterations >= 1 and diag.r_max == 71
+        [(rank, block)] = blocks
+        extra = np.random.default_rng(optimizers._per_step_seed(5, 1)).standard_normal((m, 7))
+        assert rank == 71
+        np.testing.assert_array_equal(block, np.concatenate([state.u_prev, extra], axis=1))
+        u = state2.u_prev
+        np.testing.assert_allclose(u.T @ u, np.eye(u.shape[1]), atol=1e-12)
 
     @pytest.mark.parametrize("sketch", [False, True], ids=["wssr", "rssr"])
     def test_full_space_block_takes_the_gram_route(self, monkeypatch, sketch):

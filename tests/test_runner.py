@@ -9,12 +9,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import vmcsr.runner
 import vmcsr.sampler
 from vmcsr.checkpoint import read_checkpoint, write_checkpoint
 from vmcsr.config import parse_config_text
 from vmcsr.errors import ConfigError
 from vmcsr.runner import run
 from vmcsr.trace import read_trace
+from vmcsr.wavefunction import AceWavefunction
 
 HYDROGEN_SGD = """
 [system]
@@ -255,6 +257,51 @@ class TestAbortPath:
         assert result.records == ()
         scalars, _, _ = read_checkpoint(result.checkpoint_path)
         assert scalars["step"] == 0
+
+
+    @pytest.mark.parametrize("failing", [1, 3])
+    def test_memory_error_in_the_amplitude_refresh_aborts_the_step(
+        self, tmp_path, monkeypatch, failing
+    ):
+        # The refresh is the first amplitude evaluation after a step's
+        # assembly. It fails at a step whose periodic checkpoint (every 2
+        # steps) has not been written.
+        assembled, passed = {"n": 0}, []
+        original_assemble = vmcsr.runner.assemble
+        original_log_abs = AceWavefunction.log_abs_batch
+        original_wssr_step = vmcsr.runner.wssr_step
+
+        def counting(*args, **kwargs):
+            assembled["n"] += 1
+            return original_assemble(*args, **kwargs)
+
+        def starved(wavefunction, positions):
+            if assembled["n"] == failing:
+                raise MemoryError("Unable to allocate 1.00 GiB")
+            return original_log_abs(wavefunction, positions)
+
+        def spy(theta, *args, **kwargs):
+            passed.append(theta.copy())
+            return original_wssr_step(theta, *args, **kwargs)
+
+        monkeypatch.setattr(vmcsr.runner, "assemble", counting)
+        monkeypatch.setattr(vmcsr.runner, "wssr_step", spy)
+        monkeypatch.setattr(AceWavefunction, "log_abs_batch", starved)
+        cfg = helium_config(tmp_path, steps=4, every=2)
+        result = run(cfg)
+        assert result.exit_code == 3
+        assert result.message == f"aborted at step {failing}: out of memory: Unable to allocate 1.00 GiB"
+        assert [r.step for r in result.records] == list(range(1, failing))
+        scalars, arrays, _ = read_checkpoint(result.checkpoint_path)
+        assert scalars["step"] == failing - 1
+        # the parameters the failed step started from, not its update
+        assert len(passed) == failing
+        np.testing.assert_array_equal(arrays["theta"], passed[-1])
+
+        monkeypatch.undo()
+        resumed = run(cfg, resume_path=result.checkpoint_path)
+        assert resumed.exit_code == 0
+        assert [r.step for r in read_trace(resumed.trace_path)] == [1, 2, 3, 4]
 
 
 class TestPeriodicCheckpoints:

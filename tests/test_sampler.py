@@ -69,6 +69,18 @@ def hydrogen_exact():
     return system, wavefunction
 
 
+class TestWalkerEnsemble:
+    @pytest.mark.parametrize("spread", [-1.0, np.inf, np.nan])
+    def test_refuses_a_negative_or_non_finite_spread(self, spread):
+        with pytest.raises(ValueError, match="proposal_std must be finite and >= 0"):
+            WalkerEnsemble(positions=np.zeros((2, 1, 3)), log_abs=np.zeros(2),
+                           rng=np.random.default_rng(0), proposal_std=spread)
+
+    def test_zero_spread_is_the_degenerate_limit(self):
+        WalkerEnsemble(positions=np.zeros((2, 1, 3)), log_abs=np.zeros(2),
+                       rng=np.random.default_rng(0), proposal_std=0.0)
+
+
 class TestMetropolisStep:
     def test_zero_std_moves_nothing_and_accepts_everything(self):
         ensemble, model = make_line_ensemble(32, seed=0)

@@ -98,6 +98,17 @@ class TestTraceFile:
         TraceWriter(path, records[:3]).close()
         assert read_trace(path) == records[:3]
 
+    def test_read_of_the_leading_rows_leaves_the_rest_unparsed(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        records = [make_record(k) for k in range(1, 4)]
+        TraceWriter(path, records).close()
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write("4,-0.49")
+        assert read_trace(path, 3) == records
+        assert read_trace(path, 0) == []
+        with pytest.raises(ValueError, match="expected 11 columns, got 2"):
+            read_trace(path)
+
     def test_read_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "other.csv"
         path.write_text("a,b,c\n1,2,3\n")
