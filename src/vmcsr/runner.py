@@ -256,8 +256,8 @@ def run(config, resume_path=None):
         wavefunction.set_theta(theta)
         if os.path.exists(trace_path):
             try:
-                # rows run 1, 2, ... in step order, each flushed before its
-                # step's checkpoint, so the first start_step rows are the kept ones
+                # keep rows by step, not position: a trace begun by a resume
+                # into a fresh out_dir starts at that checkpoint's step + 1
                 records = read_trace(trace_path, start_step)
             except ValueError as exc:
                 raise ConfigError(f"cannot resume into {trace_path}: {exc}") from exc

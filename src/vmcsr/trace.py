@@ -85,19 +85,24 @@ class TraceWriter:
         return False
 
 
-def read_trace(path, rows=None):
+def read_trace(path, last_step=None):
     """The records of a trace file, header verified.
 
-    With rows, only the first `rows` records are parsed and the rest are
-    dropped unparsed: a resumed run keeps the rows up to its checkpointed
-    step, so a row cut short by a crash after that step does not stop it.
+    With last_step, reading stops at the first row whose step exceeds it,
+    and that row and the rest are dropped unparsed: a resumed run keeps
+    the rows up to its checkpointed step, so a row cut short by a crash
+    after that step does not stop it.
     """
     with open(path, encoding="utf-8", newline="\n") as fh:
         header = fh.readline().rstrip("\n")
         if header != HEADER_LINE:
             raise ValueError(f"unexpected trace header: {header!r}")
         lines = (line for line in fh if line.strip())
-        return [parse_record(line) for line in itertools.islice(lines, rows)]
+        if last_step is not None:
+            lines = itertools.takewhile(
+                lambda line: int(line.split(",", 1)[0]) <= last_step, lines
+            )
+        return [parse_record(line) for line in lines]
 
 
 def smooth_trace(values, window):

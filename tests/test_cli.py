@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import re
 import struct
@@ -10,7 +9,6 @@ import pytest
 import vmcsr.runner
 from vmcsr.checkpoint import FORMAT_VERSION, MAGIC, read_checkpoint, write_checkpoint
 from vmcsr.cli import main
-from vmcsr.trace import read_trace
 from vmcsr.wavefunction import AceWavefunction
 
 SMALL_RUN = """
@@ -42,10 +40,6 @@ def write_config(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text(SMALL_RUN.format(out=tmp_path / "artifacts"), encoding="utf-8")
     return path
-
-
-def strip_wall(records):
-    return [dataclasses.replace(r, wall_ms=0.0) for r in records]
 
 
 def write_sealed(path, entry):
@@ -307,22 +301,6 @@ class TestRunCommand:
         code = main(["run", "--config", str(config), "--steps", "5", "--resume", str(ckpt)])
         assert code == 2
         assert str(trace) in capsys.readouterr().err
-
-    def test_resume_past_a_cut_short_trace_row_matches_a_straight_run(self, tmp_path):
-        # A run killed mid-write can leave a partial last row; rows past
-        # the checkpointed step are dropped unread.
-        config = write_config(tmp_path)
-        assert main(["run", "--config", str(config)]) == 0
-        trace = tmp_path / "artifacts" / "trace.csv"
-        with trace.open("a", encoding="utf-8") as fh:
-            fh.write("4,-0.49")
-        ckpt = tmp_path / "artifacts" / "checkpoint.bin"
-        assert main(["run", "--config", str(config), "--steps", "5", "--resume", str(ckpt)]) == 0
-        assert main(["run", "--config", str(config), "--steps", "5",
-                     "--out", str(tmp_path / "straight")]) == 0
-        resumed = read_trace(trace)
-        assert [r.step for r in resumed] == [1, 2, 3, 4, 5]
-        assert strip_wall(resumed) == strip_wall(read_trace(tmp_path / "straight" / "trace.csv"))
 
     @pytest.mark.parametrize("entry, value", [
         ("step", -5), ("step", True), ("step", 2.7),

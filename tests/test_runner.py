@@ -1,6 +1,7 @@
 import ctypes
 import dataclasses
 import os
+import shutil
 import subprocess
 import sys
 import types
@@ -142,6 +143,42 @@ class TestResumeDeterminism:
         longer = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, steps=8))
         resumed = run(longer, resume_path=str(tmp_path / "out" / "checkpoint.bin"))
         assert [r.step for r in read_trace(resumed.trace_path)] == list(range(1, 9))
+
+    def test_resume_past_a_cut_short_trace_row_matches_a_straight_run(self, tmp_path):
+        # A run killed mid-write can leave a partial last row; rows past
+        # the checkpointed step are dropped unread.
+        full = run(helium_config(tmp_path, steps=4, sub="full"))
+        cfg = helium_config(tmp_path, steps=3)
+        run(cfg)
+        with open(tmp_path / "out" / "trace.csv", "a", encoding="utf-8") as fh:
+            fh.write("4,-0.49")
+        longer = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, steps=4))
+        resumed = run(longer, resume_path=str(tmp_path / "out" / "checkpoint.bin"))
+        assert resumed.exit_code == 0
+        records = read_trace(resumed.trace_path)
+        assert [r.step for r in records] == [1, 2, 3, 4]
+        assert strip_wall(records) == strip_wall(read_trace(full.trace_path))
+
+    def test_resume_into_a_fresh_out_dir_keeps_rows_by_step(self, tmp_path):
+        # A trace begun by a resume into a fresh out_dir starts past step 1.
+        # Resume into one twice, the second time from a kept copy of an
+        # older checkpoint, with the trace run past it and its last row cut short.
+        def cfg(steps, sub):
+            return helium_config(tmp_path, steps=steps, every=2, sub=sub)
+
+        full = run(cfg(10, "full"))
+        run(cfg(4, "a"))
+        run(cfg(8, "b"), resume_path=str(tmp_path / "a" / "checkpoint.bin"))
+        older = tmp_path / "step8.bin"
+        shutil.copy(tmp_path / "b" / "checkpoint.bin", older)
+        run(cfg(9, "b"), resume_path=str(older))
+        with open(tmp_path / "b" / "trace.csv", "a", encoding="utf-8") as fh:
+            fh.write("10,-0.49")
+        resumed = run(cfg(10, "b"), resume_path=str(older))
+        assert resumed.exit_code == 0
+        records = read_trace(resumed.trace_path)
+        assert [r.step for r in records] == list(range(5, 11))
+        assert strip_wall(records) == strip_wall(read_trace(full.trace_path)[4:])
 
     def test_checkpoint_optimizer_section_names(self, tmp_path):
         run(helium_config(tmp_path, name="wssr", steps=2, sub="wssr"))

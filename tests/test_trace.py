@@ -98,16 +98,18 @@ class TestTraceFile:
         TraceWriter(path, records[:3]).close()
         assert read_trace(path) == records[:3]
 
-    def test_read_of_the_leading_rows_leaves_the_rest_unparsed(self, tmp_path):
+    def test_read_up_to_a_step_leaves_the_later_rows_unparsed(self, tmp_path):
+        # a trace begun by a resume starts past step 1, so rows go by step
         path = tmp_path / "trace.csv"
-        records = [make_record(k) for k in range(1, 4)]
+        records = [make_record(k) for k in range(5, 8)]
         TraceWriter(path, records).close()
         with path.open("a", encoding="utf-8") as fh:
-            fh.write("4,-0.49")
-        assert read_trace(path, 3) == records
-        assert read_trace(path, 0) == []
+            fh.write("8,-0.49")
+        assert read_trace(path, 6) == records[:2]
+        assert read_trace(path, 7) == records
+        assert read_trace(path, 4) == []
         with pytest.raises(ValueError, match="expected 11 columns, got 2"):
-            read_trace(path)
+            read_trace(path, 8)
 
     def test_read_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "other.csv"
