@@ -27,6 +27,7 @@ from .optimizers import (
     WssrOptions,
     _key,
     _require,
+    dense_cholesky,
 )
 from .system import MolecularSystem, preset_names, preset_system
 from .wavefunction import (
@@ -38,6 +39,8 @@ from .wavefunction import (
 )
 
 OPTIMIZER_NAMES = ("sgd", "sr", "minsr", "spring", "wssr", "rssr")
+# The rules that Cholesky-factor a dense matrix, the only users of scipy.
+DENSE_OPTIMIZERS = ("sr", "minsr", "spring")
 _EXPLICIT_KEYS = ("charges", "positions", "n_up", "n_down")
 
 
@@ -266,7 +269,10 @@ def parse_config_text(text, overrides=None):
 
     overrides ({section: {key: text}}, the command-line values) are read
     after the text as INI values of their own: each replaces the file's
-    value and goes through the same parsing and checks.
+    value and goes through the same parsing and checks. A config that
+    names a dense rule (DENSE_OPTIMIZERS) also loads that rule's scipy
+    solver here, so the import is paid before run() starts, never inside
+    it; the other rules never load scipy.
     """
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -279,12 +285,15 @@ def parse_config_text(text, overrides=None):
             raise ConfigError(
                 f"unknown config section [{section}]; valid sections: " + ", ".join(SECTIONS)
             )
-    return RunConfig(**{
+    config = RunConfig(**{
         section: _build_section(
             section, dict(parser.items(section)) if parser.has_section(section) else {}
         )
         for section in SECTIONS
     })
+    if config.optimizer.name in DENSE_OPTIMIZERS:
+        dense_cholesky()
+    return config
 
 
 def parse_config(path, overrides=None):

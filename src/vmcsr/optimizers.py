@@ -9,15 +9,16 @@ iteration (or a random sketch) and applies the inverse through two
 projections; it forms the parameter-square matrix only when its rank
 budget spans every parameter, and then factors it exactly. The three dense
 preconditioners share one regularized solve and its Cholesky
-factorization, both in place on the matrix each has just built.
+factorization, both in place on the matrix each has just built. The
+factor and solve are scipy's, and only these three rules load scipy.
 """
 
 import ctypes
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import NotPositiveDefinite
 from .estimators import s_matrix, t_matrix
@@ -61,7 +62,19 @@ def _single_thread_scipy_lapack(maps="/proc/self/maps"):
         return
 
 
-_single_thread_scipy_lapack()
+@functools.cache
+def dense_cholesky():
+    """scipy's (cho_factor, cho_solve, LinAlgError), imported on first call.
+
+    Only sr, minsr and spring factor a dense matrix, so only they load
+    scipy and its second OpenBLAS; the other rules run on numpy's alone.
+    The first call pins scipy's pool to one thread before any factor runs.
+    """
+    from scipy.linalg import LinAlgError, cho_factor, cho_solve
+
+    _single_thread_scipy_lapack()
+    return cho_factor, cho_solve, LinAlgError
+
 
 SR_REG_MODES = ("diagonal_shift", "diagonal_scale", "pseudo_inverse")
 
@@ -169,9 +182,10 @@ def spd_factorize(t):
     Raises:
       NotPositiveDefinite: if the matrix has a nonpositive pivot.
     """
+    cho_factor, _, linalg_error = dense_cholesky()
     try:
         return cho_factor(t.T, lower=True, overwrite_a=True)
-    except LinAlgError as exc:
+    except linalg_error as exc:
         raise NotPositiveDefinite(str(exc)) from exc
 
 
@@ -206,6 +220,7 @@ def _regularized_solve(matrix, rhs, mode, eps):
         raise NotPositiveDefinite(
             f"regularized matrix is not positive definite ({mode}, eps={eps:g})"
         ) from exc
+    _, cho_solve, _ = dense_cholesky()
     return cho_solve(factor, rhs)
 
 

@@ -151,12 +151,12 @@ def sample_batch(ensemble, wavefunction, system, n_samples, burn_in_steps, thinn
     Returns:
       SampleBatch with raw local energies (clipping happens downstream).
     """
-    burn_in(ensemble, wavefunction, burn_in_steps)
-
-    collected = []
     remaining = int(n_samples)
     if remaining < 1:
         raise ValueError("need at least one sample")
+    burn_in(ensemble, wavefunction, burn_in_steps)
+
+    collected = []
     while remaining > 0:
         for _ in range(thinning):
             metropolis_step(ensemble, wavefunction)

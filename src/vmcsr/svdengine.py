@@ -299,7 +299,9 @@ def subspace_drift(u_prev, sigma_prev, u, sigma):
     computed from the cross-product u_prev.T @ u without forming either
     projector; the sine is taken from the out-of-span component
     u - u_prev @ cross, which stays accurate for nearly identical
-    subspaces. Drifts below rounding (1e-12) report as exact zero.
+    subspaces; its 2-norm is the square root of the top eigenvalue of its
+    r x r Gram, not a dense SVD of the m x r block. Drifts below rounding
+    (1e-12) report as exact zero.
 
     Returns:
       (sigma_drift, projector_drift) floats.
@@ -313,7 +315,8 @@ def subspace_drift(u_prev, sigma_prev, u, sigma):
     u1 = u_prev[:, :r]
     u2 = u[:, :r]
     out_of_span = u2 - u1 @ (u1.T @ u2)
-    projector_drift = float(np.linalg.norm(out_of_span, ord=2))
+    top = np.linalg.eigvalsh(out_of_span.T @ out_of_span)[-1]
+    projector_drift = math.sqrt(max(float(top), 0.0))
     if sigma_drift < 1e-12:
         sigma_drift = 0.0
     if projector_drift < 1e-12:

@@ -708,11 +708,15 @@ class TestRssr:
             assert np.linalg.norm(t_sketch - t_exact) <= bound
 
 
-# Reads each loaded OpenBLAS's thread count, before and after importing
-# the optimizers, as {"before"/"after": {get-symbol: count}}.
-POOL_THREADS = """
-import ctypes, json
-import numpy, scipy.linalg
+# Runs `vmcsr --help`, then each rule named on the command line on a tiny
+# He config, all in this one fresh interpreter. Prints the exit codes, the
+# scipy modules loaded at the end and, as of the first
+# WalkerEnsemble.create, whether scipy.linalg was loaded and each loaded
+# OpenBLAS's thread count ({get-symbol: count}).
+LOAD_CONTRACT = """
+import contextlib, ctypes, io, json, sys
+import vmcsr.cli
+from vmcsr.sampler import WalkerEnsemble
 
 def threads():
     with open("/proc/self/maps", encoding="utf-8") as fh:
@@ -727,10 +731,59 @@ def threads():
                 counts[symbol] = getattr(lib, symbol)()
     return counts
 
-before = threads()
-import vmcsr.optimizers
-print(json.dumps({"before": before, "after": threads()}))
+at_create = {}
+create = WalkerEnsemble.__dict__["create"].__func__
+
+def create_and_note(cls, *args, **kwargs):
+    if not at_create:
+        at_create.update(linalg="scipy.linalg" in sys.modules, threads=threads())
+    return create(cls, *args, **kwargs)
+
+WalkerEnsemble.create = classmethod(create_and_note)
+config, out, rules = sys.argv[1], sys.argv[2], sys.argv[3:]
+with contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.suppress(SystemExit):
+        vmcsr.cli.main(["--help"])
+    codes = [vmcsr.cli.main(["run", "--config", config, "--optimizer", rule,
+                             "--out", f"{out}/{rule}"]) for rule in rules]
+scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+print(json.dumps({"codes": codes, "scipy": scipy, "at_create": at_create}))
 """
+
+TINY_HE_RUN = """
+[system]
+preset = he
+
+[wavefunction]
+ell_max = 0
+
+[sampler]
+walkers = 16
+burn_in = 5
+thinning = 1
+
+[run]
+steps = 2
+seed = 3
+"""
+
+
+def run_rules_in_fresh_interpreter(tmp_path, *rules):
+    """The LOAD_CONTRACT report of running rules, under 2 BLAS threads."""
+    config = tmp_path / "run.ini"
+    config.write_text(TINY_HE_RUN, encoding="utf-8")
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    child = subprocess.run(
+        [sys.executable, "-c", LOAD_CONTRACT, str(config), str(tmp_path), *rules],
+        env=env, capture_output=True, text=True, check=False,
+    )
+    assert child.returncode == 0, child.stderr
+    report = json.loads(child.stdout)
+    assert report["codes"] == [0] * len(rules)
+    return report
+
 
 NUMPY_LIB = "/site/numpy.libs/libscipy_openblas64_-aaaa.so"
 SCIPY_LIB = "/site/scipy.libs/libscipy_openblas-bbbb.so"
@@ -747,26 +800,22 @@ class _FakeLibrary:
 
 
 class TestScipyThreadPin:
-    def test_import_pins_scipy_pool_and_leaves_numpys(self):
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-        child = subprocess.run(
-            [sys.executable, "-c", POOL_THREADS],
-            env=env, capture_output=True, text=True, check=False,
-        )
-        assert child.returncode == 0, child.stderr
-        counts = json.loads(child.stdout)
-        before, after = counts["before"], counts["after"]
-        if not before.get("settable"):
+    def test_lean_rules_and_help_never_load_scipy(self, tmp_path):
+        report = run_rules_in_fresh_interpreter(tmp_path, "wssr", "rssr", "sgd")
+        assert report["scipy"] == []
+
+    def test_dense_rule_pins_scipy_pool_before_walkers_and_leaves_numpys(self, tmp_path):
+        report = run_rules_in_fresh_interpreter(tmp_path, "minsr")
+        at_create = report["at_create"]
+        assert at_create["linalg"]
+        threads = at_create["threads"]
+        if not threads.get("settable"):
             pytest.skip("no loaded OpenBLAS exports scipy_openblas_set_num_threads")
-        if "scipy_openblas_get_num_threads64_" not in before:
+        if "scipy_openblas_get_num_threads64_" not in threads:
             pytest.skip("numpy's OpenBLAS is not the scipy-openblas64 wheel library")
+        assert threads["scipy_openblas_get_num_threads"] == 1
         pool = min(2, len(os.sched_getaffinity(0)))
-        assert before["scipy_openblas_get_num_threads"] == pool
-        assert after["scipy_openblas_get_num_threads"] == 1
-        assert before["scipy_openblas_get_num_threads64_"] == pool
-        assert after["scipy_openblas_get_num_threads64_"] == pool
+        assert threads["scipy_openblas_get_num_threads64_"] == pool
 
     @staticmethod
     def _pin(tmp_path, monkeypatch, libraries):

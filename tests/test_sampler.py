@@ -262,9 +262,17 @@ class TestSampleBatch:
         ensemble = WalkerEnsemble.create(
             system, wavefunction, n_walkers=8, seed=44, proposal_std=0.5
         )
+        positions = ensemble.positions.copy()
+        proposal_std = ensemble.proposal_std
+        rng_state = ensemble.rng.bit_generator.state
         with pytest.raises(ValueError):
             sample_batch(ensemble, wavefunction, system, n_samples=0,
                          burn_in_steps=1000, thinning=10)
+        # refused before burn-in: the ensemble is untouched
+        assert not ensemble.burned_in
+        np.testing.assert_array_equal(ensemble.positions, positions)
+        assert ensemble.proposal_std == proposal_std
+        assert ensemble.rng.bit_generator.state == rng_state
 
     def test_helium_batch_is_finite(self):
         system = preset_system("he")

@@ -472,11 +472,16 @@ class TestSubspaceDrift:
         rng = np.random.default_rng(82)
         u1 = _orthonormal(rng, 20, 3)
         u2 = _orthonormal(rng, 20, 3)
-        sigma = np.array([3.0, 2.0, 1.0])
-        sdrift, pdrift = subspace_drift(u1, sigma, u2, sigma + 0.25)
-        brute = np.linalg.norm(u1 @ u1.T - u2 @ u2.T, ord=2)
-        np.testing.assert_allclose(pdrift, brute, atol=1e-10)
-        np.testing.assert_allclose(sdrift, np.linalg.norm(np.full(3, 0.25)), atol=1e-12)
+        # and a tall block whose subspace has tilted only slightly
+        t1 = _orthonormal(rng, 600, 40)
+        t2, _ = np.linalg.qr(t1 + 1e-3 * rng.standard_normal((600, 40)))
+        for a, b in ((u1, u2), (t1, t2)):
+            r = a.shape[1]
+            sigma = np.linspace(3.0, 1.0, r)
+            sdrift, pdrift = subspace_drift(a, sigma, b, sigma + 0.25)
+            brute = np.linalg.norm(a @ a.T - b @ b.T, ord=2)
+            np.testing.assert_allclose(pdrift, brute, atol=1e-10)
+            np.testing.assert_allclose(sdrift, np.linalg.norm(np.full(r, 0.25)), atol=1e-12)
 
     def test_rank_mismatch_truncates(self):
         rng = np.random.default_rng(83)
