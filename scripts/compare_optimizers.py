@@ -10,7 +10,10 @@ At the default steps and seed this is the configuration of acceptance
 criterion 9. --ratio-seeds replaces the race with that criterion's
 stability statistic at each seed given: wssr run memoryless (delta 0)
 and averaged (delta 0.95), and the ratio of the variances of their last
-200 raw energies (inf when the memoryless run aborts).
+200 raw energies (inf when the memoryless run aborts). Each row goes on
+with robust spreads over the same 200 steps: the ratio of the variances
+of the clipped energies, the ratio of the median absolute deviations of
+the raw energies, and the memoryless minus the averaged mean raw energy.
 
 Usage:
     python scripts/compare_optimizers.py --out /tmp/vmc_compare
@@ -28,6 +31,9 @@ import numpy as np
 from vmcsr.config import parse_config_text
 from vmcsr.runner import run
 from vmcsr.trace import smooth_trace
+
+# criterion 9's statistics read the last TAIL steps of each run
+TAIL = 200
 
 TEMPLATE = """\
 [system]
@@ -59,6 +65,18 @@ out_dir = {out}
 """
 
 
+def _tail(result):
+    """Over a run's last TAIL steps: the variances of the raw and of the
+    clipped energies, and the median absolute deviation and the mean of
+    the raw energies (inf, inf, inf, nan if the run aborted)."""
+    if result.aborted:
+        return math.inf, math.inf, math.inf, math.nan
+    raw = np.array([rec.raw_energy for rec in result.records[-TAIL:]])
+    clipped = np.array([rec.clipped_energy for rec in result.records[-TAIL:]])
+    mad = np.median(np.abs(raw - np.median(raw)))
+    return float(np.var(raw)), float(np.var(clipped)), float(mad), float(np.mean(raw))
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", default="vmc_compare", help="output directory root")
@@ -84,18 +102,17 @@ def main(argv=None):
         return run(parse_config_text(text))
 
     if args.ratio_seeds:
-        print(f"helium, {steps} steps, wssr: variance of the last 200 raw energies, "
-              f"memoryless (delta 0) over averaged (delta 0.95)")
+        print(f"helium, {steps} steps, wssr, last {TAIL} steps, memoryless (delta 0) "
+              f"over averaged (delta 0.95): raw and clipped energy variance ratios, "
+              f"median-absolute-deviation ratio, mean raw energy difference (Ha)")
         for seed in args.ratio_seeds:
-            tails = []
-            for delta in (0.0, 0.95):
-                result = race("wssr", delta, seed, f"{args.out}/seed{seed}-delta{delta}")
-                energies = [rec.raw_energy for rec in result.records]
-                tails.append(math.inf if result.aborted else float(np.var(energies[-200:])))
-            if math.isinf(tails[1]):
+            mem, avg = (_tail(race("wssr", delta, seed, f"{args.out}/seed{seed}-delta{delta}"))
+                        for delta in (0.0, 0.95))
+            if math.isinf(avg[0]):
                 print(f"seed {seed:>4}: averaged run aborted")
             else:
-                print(f"seed {seed:>4}: ratio {tails[0] / tails[1]:.4g}")
+                print(f"seed {seed:>4}: ratio {mem[0] / avg[0]:.4g} clipped {mem[1] / avg[1]:.4g} "
+                      f"mad {mem[2] / avg[2]:.4g} mean-diff {mem[3] - avg[3]:.4g}")
         return 0
 
     names = [n.strip() for n in args.optimizers.split(",") if n.strip()]

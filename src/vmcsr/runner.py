@@ -106,11 +106,19 @@ def _keep_heap_resident():
     mallopt(_M_TOP_PAD, 4 * EVAL_CHUNK_BYTES)
 
 
-def _snapshot(path, step, config, system, seed, theta, ensemble, opt_state, prefix):
+def _layout(step, config, system, theta, ensemble, opt_state, prefix):
+    """What a checkpoint holds: (scalars, arrays), the arrays in stored order.
+
+    This is the one description of a checkpoint: _snapshot writes the
+    layout of the current state, and _restore holds a checkpoint to the
+    layout of the configured run's fresh state. The optimizer state's
+    arrays are stored as "<prefix>_<field>", its other fields in a table
+    under prefix.
+    """
     scalars = {
         "step": step,
         "optimizer": config.optimizer.name,
-        "seed": seed,
+        "seed": config.run.seed,
         "proposal_std": ensemble.proposal_std,
         "accepted": ensemble.accepted,
         "proposed": ensemble.proposed,
@@ -123,27 +131,37 @@ def _snapshot(path, step, config, system, seed, theta, ensemble, opt_state, pref
         "log_abs": ensemble.log_abs,
     }
     if opt_state is not None:
-        section = {}
-        for f in dataclasses.fields(opt_state):
-            value = getattr(opt_state, f.name)
+        section = scalars[prefix] = {}
+        for name, value in vars(opt_state).items():
             if isinstance(value, np.ndarray):
-                arrays[f"{prefix}_{f.name}"] = value
+                arrays[f"{prefix}_{name}"] = value
             else:
-                section[f.name] = value
-        scalars[prefix] = section
-    rng_states = [ensemble.rng.bit_generator.state]
-    ckpt.write_checkpoint(path, scalars, arrays, rng_states)
+                section[name] = value
+    return scalars, arrays
+
+
+def _snapshot(path, step, config, system, theta, ensemble, opt_state, prefix):
+    scalars, arrays = _layout(step, config, system, theta, ensemble, opt_state, prefix)
+    ckpt.write_checkpoint(path, scalars, arrays, [ensemble.rng.bit_generator.state])
+
+
+def _entries(scalars, arrays, prefix):
+    """A layout as one table: the optimizer section's scalars join its
+    arrays under "<prefix>_<field>"."""
+    section = scalars.get(prefix, {})
+    return {**scalars, **{f"{prefix}_{k}": v for k, v in section.items()}, **arrays}
 
 
 def _restore(resume_path, config, system, wavefunction, initial_state, prefix):
     """Rebuild (step, theta, ensemble, opt_state) from a snapshot.
 
-    The checkpoint must match the configured run: the same optimizer,
-    seed and spin labels, and every array the shape the run gives it. An
-    optimizer array has the shape of its field in initial_state, where a
-    0 takes any length. The optimizer state has the class of
-    initial_state; its fields are read back from the section _snapshot
-    wrote under prefix, which must hold exactly those fields.
+    The checkpoint is held to the _layout of the configured run's fresh
+    state, by one rule. Its optimizer, seed and spin labels are the
+    run's. Its optimizer section holds exactly the fields of
+    initial_state. Every scalar is there with the JSON type the run
+    writes (a bool is not an int), and every array with the fresh dtype
+    and shape, where a 0 takes any length. Then the step must be >= 0,
+    and the ensemble and the optimizer state check their own ranges.
     Hyperparameters always come from config.
     """
     try:
@@ -155,75 +173,65 @@ def _restore(resume_path, config, system, wavefunction, initial_state, prefix):
             f"checkpoint holds {len(rng_states)} RNG streams, expected 1 "
             f"(the sampler draws from one ensemble-wide stream)"
         )
-    rng = np.random.Generator(np.random.PCG64())
+    walkers = config.sampler.walkers
+    fresh = WalkerEnsemble(
+        positions=np.zeros((walkers, system.n_electrons, 3)),
+        log_abs=np.zeros(walkers),
+        rng=np.random.Generator(np.random.PCG64()),
+        proposal_std=float(config.sampler.proposal_std),
+    )
+    layout = _layout(0, config, system, wavefunction.theta, fresh, initial_state, prefix)
+    wanted = _entries(*layout, prefix)
     try:
-        rng.bit_generator.state = rng_states[0]
-        step = scalars["step"]
-        # JSON gives a plain int for every step _snapshot writes; bool is an int subclass
-        if type(step) is not int or step < 0:
-            raise ValueError(f"entry 'step' must be an integer >= 0, got {step!r}")
-        theta = arrays["theta"]
-        ensemble = WalkerEnsemble(
-            positions=arrays["positions"],
-            log_abs=arrays["log_abs"],
-            rng=rng,
-            proposal_std=float(scalars["proposal_std"]),
-            accepted=int(scalars["accepted"]),
-            proposed=int(scalars["proposed"]),
-            burned_in=bool(scalars["burned_in"]),
-        )
+        fresh.rng.bit_generator.state = rng_states[0]
         for entry, got, want in (
             ("optimizer", scalars["optimizer"], config.optimizer.name),
-            ("seed", int(scalars["seed"]), config.run.seed),
+            ("seed", scalars["seed"], config.run.seed),
             ("spin labels", arrays["spins"].tolist(), system.spins.tolist()),
         ):
             if got != want:
+                raise ConfigError(f"checkpoint has {entry} {got!r}, the configured run {want!r}")
+        if not isinstance(scalars.get(prefix, {}), dict):
+            raise ConfigError(
+                f"checkpoint entry {prefix!r} is malformed: expected a table of "
+                f"the optimizer state's scalars, got {scalars[prefix]!r}"
+            )
+        stored = _entries(scalars, arrays, prefix)
+        if initial_state is not None:
+            head, expected = f"{prefix}_", vars(initial_state).keys()
+            fields = {k[len(head):]: v for k, v in stored.items() if k.startswith(head)}
+            if fields.keys() != expected:
                 raise ConfigError(
-                    f"checkpoint has {entry} {got!r}, the configured run {want!r}"
+                    f"checkpoint {prefix} state does not match this version: "
+                    f"unknown fields {sorted(fields.keys() - expected)}, "
+                    f"missing fields {sorted(expected - fields.keys())}"
                 )
+        for name, want in wanted.items():
+            got = stored[name]
+            if type(got) is not type(want):
+                raise ValueError(f"entry '{name}' must be {type(want).__name__}, got {got!r}")
+            if isinstance(want, np.ndarray):
+                if got.dtype != want.dtype:
+                    raise ValueError(f"entry '{name}' must hold {want.dtype}, got {got.dtype}")
+                if got.ndim != want.ndim or any(
+                        w and w != g for w, g in zip(want.shape, got.shape)):
+                    raise ConfigError(f"checkpoint entry '{name}' has shape {got.shape}, "
+                                      f"the configured run's is {want.shape}")
+        if stored["step"] < 0:
+            raise ValueError(f"entry 'step' must be an integer >= 0, got {stored['step']!r}")
+        ensemble = dataclasses.replace(
+            fresh, **{k: stored[k] for k in wanted.keys() & vars(fresh).keys()}
+        )
     except KeyError as exc:
         raise ConfigError(f"checkpoint lacks the entry {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"checkpoint is malformed: {exc}") from exc
 
-    walkers, n = config.sampler.walkers, system.n_electrons
-    shapes = {"theta": (wavefunction.n_params,), "positions": (walkers, n, 3),
-              "log_abs": (walkers,)}
-    section = None
-    if initial_state is not None:
-        section = scalars.get(prefix, {})
-        if not isinstance(section, dict):
-            raise ConfigError(
-                f"checkpoint entry {prefix!r} is malformed: expected a table of "
-                f"the optimizer state's scalars, got {section!r}"
-            )
-        section = dict(section)
-        head = f"{prefix}_"
-        section.update((k[len(head):], v) for k, v in arrays.items() if k.startswith(head))
-        expected = {f.name for f in dataclasses.fields(initial_state)}
-        if set(section) != expected:
-            raise ConfigError(
-                f"checkpoint {prefix} state does not match this version: "
-                f"unknown fields {sorted(set(section) - expected)}, "
-                f"missing fields {sorted(expected - set(section))}"
-            )
-        shapes.update(
-            (head + name, start.shape) for name, start in vars(initial_state).items()
-            if isinstance(start, np.ndarray)
-        )
-    for entry, want in shapes.items():
-        got = np.shape(arrays.get(entry))  # an optimizer field stored as a scalar: ()
-        if len(got) != len(want) or any(k and k != g for k, g in zip(want, got)):
-            raise ConfigError(
-                f"checkpoint entry '{entry}' has shape {got}, the configured run's is {want}"
-            )
-    opt_state = None
-    if section is not None:
-        try:
-            opt_state = type(initial_state)(**section)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"checkpoint {prefix} state is malformed: {exc}") from exc
-    return step, theta, ensemble, opt_state
+    try:
+        opt_state = dataclasses.replace(initial_state, **fields) if prefix else None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"checkpoint {prefix} state is malformed: {exc}") from exc
+    return stored["step"], stored["theta"], ensemble, opt_state
 
 
 def run(config, resume_path=None):
@@ -315,7 +323,7 @@ def run(config, resume_path=None):
                 exc.__traceback__ = None
                 reason = f"out of memory: {exc}" if isinstance(exc, MemoryError) else exc
                 _snapshot(
-                    checkpoint_path, step - 1, config, system, seed, theta, ensemble,
+                    checkpoint_path, step - 1, config, system, theta, ensemble,
                     opt_state, prefix,
                 )
                 aborted = True
@@ -344,8 +352,7 @@ def run(config, resume_path=None):
 
             if (every and step % every == 0) or step == k_max:
                 _snapshot(
-                    checkpoint_path, step, config, system, seed, theta, ensemble,
-                    opt_state, prefix,
+                    checkpoint_path, step, config, system, theta, ensemble, opt_state, prefix
                 )
 
     energies = [rec.raw_energy for rec in records]

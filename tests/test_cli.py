@@ -251,6 +251,20 @@ class TestRunCommand:
         assert f"checkpoint entry '{entry}' has shape {shape}" in err
         assert str({"log_abs": (16,), "positions": (16, 1, 3)}[entry]) in err
 
+    @pytest.mark.parametrize("entry", ["theta", "positions"])
+    def test_resume_of_an_integer_array_exits_2_naming_it(self, tmp_path, capsys, entry):
+        # The CRC is valid, and int64 is a checkpoint dtype; the run writes float64.
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config)]) == 0
+        scalars, arrays, rng_states = read_checkpoint(tmp_path / "artifacts" / "checkpoint.bin")
+        arrays[entry] = np.round(arrays[entry]).astype(np.int64)
+        damaged = tmp_path / "damaged.bin"
+        write_checkpoint(damaged, scalars, arrays, rng_states)
+        code = main(["run", "--config", str(config), "--steps", "5", "--resume", str(damaged)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"checkpoint is malformed: entry '{entry}' must hold float64, got int64" in err
+
     def test_resume_under_another_seed_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path)
         assert main(["run", "--config", str(config)]) == 0
@@ -304,7 +318,8 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("entry, value", [
         ("step", -5), ("step", True), ("step", 2.7),
-        ("proposal_std", -1.0), ("proposal_std", float("inf")),
+        ("proposal_std", -1.0), ("proposal_std", float("inf")), ("proposal_std", True),
+        ("accepted", 2.7), ("burned_in", "false"), ("seed", True),
     ])
     def test_resume_from_a_malformed_checkpoint_value_exits_2_naming_it(
         self, tmp_path, capsys, entry, value
@@ -465,6 +480,24 @@ class TestRunCommand:
                      "--steps", "5", "--resume", str(damaged)])
         assert code == 2
         assert f"checkpoint entry '{entry}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("r_max", 7.5), ("step", 1.5)])
+    def test_resume_from_a_mistyped_optimizer_scalar_exits_2_naming_it(
+        self, tmp_path, capsys, key, value
+    ):
+        # The CRC is valid; a scalar of the wssr section has a type the run never writes.
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config), "--optimizer", "wssr"]) == 0
+        scalars, arrays, rng_states = read_checkpoint(tmp_path / "artifacts" / "checkpoint.bin")
+        scalars["wssr"][key] = value
+        damaged = tmp_path / "damaged.bin"
+        write_checkpoint(damaged, scalars, arrays, rng_states)
+        code = main(["run", "--config", str(config), "--optimizer", "wssr",
+                     "--steps", "5", "--resume", str(damaged)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "checkpoint is malformed" in err
+        assert f"'wssr_{key}'" in err and repr(value) in err
 
 
 class TestInspectCommand:

@@ -1,6 +1,7 @@
 """Smoke runs of the worked examples under scripts/."""
 
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -40,9 +41,12 @@ def test_compare_optimizers_runs_every_rule(tmp_path, capsys):
 def test_compare_optimizers_prints_one_ratio_per_seed(tmp_path, capsys):
     argv = ["--ratio-seeds", "11", "12", "--steps", "2", "--out", str(tmp_path)]
     assert _load_script("compare_optimizers").main(argv) == 0
-    rows = capsys.readouterr().out.splitlines()[1:]
-    assert [row.split()[:3] for row in rows] == [["seed", "11:", "ratio"], ["seed", "12:", "ratio"]]
-    assert all(float(row.split()[3]) > 0.0 for row in rows)
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [row[:3] for row in rows] == [["seed", "11:", "ratio"], ["seed", "12:", "ratio"]]
+    for row in rows:
+        assert row[2::2] == ["ratio", "clipped", "mad", "mean-diff"]
+        ratios, mean_diff = [float(x) for x in row[3:9:2]], float(row[9])
+        assert all(r > 0.0 for r in ratios) and math.isfinite(mean_diff)
 
 
 @pytest.mark.parametrize("name, delta", [("wssr", 0.95), ("wssr", 0.0), ("sgd", 0.95)])
