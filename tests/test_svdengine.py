@@ -11,7 +11,6 @@ from vmcsr.svdengine import (
     exact_truncated_svd,
     gram_svd,
     qr_orthonormalize,
-    randomized_svd,
     ssi_svd,
     subspace_drift,
 )
@@ -374,52 +373,29 @@ class TestSsiSvd:
         np.testing.assert_array_equal(f1.v, f2.v)
         assert n1 == n2
 
-
-class TestRandomizedSvd:
-    def test_exact_low_rank_recovery_any_seed(self):
+    # One pass from an oversampled Gaussian block is the randomized range
+    # finder (Halko, Martinsson & Tropp 2011), rssr's factorization.
+    def test_one_gaussian_pass_recovers_exact_low_rank_any_seed(self):
         rng = np.random.default_rng(70)
         a, _, _ = _matrix_with_spectrum(rng, 50, 30, [3.0, 2.0, 1.0])
         dense_sigma = np.linalg.svd(a, compute_uv=False)
         for seed in (0, 1, 7, 123, 99999):
-            fact = randomized_svd(a, rank=3, oversample=5, rng_seed=seed)
+            omega = np.random.default_rng(seed).standard_normal((50, 3 + 5))
+            fact, iterations = ssi_svd(a, 3, max_iters=1, residual_tol=0.0, u_init=omega)
+            assert iterations == 1
             np.testing.assert_allclose(fact.sigma, dense_sigma[:3], atol=1e-10)
             np.testing.assert_allclose(_rebuild(fact), a, atol=1e-9)
 
-    def test_zero_matrix_rejected(self):
-        with pytest.raises(DegenerateInput):
-            randomized_svd(np.zeros((30, 20)), rank=2, oversample=5)
-
-    def test_gap_spectrum_error_bound_over_seeds(self):
+    def test_one_gaussian_pass_gap_spectrum_error_bound_over_seeds(self):
         rng = np.random.default_rng(71)
         sigma = np.concatenate([np.linspace(10.0, 5.0, 20), np.full(40, 0.05)])
         a, _, _ = _matrix_with_spectrum(rng, 300, 200, sigma)
         tail = np.linalg.svd(a, compute_uv=False)[20]
         for seed in range(50):
-            fact = randomized_svd(a, rank=20, oversample=10, rng_seed=seed)
+            omega = np.random.default_rng(seed).standard_normal((300, 20 + 10))
+            fact, _ = ssi_svd(a, 20, max_iters=1, residual_tol=0.0, u_init=omega)
             err = np.linalg.norm(a - _rebuild(fact), ord=2)
             assert err <= 10.0 * tail
-
-    def test_sketch_width_bound(self):
-        with pytest.raises(ValueError):
-            randomized_svd(np.eye(8), rank=4, oversample=5)
-
-    def test_equals_one_cold_ssi_pass_from_the_same_block(self):
-        # the sketch is one budgeted ssi_svd pass from its Gaussian block
-        rng = np.random.default_rng(14)
-        a = rng.standard_normal((60, 90))
-        fact = randomized_svd(a, rank=7, oversample=4, rng_seed=5)
-        omega = np.random.default_rng(5).standard_normal((60, 11))
-        ref, _ = ssi_svd(a, 7, max_iters=1, residual_tol=1e-10, u_init=omega)
-        for name in ("u", "sigma", "v"):
-            np.testing.assert_array_equal(getattr(fact, name), getattr(ref, name))
-
-    def test_seed_determinism(self):
-        rng = np.random.default_rng(72)
-        a = rng.standard_normal((40, 30))
-        f1 = randomized_svd(a, rank=5, oversample=5, rng_seed=3)
-        f2 = randomized_svd(a, rank=5, oversample=5, rng_seed=3)
-        np.testing.assert_array_equal(f1.u, f2.u)
-        np.testing.assert_array_equal(f1.sigma, f2.sigma)
 
 
 # entry point -> (its call on a matrix of the shape given, that shape,
@@ -433,8 +409,6 @@ ARGUMENT_CHECKS = {
     "ssi_svd": (lambda a: ssi_svd(a, 2, max_iters=3, residual_tol=0.0), (4, 6),
                 lambda: ssi_svd(np.ones((4, 6)), 2, max_iters=3, residual_tol=0.0,
                                 u_init=np.eye(4)[:, :1])),
-    "randomized_svd": (lambda a: randomized_svd(a, 2, oversample=1), (4, 6),
-                       lambda: randomized_svd(np.ones((4, 6)), 2, oversample=3)),
 }
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from vmcsr import trace
 from vmcsr.trace import (
     HEADER_LINE,
     TRACE_FIELDS,
@@ -97,6 +98,29 @@ class TestTraceFile:
         TraceWriter(path, records).close()
         TraceWriter(path, records[:3]).close()
         assert read_trace(path) == records[:3]
+
+    def test_an_interrupted_rewrite_leaves_every_row_on_disk(self, tmp_path, monkeypatch):
+        # a resume's rewrite that dies part way (here on its second row)
+        # must not cost the rows the trace already held
+        path = tmp_path / "trace.csv"
+        records = [make_record(k) for k in range(1, 4)]
+        TraceWriter(path, records).close()
+        formatted = []
+
+        def fail_on_the_second(record):
+            formatted.append(record)
+            if len(formatted) == 2:
+                raise MemoryError("rewrite interrupted")
+            return format_record(record)
+
+        monkeypatch.setattr(trace, "format_record", fail_on_the_second)
+        with pytest.raises(MemoryError):
+            TraceWriter(path, records)
+        monkeypatch.undo()
+        assert read_trace(path) == records
+        with TraceWriter(path, records) as writer:
+            writer.write(make_record(4))
+        assert read_trace(path) == records + [make_record(4)]
 
     def test_read_up_to_a_step_leaves_the_later_rows_unparsed(self, tmp_path):
         # a trace begun by a resume starts past step 1, so rows go by step
