@@ -41,33 +41,31 @@ def write_checkpoint(path, scalars, arrays, rng_states):
     rng_states is a list of numpy bit-generator ``.state`` dicts.
     """
     manifest = []
-    blobs = []
+    payload = []
     for name, arr in arrays.items():
         arr = np.asarray(arr)
         code = _DTYPE_CODES.get(arr.dtype.name)
         if code is None:
             raise ValueError(f"unsupported checkpoint dtype for {name!r}: {arr.dtype}")
         manifest.append({"name": name, "dtype": code, "shape": list(arr.shape)})
-        blobs.append(np.ascontiguousarray(arr).astype(code, copy=False).tobytes())
+        payload.append(np.ascontiguousarray(arr).astype(code, copy=False))
 
     header = {"scalars": scalars, "arrays": manifest, "rng_states": rng_states}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode(
         "utf-8"
     )
+    head = MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(header_bytes)) + header_bytes
 
-    body = bytearray()
-    body += MAGIC
-    body += struct.pack("<I", FORMAT_VERSION)
-    body += struct.pack("<Q", len(header_bytes))
-    body += header_bytes
-    for blob in blobs:
-        body += blob
-    body += struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF)
-
+    # stream each array's own buffer into the file and the CRC, so the
+    # payload is never copied
     path = os.fspath(path)
     tmp = path + ".tmp"
+    crc = 0
     with open(tmp, "wb") as fh:
-        fh.write(body)
+        for chunk in (head, *payload):
+            fh.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+        fh.write(struct.pack("<I", crc))
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)

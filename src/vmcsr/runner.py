@@ -7,6 +7,12 @@ at the last completed step. A numerical failure or a MemoryError
 mid-step aborts the run (exit 3) but first re-snapshots the last good
 state, so a crashed run is always resumable from where it still made
 sense.
+
+A step's arrays die with the step: the batch's (batch, n_params)
+log-derivatives are released as soon as O is assembled from them, and
+the bundle with O as soon as the update returns. The update is the only
+phase that holds O, and the amplitude refresh, the trace write and the
+checkpoint run with no O-sized array alive.
 """
 
 import ctypes
@@ -234,6 +240,46 @@ def _restore(resume_path, config, system, wavefunction, initial_state, prefix):
     return stored["step"], stored["theta"], ensemble, opt_state
 
 
+def _step(step, config, system, wavefunction, ensemble, theta, opt_state, update):
+    """One optimizer step: sample, assemble, update, refresh the amplitudes.
+
+    Returns (theta', state', wssr diagnostics or None, the trace record's
+    energy fields). The batch is dropped once O is built from it and the
+    bundle once the update returns.
+    """
+    batch = sample_batch(
+        ensemble,
+        wavefunction,
+        system,
+        n_samples=config.sampler.samples_per_step or config.sampler.walkers,
+        burn_in_steps=config.sampler.burn_in,
+        thinning=config.sampler.thinning,
+    )
+    variance = float(np.var(batch.local_energies))
+    bundle = assemble(batch, clip_n_std=config.optimizer.clip_n_std)
+    del batch
+    if not np.isfinite(bundle.raw_loss):
+        raise NumericalAbort(f"non-finite energy at step {step}")
+    # a non-finite log-derivative makes the gradient non-finite
+    if not np.all(np.isfinite(bundle.gradient)):
+        raise NumericalAbort(f"non-finite log-derivatives at step {step}")
+    eta = config.optimizer.eta(step - 1)
+    theta_next, opt_state_next, diag = update(theta, bundle, eta, opt_state, config.run.seed)
+    energy_fields = {
+        "raw_energy": bundle.raw_loss,
+        "clipped_energy": bundle.loss,
+        "energy_variance": variance,
+    }
+    del bundle
+    if not np.all(np.isfinite(theta_next)):
+        raise NumericalAbort(f"non-finite parameters at step {step}")
+    wavefunction.set_theta(theta_next)
+    ensemble.log_abs = np.asarray(
+        wavefunction.log_abs_batch(ensemble.positions), dtype=np.float64
+    )
+    return theta_next, opt_state_next, diag, energy_fields
+
+
 def run(config, resume_path=None):
     """Execute a configured run; artifacts land in config.run.out_dir.
 
@@ -280,7 +326,6 @@ def run(config, resume_path=None):
             proposal_std=config.sampler.proposal_std,
         )
 
-    n_samples = config.sampler.samples_per_step or config.sampler.walkers
     k_max = config.run.steps
     every = config.run.checkpoint_every
 
@@ -292,29 +337,8 @@ def run(config, resume_path=None):
             t0 = time.perf_counter()
             acc0, prop0 = ensemble.accepted, ensemble.proposed
             try:
-                batch = sample_batch(
-                    ensemble,
-                    wavefunction,
-                    system,
-                    n_samples=n_samples,
-                    burn_in_steps=config.sampler.burn_in,
-                    thinning=config.sampler.thinning,
-                )
-                bundle = assemble(batch, clip_n_std=config.optimizer.clip_n_std)
-                if not np.isfinite(bundle.raw_loss):
-                    raise NumericalAbort(f"non-finite energy at step {step}")
-                # a non-finite log-derivative makes the gradient non-finite
-                if not np.all(np.isfinite(bundle.gradient)):
-                    raise NumericalAbort(f"non-finite log-derivatives at step {step}")
-                eta = config.optimizer.eta(step - 1)
-                theta_next, opt_state_next, diag = update(
-                    theta, bundle, eta, opt_state, seed
-                )
-                if not np.all(np.isfinite(theta_next)):
-                    raise NumericalAbort(f"non-finite parameters at step {step}")
-                wavefunction.set_theta(theta_next)
-                ensemble.log_abs = np.asarray(
-                    wavefunction.log_abs_batch(ensemble.positions), dtype=np.float64
+                theta, opt_state, diag, energy_fields = _step(
+                    step, config, system, wavefunction, ensemble, theta, opt_state, update
                 )
             except (NumericalError, MemoryError) as exc:
                 # Drop the traceback, and with it the failed step's arrays,
@@ -331,18 +355,13 @@ def run(config, resume_path=None):
                 step = step - 1
                 break
 
-            theta = theta_next
-            opt_state = opt_state_next
-
             proposed_now = ensemble.proposed - prop0
             accepted_now = ensemble.accepted - acc0
             rate = accepted_now / proposed_now if proposed_now else 0.0
             rank_fields = _NO_RANK if diag is None else dataclasses.asdict(diag)
             record = TraceRecord(
                 step=step,
-                raw_energy=bundle.raw_loss,
-                clipped_energy=bundle.loss,
-                energy_variance=float(np.var(batch.local_energies)),
+                **energy_fields,
                 acceptance_rate=rate,
                 wall_ms=(time.perf_counter() - t0) * 1e3,
                 **rank_fields,

@@ -1,5 +1,7 @@
-"""Peak memory of one default optimizer step on every preset.
+"""Peak memory of two default optimizer steps on every preset.
 
+The second step is a steady one: it runs the warm-started update and
+finds whatever the first step left behind, so both are inside the peak.
 Each preset runs in its own process, so the peak resident set that the
 process reports for itself belongs to that preset alone.
 """
@@ -24,7 +26,7 @@ preset = {preset}
 burn_in = 10
 
 [run]
-steps = 1
+steps = 2
 out_dir = {out}
 """
 

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import types
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -339,6 +340,57 @@ class TestAbortPath:
         resumed = run(cfg, resume_path=result.checkpoint_path)
         assert resumed.exit_code == 0
         assert [r.step for r in read_trace(resumed.trace_path)] == [1, 2, 3, 4]
+
+
+def _owner(array):
+    """The array that owns array's memory, through any chain of views."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+class TestStepLifetime:
+    @pytest.mark.parametrize("name, rule", [("wssr", "wssr_step"), ("minsr", "minsr_update")])
+    def test_no_o_sized_array_outlives_its_use(self, tmp_path, monkeypatch, name, rule):
+        # Each step's log-derivatives die once O is assembled from them, and
+        # its O once the update returns, so neither is alive at the next
+        # step's sampling.
+        earlier, current = [], []
+        stale, outliving = [], []
+        original_sample = vmcsr.runner.sample_batch
+        original_assemble = vmcsr.runner.assemble
+        original_rule = getattr(vmcsr.runner, rule)
+
+        def alive(refs):
+            return sum(ref() is not None for ref in refs)
+
+        def sampling(*args, **kwargs):
+            earlier.extend(current)
+            current.clear()
+            stale.append(alive(earlier))
+            batch = original_sample(*args, **kwargs)
+            current.append(weakref.ref(_owner(batch.theta_logderivs)))
+            return batch
+
+        def assembling(*args, **kwargs):
+            bundle = original_assemble(*args, **kwargs)
+            current.append(weakref.ref(_owner(bundle.o_matrix)))
+            return bundle
+
+        def updating(*args, **kwargs):
+            outliving.append(alive(current[:1]))
+            return original_rule(*args, **kwargs)
+
+        monkeypatch.setattr(vmcsr.runner, "sample_batch", sampling)
+        monkeypatch.setattr(vmcsr.runner, "assemble", assembling)
+        monkeypatch.setattr(vmcsr.runner, rule, updating)
+        cfg = helium_config(tmp_path, name=name, steps=4)
+        cfg = dataclasses.replace(cfg, sampler=dataclasses.replace(cfg.sampler, walkers=32))
+        assert run(cfg).exit_code == 0
+        assert len(earlier) + len(current) == 8
+        assert stale == [0, 0, 0, 0], "arrays of an earlier step alive at sampling"
+        assert outliving == [0, 0, 0, 0], "log-derivatives outlive assembly"
+        assert not alive(earlier + current)
 
 
 class TestPeriodicCheckpoints:
