@@ -7,7 +7,10 @@ whose block is the whole row space (wssr-full), a fixed small helium run
 minsr-be-p row runs beryllium with the p shell (ell_max = 1) instead, so
 orbitals that share a zeta and pooled sums over four electrons are
 covered, and the minsr-lih row runs LiH, the one row with two nuclei and
-so a nonzero internuclear repulsion. Each run goes through twice:
+so a nonzero internuclear repulsion. The wssr-1024w row runs 1024
+walkers: its finite-difference stencil holds 13 x 1024 configurations,
+more than one amplitude chunk, so it checks that chunk boundaries do not
+move a value. Each run goes through twice:
 straight through, and split in two with --resume at the halfway step.
 Each output line names the row, a SHA-256 of the trace rows without the
 wall_ms column, a SHA-256 of the final checkpoint file and a SHA-256 of
@@ -59,6 +62,7 @@ ROWS = {
     "minsr-be-p": ("minsr", {"system": {"preset": "be"},
                              "wavefunction": {"ell_max": "1"}}),
     "minsr-lih": ("minsr", {"system": {"preset": "lih"}}),
+    "wssr-1024w": ("wssr", {"sampler": {"walkers": "1024"}}),
 }
 
 BASE = {
@@ -117,8 +121,8 @@ def main(argv=None):
         parser.error(f"unknown rows: {', '.join(unknown)}")
     split = args.steps // 2
 
-    print(f"# he ell_max=0 (minsr-be-p: be ell_max=1, minsr-lih: lih), 16 walkers, "
-          f"seed 3, {args.steps} steps, split {split} + resume")
+    print(f"# he ell_max=0 (minsr-be-p: be ell_max=1, minsr-lih: lih), 16 walkers "
+          f"(wssr-1024w: 1024), seed 3, {args.steps} steps, split {split} + resume")
     mismatched = []
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:

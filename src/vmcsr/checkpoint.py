@@ -74,37 +74,83 @@ def write_checkpoint(path, scalars, arrays, rng_states):
 def read_checkpoint(path):
     """Inverse of write_checkpoint: (scalars, arrays, rng_states).
 
+    Streams the file as write_checkpoint streams it: the header, then
+    each array read straight into its own buffer, with a running CRC32,
+    so the payload is held once.
+
     Raises CorruptChecksum for anything structurally wrong (bad magic,
     truncation, CRC mismatch, malformed header, an array entry that is not
     float64 or int64 or has a negative dimension) and VersionMismatch for
-    a well-formed file written by a different format version.
+    a well-formed file written by a different format version. A CRC
+    mismatch is reported before any fault of the header or the payload,
+    since damage can garble either.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-
-    if len(data) < 20:
-        raise CorruptChecksum(f"checkpoint truncated: {len(data)} bytes")
-    if data[:4] != MAGIC:
-        raise CorruptChecksum(f"bad checkpoint magic: {data[:4]!r}")
-    (version,) = struct.unpack_from("<I", data, 4)
-    if version != FORMAT_VERSION:
-        raise VersionMismatch(
-            f"checkpoint format version {version}, expected {FORMAT_VERSION}"
-        )
-    (stored_crc,) = struct.unpack_from("<I", data, len(data) - 4)
-    actual_crc = zlib.crc32(data[:-4]) & 0xFFFFFFFF
-    if stored_crc != actual_crc:
+        size = os.fstat(fh.fileno()).st_size
+        if size < 20:
+            raise CorruptChecksum(f"checkpoint truncated: {size} bytes")
+        head = fh.read(16)
+        if head[:4] != MAGIC:
+            raise CorruptChecksum(f"bad checkpoint magic: {head[:4]!r}")
+        version, header_len = struct.unpack_from("<IQ", head, 4)
+        if version != FORMAT_VERSION:
+            raise VersionMismatch(
+                f"checkpoint format version {version}, expected {FORMAT_VERSION}"
+            )
+        body = _CrcReader(fh, head, end=size - 4)
+        try:
+            contents, fault = _read_body(body, header_len), None
+        except CorruptChecksum as exc:
+            contents, fault = None, exc
+        body.skip_to_end()
+        (stored_crc,) = struct.unpack("<I", fh.read(4))
+    if stored_crc != body.crc:
         raise CorruptChecksum(
             f"checkpoint CRC mismatch: stored {stored_crc:#010x}, "
-            f"computed {actual_crc:#010x}"
+            f"computed {body.crc:#010x}"
         )
+    if fault is not None:
+        raise fault
+    return contents
 
-    (header_len,) = struct.unpack_from("<Q", data, 8)
-    header_end = 16 + header_len
-    if header_end > len(data) - 4:
+
+class _CrcReader:
+    """Reads a checkpoint's body, up to its CRC trailer at byte `end`,
+    keeping the running CRC32 of every byte read, `head` included."""
+
+    _BLOCK = 1 << 20
+
+    def __init__(self, fh, head, end):
+        self.fh, self.crc, self.end = fh, zlib.crc32(head), end
+        self.offset = len(head)
+
+    def read_into(self, buffer):
+        """Fill buffer (any writable contiguous array) with the next bytes;
+        the caller has checked that they lie before the trailer."""
+        nbytes = memoryview(buffer).nbytes
+        if self.fh.readinto(buffer) != nbytes:
+            raise CorruptChecksum("checkpoint truncated mid-payload")
+        self.crc = zlib.crc32(buffer, self.crc)
+        self.offset += nbytes
+
+    def skip_to_end(self):
+        """Fold every byte left before the trailer into the CRC."""
+        while self.offset < self.end:
+            block = self.fh.read(min(self._BLOCK, self.end - self.offset))
+            if not block:
+                raise CorruptChecksum("checkpoint truncated mid-payload")
+            self.crc = zlib.crc32(block, self.crc)
+            self.offset += len(block)
+
+
+def _read_body(body, header_len):
+    """(scalars, arrays, rng_states) from the header and payload."""
+    if body.offset + header_len > body.end:
         raise CorruptChecksum("checkpoint header overruns file")
+    header_bytes = bytearray(header_len)
+    body.read_into(header_bytes)
     try:
-        header = json.loads(data[16:header_end].decode("utf-8"))
+        header = json.loads(header_bytes.decode("utf-8"))
         manifest = header["arrays"]
         scalars = header["scalars"]
         rng_states = header["rng_states"]
@@ -115,7 +161,6 @@ def read_checkpoint(path):
         raise CorruptChecksum(f"malformed checkpoint header: {exc}") from exc
 
     arrays = {}
-    offset = header_end
     for entry in manifest:
         try:
             name = entry["name"]
@@ -128,14 +173,10 @@ def read_checkpoint(path):
                 f"malformed array manifest for {name!r}: dtype {code!r}, shape {list(shape)}"
             )
         dtype = np.dtype(code)
-        count = math.prod(shape)
-        nbytes = count * dtype.itemsize
-        if offset + nbytes > len(data) - 4:
+        if body.offset + math.prod(shape) * dtype.itemsize > body.end:
             raise CorruptChecksum(f"array payload for {name!r} overruns file")
-        arr = np.frombuffer(data, dtype=dtype, count=count, offset=offset)
-        arrays[name] = arr.reshape(shape).copy()
-        offset += nbytes
-    if offset != len(data) - 4:
+        arrays[name] = np.empty(shape, dtype=dtype)
+        body.read_into(arrays[name])
+    if body.offset != body.end:
         raise CorruptChecksum("trailing bytes after array payload")
-
     return scalars, arrays, rng_states

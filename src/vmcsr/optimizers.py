@@ -400,7 +400,12 @@ def wssr_step(theta, bundle, eta, state, options=WssrOptions(), rng_seed=0,
     m = o.shape[0]
     sq_old = math.sqrt(options.delta)
     sq_new = math.sqrt(1.0 - options.delta)
-    ohat = np.concatenate([sq_old * state.obar, sq_new * o], axis=1)
+    # [sq_old * (u_prev * sigma), sq_new * o], each block written in place
+    r = state.u_prev.shape[1]
+    ohat = np.empty((m, r + o.shape[1]))
+    np.multiply(state.u_prev, state.sigma, out=ohat[:, :r])
+    ohat[:, :r] *= sq_old
+    np.multiply(sq_new, o, out=ohat[:, r:])
     lhat = np.concatenate([sq_old * state.lbar, sq_new * bundle.l_vector])
 
     requested = min(state.r_max, m, ohat.shape[1])
@@ -412,8 +417,7 @@ def wssr_step(theta, bundle, eta, state, options=WssrOptions(), rng_seed=0,
             block = rng.standard_normal((m, min(requested + SKETCH_OVERSAMPLE, min(ohat.shape))))
             budget = 1
         else:
-            extra = rng.standard_normal((m, requested - state.u_prev.shape[1]))
-            block = np.concatenate([state.u_prev, extra], axis=1)
+            block = np.concatenate([state.u_prev, rng.standard_normal((m, requested - r))], axis=1)
             budget = SSI_MAX_ITERS
         factors, iterations = ssi_svd(
             ohat, requested, max_iters=budget, residual_tol=SSI_RESIDUAL_TOL, u_init=block)

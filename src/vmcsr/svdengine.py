@@ -96,8 +96,8 @@ def qr_orthonormalize(a):
     a, fro = _checked(a, np.shape(a)[-1])
     q, r = np.linalg.qr(a, mode="reduced")
     signs = np.where(np.diagonal(r) < 0.0, -1.0, 1.0)
-    q = q * signs
-    r = r * signs[:, None]
+    q *= signs
+    r *= signs[:, None]
     deficient = np.flatnonzero(np.diagonal(r) <= DEFICIENT_COLUMN_REL * fro)
     r[deficient, deficient] = 0.0
     return q, r
@@ -202,8 +202,12 @@ def gram_svd(ohat, rank):
     w = np.ascontiguousarray(w[:, ::-1][:, :k])
     sigma = sigma[:k]
     if wide:
-        return TruncatedSvd(u=w, sigma=sigma, v=(w.T @ ohat) / sigma[:, None])
-    return TruncatedSvd(u=(ohat @ w) / sigma, sigma=sigma, v=np.ascontiguousarray(w.T))
+        v = w.T @ ohat
+        v /= sigma[:, None]
+        return TruncatedSvd(u=w, sigma=sigma, v=v)
+    u = ohat @ w
+    u /= sigma
+    return TruncatedSvd(u=u, sigma=sigma, v=np.ascontiguousarray(w.T))
 
 
 def ssi_svd(ohat, rank, *, max_iters, residual_tol, u_init=None):
@@ -252,14 +256,23 @@ def ssi_svd(ohat, rank, *, max_iters, residual_tol, u_init=None):
     u = ohat @ (ohat.T @ q)
     iterations = 0
     while True:
+        # the last block dies as the next is formed: neither the last q
+        # nor u is held through the QR or the products after it
+        del q
         q, _ = qr_orthonormalize(u)
+        del u
         iterations += 1
         b_t = ohat.T @ q
         if iterations >= max_iters:
             break
         # the residual's products are the next iteration's block
         u = ohat @ b_t
-        if float(np.linalg.norm(u - q @ (q.T @ u))) / fro2 < residual_tol:
+        residual = q @ (q.T @ u)
+        np.subtract(u, residual, out=residual)
+        converged = float(np.linalg.norm(residual)) / fro2 < residual_tol
+        # one block fewer held through the next QR
+        del residual
+        if converged:
             break
 
     return _finish(b_t.T, fro, rank, basis=q), iterations

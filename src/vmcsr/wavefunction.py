@@ -36,9 +36,11 @@ DEFAULT_FD_STEP = 1e-4
 LOG_ABS_UNDERFLOW = -700.0
 
 # Every per-configuration batch is evaluated in walker chunks sized so
-# that the largest intermediate, the (N, N, n_tails) block of mixed
-# coefficients of each configuration, takes at most this many bytes per
-# chunk. Chunk boundaries depend on this budget and the shapes only.
+# that the arrays orbital_matrix_batch builds for a chunk together take
+# at most this many bytes: per configuration the (N, n_orb) orbital
+# values, the (N, n_tails) tail products, the (N, N, n_tails) mixed
+# coefficients and the (N, N) matrix. Chunk boundaries depend on this
+# budget and the shapes only.
 EVAL_CHUNK_BYTES = 4 << 20
 
 
@@ -273,15 +275,16 @@ class AceWavefunction:
             self.basis, self.system.nuclear_positions, positions, self.system.spins
         )
         w, n, n_orb = phi.shape
-        # sums over j != i: the rows added in electron order, then i taken out
-        total = phi[:, 0].copy()
-        for j in range(1, n):
-            total += phi[:, j]
-        pooled = total[:, None, :] - phi
         products = np.empty((w, n, len(self.tails)))
         products[..., 0] = 1.0
+        # the pooled sums over j != i are the length-1 tails, written in
+        # place: the rows added in electron order, then i taken out
+        pooled = products[..., 1 : 1 + n_orb]
         if self.correlation_order > 1:
-            products[..., 1 : 1 + n_orb] = pooled
+            total = phi[:, 0].copy()
+            for j in range(1, n):
+                total += phi[:, j]
+            np.subtract(total[:, None, :], phi, out=pooled)
         lo = 1 + n_orb
         for orbs in self._tail_orbitals:
             # T[i, t] for the tails t = (a, b, ...): pooled_a * pooled_b * ...
@@ -298,9 +301,15 @@ class AceWavefunction:
         return matrix, phi, products
 
     def _chunks(self, n_configs):
-        """Consecutive slices covering n_configs rows, each within EVAL_CHUNK_BYTES."""
-        n = self.system.n_electrons
-        size = max(1, EVAL_CHUNK_BYTES // (8 * n * n * len(self.tails)))
+        """Consecutive slices covering n_configs rows, each within EVAL_CHUNK_BYTES.
+
+        One configuration costs 8 * (N n_orb + N n_tails + N^2 n_tails + N^2)
+        bytes across orbital_matrix_batch's arrays: phi, the tail
+        products, the mixed coefficients and M.
+        """
+        n, n_orb, n_tails = self.system.n_electrons, len(self.basis), len(self.tails)
+        per_config = 8 * n * (n_orb + n_tails + n * n_tails + n)
+        size = max(1, EVAL_CHUNK_BYTES // per_config)
         return [slice(lo, min(lo + size, n_configs)) for lo in range(0, n_configs, size)]
 
     # amplitudes

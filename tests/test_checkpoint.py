@@ -1,5 +1,6 @@
 import json
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -75,6 +76,21 @@ class TestRoundTrip:
         _, arrays, _ = read_checkpoint(path)
         arrays["x"][0] = 99.0  # must not raise
 
+    def test_read_holds_the_payload_once(self, tmp_path):
+        """Each array is read straight into its own buffer: reading an 8 MB
+        array peaks near one payload, not at the file's bytes plus a copy."""
+        path = tmp_path / "big.ckpt"
+        payload = np.random.default_rng(3).standard_normal(1 << 20)
+        write_checkpoint(path, {"step": 1}, {"x": payload}, [])
+        tracemalloc.start()
+        try:
+            _, arrays, _ = read_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert_array_equal(arrays["x"], payload)
+        assert peak <= 1.25 * payload.nbytes
+
     def test_overwrite_replaces_previous_snapshot(self, tmp_path):
         path = tmp_path / "same.ckpt"
         write_checkpoint(path, {"step": 1}, {}, [])
@@ -118,6 +134,20 @@ class TestCorruptionDetection:
         data[len(data) // 2] ^= 0xFF
         path.write_bytes(bytes(data))
         with pytest.raises(CorruptChecksum, match="CRC"):
+            read_checkpoint(path)
+
+    def test_flipped_header_byte_fails_crc_not_the_header_parse(self, tmp_path):
+        path = self.write_valid(tmp_path)
+        data = bytearray(path.read_bytes())
+        data[20] ^= 0xFF  # inside the JSON header: no longer UTF-8
+        path.write_bytes(bytes(data))
+        with pytest.raises(CorruptChecksum, match="CRC"):
+            read_checkpoint(path)
+
+    def test_sealed_bytes_past_the_manifest_are_refused(self, tmp_path):
+        path = tmp_path / "crafted.ckpt"
+        write_sealed(path, {"scalars": {}, "arrays": [], "rng_states": []}, bytes(8))
+        with pytest.raises(CorruptChecksum, match="trailing bytes"):
             read_checkpoint(path)
 
     def test_truncated_file(self, tmp_path):

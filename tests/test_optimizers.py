@@ -412,6 +412,27 @@ class TestWssrStep:
         assert diag.ssi_iterations == 0
         assert diag.sigma_drift == 0.0 and diag.projector_drift == 0.0
 
+    def test_tall_bundle_peak_memory(self):
+        """ohat is built in place and the factors' temporaries are dropped.
+        The exact first step holds ohat and its left factor. The warm step
+        holds ohat, the start block, the iterate and the QR's copy and
+        output, each half of ohat's width."""
+        m, batch = 4000, 64
+        rng = np.random.default_rng(16)
+        state = WssrState.initial(m, rank_init=batch)
+        theta = np.zeros(m)
+        for step, bound in enumerate((2.25, 3.5)):
+            bundle = raw_bundle(rng.standard_normal((m, batch)), rng.standard_normal(batch))
+            ohat_bytes = 8 * m * (state.u_prev.shape[1] + batch)
+            tracemalloc.start()
+            try:
+                theta, state, diag = wssr_step(theta, bundle, 0.01, state)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert diag.ssi_iterations == (0 if step == 0 else SSI_MAX_ITERS)
+            assert peak <= bound * ohat_bytes, f"step {step}: {peak / ohat_bytes:.2f} x ohat"
+
     def test_three_step_recursion_matches_reference_averaging(self):
         rng = np.random.default_rng(15)
         delta = 0.7

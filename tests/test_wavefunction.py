@@ -593,7 +593,8 @@ class TestChunkedEvaluation:
         positions = 1.5 * rng.standard_normal((130, n, 3))
         whole = (*wf.log_abs_sign_batch(positions), wf.grad_theta_batch(positions))
         # three full chunks of 40 configurations and a ragged tail of 10
-        monkeypatch.setattr(vmcsr.wavefunction, "EVAL_CHUNK_BYTES", 40 * 8 * n * n * n_tails)
+        per_config = 8 * (n * n_orb + n * n_tails + n * n * n_tails + n * n)
+        monkeypatch.setattr(vmcsr.wavefunction, "EVAL_CHUNK_BYTES", 40 * per_config)
         sizes = []
         evaluate = wf.orbital_matrix_batch
 
@@ -626,12 +627,24 @@ class TestChunkedEvaluation:
     def test_chunk_boundaries_follow_the_budget(self, monkeypatch):
         system = preset_system("he")
         wf = AceWavefunction(system=system, basis=default_basis(system, (0, 1), ell_max=0))
-        # 8 bytes * N^2 * n_tails = 288 bytes of mixed coefficients per configuration
-        assert vmcsr.wavefunction.EVAL_CHUNK_BYTES // 288 == 14563
-        bounds = [(c.start, c.stop) for c in wf._chunks(30000)]
-        assert bounds == [(0, 14563), (14563, 29126), (29126, 30000)]
+        # 8 bytes * (N n_orb + N n_tails + N^2 n_tails + N^2) with N = 2, n_orb = 8
+        # and n_tails = 9: 592 bytes per configuration across phi, the tail
+        # products, the mixed coefficients and M
+        assert vmcsr.wavefunction.EVAL_CHUNK_BYTES // 592 == 7084
+        bounds = [(c.start, c.stop) for c in wf._chunks(15000)]
+        assert bounds == [(0, 7084), (7084, 14168), (14168, 15000)]
         monkeypatch.setattr(vmcsr.wavefunction, "EVAL_CHUNK_BYTES", 100)
         assert [c.stop - c.start for c in wf._chunks(3)] == [1, 1, 1]
+
+    @pytest.mark.parametrize("preset, ell_max, n_configs", [("be", 1, 512), ("he", 0, 2048)])
+    def test_default_batches_stay_one_chunk(self, preset, ell_max, n_configs):
+        """A 512-configuration Be p-shell batch (be-p-minsr's parameter
+        log-derivatives) and a 2048-walker He s sweep each fit one chunk:
+        split, grad_theta_batch would copy its chunks into a preallocated
+        output."""
+        system = preset_system(preset)
+        wf = AceWavefunction(system=system, basis=default_basis(system, (0, 1), ell_max=ell_max))
+        assert wf._chunks(n_configs) == [slice(0, n_configs)]
 
 
 class TestInitialTheta:
