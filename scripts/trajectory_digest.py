@@ -4,10 +4,14 @@ For every row, one per optimizer plus the pseudo-solve branches of sr
 (reg_mode = pseudo_inverse) and minsr (tikhonov_eps = 0) and a wssr run
 whose block is the whole row space (wssr-full), a fixed small helium run
 (ell_max = 0, 16 walkers, seed 3) goes through the command line. The
+He rows' 144 parameters outnumber their 16 samples, so sr solves on the
+batch side; sr-tall takes 160 samples, so its solve forms S. The
 minsr-be-p row runs beryllium with the p shell (ell_max = 1) instead, so
 orbitals that share a zeta and pooled sums over four electrons are
-covered, and the minsr-lih row runs LiH, the one row with two nuclei and
-so a nonzero internuclear repulsion. The wssr-1024w row runs 1024
+covered, as do the sr-be-p, sr-scale-be-p and sr-pinv-be-p rows, one
+per sr regularization on the batch side (He's dead parameters fail
+diagonal_scale). The minsr-lih row runs LiH, the one row with two nuclei
+and so a nonzero internuclear repulsion. The wssr-1024w row runs 1024
 walkers: its finite-difference stencil holds 13 x 1024 configurations,
 more than one amplitude chunk, so it checks that chunk boundaries do not
 move a value. Each run goes through twice:
@@ -44,6 +48,8 @@ from pathlib import Path
 from vmcsr.checkpoint import read_checkpoint
 from vmcsr.cli import main as vmcsr_main
 
+BE_P = {"system": {"preset": "be"}, "wavefunction": {"ell_max": "1"}}
+
 # row name -> (optimizer, INI values over BASE). The wssr row's block
 # stays below the 144-row parameter count; wssr-full's batch of 160 makes
 # every block the whole row space, the route through the eigh of the
@@ -59,10 +65,13 @@ ROWS = {
     "rssr": ("rssr", {}),
     "wssr-full": ("wssr", {"sampler": {"samples_per_step": "160"},
                            "wssr": {"rank_init": "400"}}),
-    "minsr-be-p": ("minsr", {"system": {"preset": "be"},
-                             "wavefunction": {"ell_max": "1"}}),
+    "minsr-be-p": ("minsr", BE_P),
     "minsr-lih": ("minsr", {"system": {"preset": "lih"}}),
     "wssr-1024w": ("wssr", {"sampler": {"walkers": "1024"}}),
+    "sr-tall": ("sr", {"sampler": {"samples_per_step": "160"}}),
+    "sr-be-p": ("sr", BE_P),
+    "sr-scale-be-p": ("sr", {**BE_P, "sr": {"reg_mode": "diagonal_scale"}}),
+    "sr-pinv-be-p": ("sr", {**BE_P, "sr": {"reg_mode": "pseudo_inverse"}}),
 }
 
 BASE = {
@@ -121,8 +130,9 @@ def main(argv=None):
         parser.error(f"unknown rows: {', '.join(unknown)}")
     split = args.steps // 2
 
-    print(f"# he ell_max=0 (minsr-be-p: be ell_max=1, minsr-lih: lih), 16 walkers "
-          f"(wssr-1024w: 1024), seed 3, {args.steps} steps, split {split} + resume")
+    print(f"# he ell_max=0 (*-be-p: be ell_max=1, minsr-lih: lih), 16 walkers "
+          f"(wssr-1024w: 1024; sr-tall: 160 samples), seed 3, {args.steps} steps, "
+          f"split {split} + resume")
     mismatched = []
     with tempfile.TemporaryDirectory() as tmp:
         for name in names:

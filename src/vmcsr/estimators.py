@@ -19,7 +19,7 @@ class SampleBatch:
 
     positions: np.ndarray          # (batch, N, 3)
     local_energies: np.ndarray     # (batch,) raw values
-    theta_logderivs: np.ndarray    # (batch, n_params)
+    theta_logderivs: np.ndarray    # (batch, n_params); assemble centres it in place
 
     def __post_init__(self):
         n = self.positions.shape[0]
@@ -66,6 +66,11 @@ def clip_local_energies(energies, n_std):
 def assemble(batch, clip_n_std):
     """Build the centered estimator bundle from one sample batch.
 
+    assemble takes ownership of batch.theta_logderivs: it centres and
+    scales that array in place, and O is its transpose (a Fortran-ordered
+    view), so a step holds one (batch, n_params) array. A caller that
+    still needs the raw log-derivatives copies them first.
+
     The gradient 2 * O @ L algebraically equals the literal per-sample sum
     (2/batch) * sum_n (E_n - mean E) * dlogpsi_n because centering O
     leaves the product with the already-centered L unchanged.
@@ -79,10 +84,9 @@ def assemble(batch, clip_n_std):
     clipped = clip_local_energies(batch.local_energies, clip_n_std)
     loss = float(np.mean(clipped))
     raw_loss = float(np.mean(batch.local_energies))
-    # one temporary: the centred derivatives, scaled in place and used
-    # through their transpose (a Fortran-ordered view)
     scale = 1.0 / np.sqrt(batch.size)
-    o_matrix = (derivs - np.mean(derivs, axis=0)).T
+    derivs -= np.mean(derivs, axis=0)
+    o_matrix = derivs.T
     o_matrix *= scale
     l_vector = (clipped - loss) * scale
     gradient = 2.0 * (o_matrix @ l_vector)

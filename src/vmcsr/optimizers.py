@@ -10,8 +10,10 @@ applies the inverse through two projections; it forms the
 parameter-square matrix only when its rank budget spans every parameter,
 and then factors it exactly. The three dense preconditioners share one
 regularized solve and its Cholesky factorization, both in place on the
-matrix each has just built. The factor and solve are scipy's, and only
-these three rules load scipy.
+matrix each has just built, and each builds the Gram matrix of O's
+smaller side, so a dense step holds O and one min(n_params, batch)²
+matrix. The factor and solve are scipy's, and only these three rules
+load scipy.
 """
 
 import ctypes
@@ -219,30 +221,59 @@ def _regularized_solve(matrix, rhs, mode, eps):
     try:
         factor = spd_factorize(matrix)
     except NotPositiveDefinite as exc:
-        raise NotPositiveDefinite(
-            f"regularized matrix is not positive definite ({mode}, eps={eps:g})"
-        ) from exc
+        raise _indefinite(mode, eps) from exc
     _, cho_solve, _ = dense_cholesky()
     return cho_solve(factor, rhs)
 
 
-def full_sr_update(theta, bundle, eta, options=SrOptions()):
-    """Covariance-preconditioned step on the parameter-square matrix.
+def _indefinite(mode, eps):
+    return NotPositiveDefinite(
+        f"regularized matrix is not positive definite ({mode}, eps={eps:g})")
 
-    Reference path for small parameter counts: forms S explicitly and
-    solves S_reg x = gradient.  options.reg_mode picks the regularization:
-    'diagonal_shift' adds reg_eps * I, 'diagonal_scale' multiplies the
-    diagonal by (1 + reg_eps), 'pseudo_inverse' inverts only eigenvalues
-    at least reg_eps * |lam_max| in magnitude and zeroes the rest.
+
+def full_sr_update(theta, bundle, eta, options=SrOptions()):
+    """Covariance-preconditioned step: S_reg x = gradient with S = O O^T.
+
+    options.reg_mode picks the regularization: 'diagonal_shift' adds
+    reg_eps * I, 'diagonal_scale' multiplies the diagonal by
+    (1 + reg_eps), 'pseudo_inverse' inverts only eigenvalues at least
+    reg_eps * |lam_max| in magnitude and zeroes the rest.
+
+    The solve runs on O's smaller side. With no more parameters than
+    samples it forms S. Otherwise it takes the batch-sized dual through
+    (O O^T + eps I)^-1 O = O (O^T O + eps I)^-1, the minsr solve with
+    tikhonov_eps = reg_eps. The pseudo-inverse uses f(O O^T) O =
+    O f(O^T O), whose nonzero spectra, and so the cutoff, agree. The
+    diagonal scale solves with Ohat = D^-1/2 O for D = diag(S), since
+    S + eps D = D^1/2 (Ohat Ohat^T + eps I) D^1/2; it scales
+    bundle.o_matrix in place, which then holds Ohat. At reg_eps = 0 a
+    diagonal mode's S has rank at most batch < n_params, so the dual
+    refuses it as the factor of S would.
 
     Raises:
-      NotPositiveDefinite: a diagonal mode left S indefinite.
+      NotPositiveDefinite: a diagonal mode's S_reg is not positive
+        definite: a factor failed, D has a zero entry, or reg_eps = 0
+        with more parameters than samples.
     """
     theta = np.asarray(theta, dtype=np.float64)
-    direction = _regularized_solve(
-        s_matrix(bundle), bundle.gradient, options.reg_mode, options.reg_eps
-    )
-    return theta - eta * direction
+    mode, eps = options.reg_mode, options.reg_eps
+    o = bundle.o_matrix
+    if o.shape[0] <= o.shape[1]:
+        return theta - eta * _regularized_solve(s_matrix(bundle), bundle.gradient, mode, eps)
+    if mode == "pseudo_inverse":
+        x = _regularized_solve(t_matrix(bundle), bundle.l_vector, mode, eps)
+        return theta - eta * 2.0 * (o @ x)
+    if eps == 0.0:
+        raise _indefinite(mode, eps)
+    scale = 1.0
+    if mode == "diagonal_scale":
+        d = np.einsum("ij,ij->i", o, o)
+        if not np.all(d > 0.0):
+            raise _indefinite(mode, eps)
+        scale = 1.0 / np.sqrt(d)
+        o *= scale[:, None]
+    x = _dual_solve(t_matrix(bundle), eps, bundle.l_vector)
+    return theta - eta * 2.0 * (scale * (o @ x))
 
 
 def _dual_solve(t, eps, rhs):

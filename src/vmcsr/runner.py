@@ -8,11 +8,11 @@ mid-step aborts the run (exit 3) but first re-snapshots the last good
 state, so a crashed run is always resumable from where it still made
 sense.
 
-A step's arrays die with the step: the batch's (batch, n_params)
-log-derivatives are released as soon as O is assembled from them, and
-the bundle with O as soon as the update returns. The update is the only
-phase that holds O, and the amplitude refresh, the trace write and the
-checkpoint run with no O-sized array alive.
+A step's arrays die with the step: O is the batch's (batch, n_params)
+log-derivatives, centred in place, so a step holds one O-sized array,
+and the bundle with O is released as soon as the update returns. The
+amplitude refresh, the trace write and the checkpoint run with no
+O-sized array alive.
 """
 
 import ctypes
@@ -244,8 +244,8 @@ def _step(step, config, system, wavefunction, ensemble, theta, opt_state, update
     """One optimizer step: sample, assemble, update, refresh the amplitudes.
 
     Returns (theta', state', wssr diagnostics or None, the trace record's
-    energy fields). The batch is dropped once O is built from it and the
-    bundle once the update returns.
+    energy fields). The batch is dropped once assemble has turned its
+    log-derivatives into O, and the bundle once the update returns.
     """
     batch = sample_batch(
         ensemble,

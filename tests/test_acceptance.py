@@ -264,11 +264,12 @@ def test_criterion_03_gradient_fidelity():
     he_wf = AceWavefunction(system=he, basis=he_basis, correlation_order=2)
     ensemble = WalkerEnsemble.create(he, he_wf, n_walkers=64, seed=9, proposal_std=0.5)
     batch = sample_batch(ensemble, he_wf, he, 64, burn_in_steps=50, thinning=1)
+    # assemble centres the batch's log-derivatives in place
+    derivs = batch.theta_logderivs.copy()
     bundle = assemble(batch, clip_n_std=5.0)
 
     clipped = clip_local_energies(batch.local_energies, 5.0)
     e_mean = float(np.mean(clipped))
-    derivs = batch.theta_logderivs
     d_mean = derivs.mean(axis=0)
     literal = np.zeros(he_wf.n_params)
     for i in range(batch.size):

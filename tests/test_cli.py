@@ -36,6 +36,32 @@ out_dir = {out}
 """
 
 
+HELIUM_SR = """
+[system]
+preset = he
+
+[wavefunction]
+ell_max = 0
+
+[sampler]
+walkers = 16
+samples_per_step = {samples}
+burn_in = 20
+thinning = 1
+
+[optimizer]
+name = sr
+
+[sr]
+reg_mode = {mode}
+
+[run]
+steps = 2
+seed = 1
+out_dir = {out}
+"""
+
+
 def write_config(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text(SMALL_RUN.format(out=tmp_path / "artifacts"), encoding="utf-8")
@@ -173,6 +199,27 @@ class TestRunCommand:
         monkeypatch.setattr(vmcsr.runner, "assemble", original)
         assert main(["run", "--config", str(config), "--resume", str(ckpt)]) == 0
         assert "completed 3 steps" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("samples", [16, 160], ids=["dual", "primal"])
+    def test_dead_parameters_fail_sr_diagonal_scale_with_exit_3(self, tmp_path, capsys, samples):
+        # He ell_max = 0 has 64 parameters whose log-derivative is zero at
+        # every configuration, so diag(S) has zero entries. Its 144
+        # parameters take the dual over 16 samples and S over 160.
+        out = tmp_path / "artifacts"
+        scaled, shifted = tmp_path / "scale.ini", tmp_path / "shift.ini"
+        for path, mode in ((scaled, "diagonal_scale"), (shifted, "diagonal_shift")):
+            path.write_text(HELIUM_SR.format(samples=samples, mode=mode, out=out),
+                            encoding="utf-8")
+        assert main(["run", "--config", str(scaled)]) == 3
+        err = capsys.readouterr().err
+        assert ("aborted at step 1: regularized matrix is not positive definite "
+                "(diagonal_scale, eps=0.001)") in err
+        ckpt = out / "checkpoint.bin"
+        scalars, _, _ = read_checkpoint(ckpt)
+        assert scalars["step"] == 0
+        # the checkpoint resumes, here under the shift, which has no zero pivot
+        assert main(["run", "--config", str(shifted), "--resume", str(ckpt)]) == 0
+        assert "completed 2 steps" in capsys.readouterr().out
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("name", ["sgd", "sr", "minsr", "spring", "wssr", "rssr"])

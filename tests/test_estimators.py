@@ -16,8 +16,10 @@ from vmcsr.estimators import (
 
 
 def make_batch(energies, derivs):
+    """A batch of copies: assemble centres the log-derivatives in place,
+    and the tests read their own derivs afterwards."""
     energies = np.asarray(energies, dtype=np.float64)
-    derivs = np.asarray(derivs, dtype=np.float64)
+    derivs = np.array(derivs, dtype=np.float64)
     positions = np.zeros((len(energies), 1, 3))
     return SampleBatch(positions=positions, local_energies=energies, theta_logderivs=derivs)
 
@@ -185,7 +187,7 @@ class TestStatisticalUnbiasedness:
         dlog = (-x * x / 2.0)[:, None]
         # Geometry is irrelevant to this closed-form check.
         batch = SampleBatch(
-            positions=np.zeros((n, 0, 3)), local_energies=local, theta_logderivs=dlog
+            positions=np.zeros((n, 0, 3)), local_energies=local, theta_logderivs=dlog.copy()
         )
         bundle = assemble(batch, clip_n_std=np.inf)
 

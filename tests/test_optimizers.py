@@ -19,6 +19,7 @@ from vmcsr.config import OptimizerConfig, parse_config_text
 from vmcsr.errors import NotPositiveDefinite
 from vmcsr.estimators import EstimatorBundle, SampleBatch, assemble, s_matrix
 from vmcsr.optimizers import (
+    SR_REG_MODES,
     SSI_MAX_ITERS,
     SSI_RESIDUAL_TOL,
     MinsrOptions,
@@ -186,14 +187,91 @@ class TestFullSr:
             SrOptions("ridge", 0.1)
 
 
+def wide_bundle(seed, n_params=400, batch=60):
+    """Assembled bundle with more parameters than samples, whose column
+    scales decay from 1 to 1e-3, so sr takes its batch-sized dual."""
+    rng = np.random.default_rng(seed)
+    draws = SampleBatch(
+        positions=np.zeros((batch, 0, 3)),
+        local_energies=rng.normal(size=batch),
+        theta_logderivs=rng.normal(size=(batch, n_params)) * np.logspace(0, -3, n_params),
+    )
+    return assemble(draws, clip_n_std=np.inf)
+
+
+def dense_primal_direction(bundle, mode, eps):
+    """The parameter-side step S_reg^-1 gradient, by numpy alone."""
+    s = s_matrix(bundle)
+    if mode == "pseudo_inverse":
+        lam, vec = np.linalg.eigh(s)
+        keep = np.abs(lam) >= eps * np.abs(lam).max()
+        return vec[:, keep] @ ((vec[:, keep].T @ bundle.gradient) / lam[keep])
+    shift = eps * (np.diag(np.diag(s)) if mode == "diagonal_scale" else np.eye(len(s)))
+    return np.linalg.solve(s + shift, bundle.gradient)
+
+
+class TestFullSrDual:
+    """With more parameters than samples, sr solves through the batch x
+    batch Gram O^T O and never forms S."""
+
+    # Over seeds 0-9 at this shape, under 1 and 2 BLAS threads, the
+    # relative errors reached 8.7e-14 (shift), 2.3e-12 (scale, whose
+    # diagonal spans six decades) and 1.3e-14 (pseudo-inverse).
+    @pytest.mark.parametrize("mode, rtol", [
+        ("diagonal_shift", 2e-13), ("diagonal_scale", 5e-12), ("pseudo_inverse", 2e-13),
+    ])
+    def test_matches_dense_primal(self, mode, rtol):
+        bundle = wide_bundle(seed=31)
+        want = dense_primal_direction(bundle, mode, 1e-3)
+        got = -full_sr_update(np.zeros(400), bundle, 1.0, SrOptions(mode, 1e-3))
+        assert np.linalg.norm(got - want) <= rtol * np.linalg.norm(want)
+
+    def test_diagonal_shift_is_minsr(self):
+        theta = np.random.default_rng(32).standard_normal(400)
+        got = full_sr_update(theta, wide_bundle(seed=33), 0.1, SrOptions("diagonal_shift", 1e-3))
+        want = minsr_update(theta, wide_bundle(seed=33), 0.1, MinsrOptions(1e-3))
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("mode", SR_REG_MODES)
+    def test_holds_no_second_o(self, mode):
+        # the step's own O is the one (n_params, batch) array: the diagonal
+        # scale rescales it in place, and S (400 x 400) is never formed
+        bundle = wide_bundle(seed=34)
+        tracemalloc.start()
+        try:
+            full_sr_update(np.zeros(400), bundle, 0.1, SrOptions(mode, 1e-3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * bundle.o_matrix.nbytes
+
+    @pytest.mark.parametrize("shape", [(6, 14), (40, 12)], ids=["tall", "wide"])
+    def test_zero_row_fails_diagonal_scale(self, shape):
+        # a dead parameter: D = diag(S) has a zero entry on either side
+        rng = np.random.default_rng(35)
+        o = rng.standard_normal(shape)
+        o -= o.mean(axis=1, keepdims=True)
+        o[2] = 0.0
+        bundle = raw_bundle(o, rng.standard_normal(shape[1]))
+        with pytest.raises(NotPositiveDefinite, match=r"\(diagonal_scale, eps=0\.001\)"):
+            full_sr_update(np.zeros(shape[0]), bundle, 0.1, SrOptions("diagonal_scale", 1e-3))
+
+    def test_unregularized_wide_diagonal_scale_raises(self):
+        # S = O O^T has rank at most the batch, below the parameter count;
+        # TestFullSr::test_rank_deficient_unshifted_raises covers the shift
+        bundle = wide_bundle(seed=36)
+        with pytest.raises(NotPositiveDefinite, match=r"\(diagonal_scale, eps=0\)"):
+            full_sr_update(np.zeros(400), bundle, 0.1, SrOptions("diagonal_scale", 0.0))
+
+
 class TestRegularizedSolve:
     """sr, minsr and spring regularize and factor the matrix they build in
     place, so a step holds one n x n array (plus a boolean finiteness
     mask of an eighth of its size)."""
 
     @pytest.mark.parametrize("update, n_params, batch", [
-        (full_sr_update, 800, 16), (minsr_update, 16, 800),
-    ], ids=["sr", "minsr"])
+        (full_sr_update, 800, 16), (minsr_update, 16, 800), (full_sr_update, 800, 800),
+    ], ids=["sr", "minsr", "sr-primal"])
     def test_peak_memory_is_one_matrix(self, update, n_params, batch):
         rng = np.random.default_rng(9)
         bundle = raw_bundle(rng.standard_normal((n_params, batch)), rng.standard_normal(batch))

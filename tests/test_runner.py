@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import types
 import weakref
 from pathlib import Path
@@ -350,13 +351,18 @@ def _owner(array):
 
 
 class TestStepLifetime:
-    @pytest.mark.parametrize("name, rule", [("wssr", "wssr_step"), ("minsr", "minsr_update")])
+    @pytest.mark.parametrize("name, rule", [
+        ("wssr", "wssr_step"), ("minsr", "minsr_update"), ("sr", "full_sr_update"),
+    ])
     def test_no_o_sized_array_outlives_its_use(self, tmp_path, monkeypatch, name, rule):
-        # Each step's log-derivatives die once O is assembled from them, and
-        # its O once the update returns, so neither is alive at the next
-        # step's sampling.
+        # O is the batch's log-derivatives, centred in place: it is the one
+        # O-sized array alive at the update, and it dies with the step, so
+        # no O-sized array is alive at the next step's sampling. The dense
+        # rules allocate neither a second O nor a parameter-square matrix
+        # (sr takes the dual: 144 parameters, 32 samples).
         earlier, current = [], []
-        stale, outliving = [], []
+        stale, o_sized_at_sampling, o_sized_at_update, owned, rises = [], [], [], [], []
+        o_bytes = 32 * 144 * 8
         original_sample = vmcsr.runner.sample_batch
         original_assemble = vmcsr.runner.assemble
         original_rule = getattr(vmcsr.runner, rule)
@@ -364,33 +370,50 @@ class TestStepLifetime:
         def alive(refs):
             return sum(ref() is not None for ref in refs)
 
+        def o_sized():
+            return sum(t.size == o_bytes for t in tracemalloc.take_snapshot().traces)
+
         def sampling(*args, **kwargs):
             earlier.extend(current)
             current.clear()
             stale.append(alive(earlier))
+            o_sized_at_sampling.append(o_sized())
             batch = original_sample(*args, **kwargs)
             current.append(weakref.ref(_owner(batch.theta_logderivs)))
             return batch
 
-        def assembling(*args, **kwargs):
-            bundle = original_assemble(*args, **kwargs)
-            current.append(weakref.ref(_owner(bundle.o_matrix)))
+        def assembling(batch, *args, **kwargs):
+            bundle = original_assemble(batch, *args, **kwargs)
+            owned.append(_owner(bundle.o_matrix) is _owner(batch.theta_logderivs))
             return bundle
 
-        def updating(*args, **kwargs):
-            outliving.append(alive(current[:1]))
-            return original_rule(*args, **kwargs)
+        def updating(theta, bundle, *args, **kwargs):
+            assert bundle.o_matrix.shape == (144, 32)
+            o_sized_at_update.append(o_sized())
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            result = original_rule(theta, bundle, *args, **kwargs)
+            rises.append(tracemalloc.get_traced_memory()[1] - before)
+            return result
 
         monkeypatch.setattr(vmcsr.runner, "sample_batch", sampling)
         monkeypatch.setattr(vmcsr.runner, "assemble", assembling)
         monkeypatch.setattr(vmcsr.runner, rule, updating)
         cfg = helium_config(tmp_path, name=name, steps=4)
         cfg = dataclasses.replace(cfg, sampler=dataclasses.replace(cfg.sampler, walkers=32))
-        assert run(cfg).exit_code == 0
-        assert len(earlier) + len(current) == 8
-        assert stale == [0, 0, 0, 0], "arrays of an earlier step alive at sampling"
-        assert outliving == [0, 0, 0, 0], "log-derivatives outlive assembly"
+        tracemalloc.start()
+        try:
+            assert run(cfg).exit_code == 0
+        finally:
+            tracemalloc.stop()
+        assert len(earlier) + len(current) == 4
+        assert owned == [True] * 4, "O is not the batch's log-derivative array"
+        assert o_sized_at_update == [1] * 4, "a second O-sized array alive at the update"
+        assert stale == [0] * 4, "arrays of an earlier step alive at sampling"
+        assert o_sized_at_sampling == [0] * 4, "an O-sized array alive at sampling"
         assert not alive(earlier + current)
+        if name != "wssr":  # wssr's stacked matrix holds a scaled copy of O
+            assert max(rises) < o_bytes, "the update allocated a second O or more"
 
 
 class TestPeriodicCheckpoints:
