@@ -73,25 +73,13 @@ def _cmd_run(args):
     return result.exit_code
 
 
-def _format_scalar(key, value, indent=""):
-    lines = []
-    if isinstance(value, dict):
-        lines.append(f"{indent}{key}:")
-        for sub_key in sorted(value):
-            lines.extend(_format_scalar(sub_key, value[sub_key], indent + "  "))
-    else:
-        lines.append(f"{indent}{key} = {value}")
-    return lines
-
-
 def _cmd_inspect(args):
     try:
         scalars, arrays, rng_states = read_checkpoint(args.ckpt)
     except OSError as exc:
         raise ConfigError(f"cannot read checkpoint {args.ckpt}: {exc}") from exc
     for key in sorted(scalars):
-        for line in _format_scalar(key, scalars[key]):
-            print(line)
+        print(f"{key} = {scalars[key]}")
     for name in sorted(arrays):
         arr = arrays[name]
         print(f"array {name}: shape {tuple(arr.shape)}, dtype {arr.dtype}")

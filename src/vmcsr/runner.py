@@ -19,6 +19,7 @@ import ctypes
 import dataclasses
 import os
 import time
+from collections import Counter
 
 import numpy as np
 
@@ -62,32 +63,32 @@ class RunResult:
 
 
 def _optimizer(config, n_params):
-    """The configured update rule: (initial state, checkpoint prefix, update).
+    """The configured update rule: (initial state, update).
 
     This is the one place that names the optimizers. update(theta, bundle,
     eta, state, seed) returns (theta', state', wssr diagnostics or None).
     The rules are looked up in this module's globals at call time, so a
     replacement of one of those names (a tracer, a test spy) sees every
-    call. Stateless rules have neither state nor prefix. Each rule gets
-    its options section of config; rssr is wssr with one pass from a
-    fresh Gaussian block in place of the warm-started subspace iteration.
+    call. Stateless rules have no state. Each rule gets its options
+    section of config; rssr is wssr with one pass from a fresh Gaussian
+    block in place of the warm-started subspace iteration.
     """
     name = config.optimizer.name
     if name == "sgd":
-        return None, None, lambda theta, bundle, eta, state, seed: (
+        return None, lambda theta, bundle, eta, state, seed: (
             sgd_update(theta, bundle, eta), None, None)
     if name == "sr":
-        return None, None, lambda theta, bundle, eta, state, seed: (
+        return None, lambda theta, bundle, eta, state, seed: (
             full_sr_update(theta, bundle, eta, config.sr), None, None)
     if name == "minsr":
-        return None, None, lambda theta, bundle, eta, state, seed: (
+        return None, lambda theta, bundle, eta, state, seed: (
             minsr_update(theta, bundle, eta, config.minsr), None, None)
     if name == "spring":
         initial = SpringState(prev_update=np.zeros(n_params))
-        return initial, "spring", lambda theta, bundle, eta, state, seed: (
+        return initial, lambda theta, bundle, eta, state, seed: (
             *spring_update(theta, bundle, eta, state, config.spring), None)
     initial = WssrState.initial(n_params, config.wssr.rank_init)
-    return initial, "wssr", lambda theta, bundle, eta, state, seed: wssr_step(
+    return initial, lambda theta, bundle, eta, state, seed: wssr_step(
         theta, bundle, eta, state, config.wssr, rng_seed=seed, sketch=name == "rssr")
 
 
@@ -112,63 +113,50 @@ def _keep_heap_resident():
     mallopt(_M_TOP_PAD, 4 * EVAL_CHUNK_BYTES)
 
 
-def _layout(step, config, system, theta, ensemble, opt_state, prefix):
-    """What a checkpoint holds: (scalars, arrays), the arrays in stored order.
+def _layout(step, config, wavefunction, ensemble, opt_state):
+    """What a checkpoint holds: one flat table, its arrays in stored order.
 
     This is the one description of a checkpoint: _snapshot writes the
     layout of the current state, and _restore holds a checkpoint to the
-    layout of the configured run's fresh state. The optimizer state's
-    arrays are stored as "<prefix>_<field>", its other fields in a table
-    under prefix.
+    layout of the configured run's fresh state. Every field of the
+    optimizer state, scalar or array, is the entry "<optimizer>_<field>".
     """
-    scalars = {
+    name = config.optimizer.name
+    fields = {} if opt_state is None else vars(opt_state)
+    return {
         "step": step,
-        "optimizer": config.optimizer.name,
+        "optimizer": name,
         "seed": config.run.seed,
         "proposal_std": ensemble.proposal_std,
         "accepted": ensemble.accepted,
         "proposed": ensemble.proposed,
         "burned_in": ensemble.burned_in,
-    }
-    arrays = {
-        "theta": theta,
+        "theta": wavefunction.theta,
         "positions": ensemble.positions,
-        "spins": system.spins,
+        "spins": wavefunction.system.spins,
         "log_abs": ensemble.log_abs,
+        **{f"{name}_{field}": value for field, value in fields.items()},
     }
-    if opt_state is not None:
-        section = scalars[prefix] = {}
-        for name, value in vars(opt_state).items():
-            if isinstance(value, np.ndarray):
-                arrays[f"{prefix}_{name}"] = value
-            else:
-                section[name] = value
-    return scalars, arrays
 
 
-def _snapshot(path, step, config, system, theta, ensemble, opt_state, prefix):
-    scalars, arrays = _layout(step, config, system, theta, ensemble, opt_state, prefix)
+def _snapshot(path, step, config, wavefunction, ensemble, opt_state):
+    entries = _layout(step, config, wavefunction, ensemble, opt_state)
+    arrays = {k: v for k, v in entries.items() if isinstance(v, np.ndarray)}
+    scalars = {k: v for k, v in entries.items() if k not in arrays}
     ckpt.write_checkpoint(path, scalars, arrays, [ensemble.rng.bit_generator.state])
 
 
-def _entries(scalars, arrays, prefix):
-    """A layout as one table: the optimizer section's scalars join its
-    arrays under "<prefix>_<field>"."""
-    section = scalars.get(prefix, {})
-    return {**scalars, **{f"{prefix}_{k}": v for k, v in section.items()}, **arrays}
-
-
-def _restore(resume_path, config, system, wavefunction, initial_state, prefix):
-    """Rebuild (step, theta, ensemble, opt_state) from a snapshot.
+def _restore(resume_path, config, wavefunction, initial_state):
+    """Rebuild (step, ensemble, opt_state) from a snapshot; theta goes into wavefunction.
 
     The checkpoint is held to the _layout of the configured run's fresh
     state, by one rule. Its optimizer, seed and spin labels are the
-    run's. Its optimizer section holds exactly the fields of
-    initial_state. Every scalar is there with the JSON type the run
-    writes (a bool is not an int), and every array with the fresh dtype
-    and shape, where a 0 takes any length. Then the step must be >= 0,
-    and the ensemble and the optimizer state check their own ranges.
-    Hyperparameters always come from config.
+    run's. Its entries are exactly the layout's, none unknown and none
+    missing. Every scalar has the JSON type the run writes (a bool is
+    not an int), and every array the fresh dtype and shape, where a 0
+    takes any length. Then the step must be >= 0, an optimizer state's
+    own step must equal it, and the ensemble and the optimizer state
+    check their own ranges. Hyperparameters always come from config.
     """
     try:
         scalars, arrays, rng_states = ckpt.read_checkpoint(resume_path)
@@ -181,37 +169,31 @@ def _restore(resume_path, config, system, wavefunction, initial_state, prefix):
         )
     walkers = config.sampler.walkers
     fresh = WalkerEnsemble(
-        positions=np.zeros((walkers, system.n_electrons, 3)),
+        positions=np.zeros((walkers, wavefunction.system.n_electrons, 3)),
         log_abs=np.zeros(walkers),
         rng=np.random.Generator(np.random.PCG64()),
         proposal_std=float(config.sampler.proposal_std),
     )
-    layout = _layout(0, config, system, wavefunction.theta, fresh, initial_state, prefix)
-    wanted = _entries(*layout, prefix)
+    wanted = _layout(0, config, wavefunction, fresh, initial_state)
+    stored = {**scalars, **arrays}
+    head = f"{config.optimizer.name}_"
     try:
         fresh.rng.bit_generator.state = rng_states[0]
         for entry, got, want in (
             ("optimizer", scalars["optimizer"], config.optimizer.name),
             ("seed", scalars["seed"], config.run.seed),
-            ("spin labels", arrays["spins"].tolist(), system.spins.tolist()),
+            ("spin labels", arrays["spins"].tolist(), wavefunction.system.spins.tolist()),
         ):
             if got != want:
                 raise ConfigError(f"checkpoint has {entry} {got!r}, the configured run {want!r}")
-        if not isinstance(scalars.get(prefix, {}), dict):
+        # a name stored as both a scalar and an array counts as unknown once
+        names, layout = Counter([*scalars, *arrays]), Counter(wanted.keys())
+        unknown, missing = names - layout, layout - names
+        if unknown or missing:
             raise ConfigError(
-                f"checkpoint entry {prefix!r} is malformed: expected a table of "
-                f"the optimizer state's scalars, got {scalars[prefix]!r}"
+                f"checkpoint entries are not the configured run's: "
+                f"unknown {sorted(unknown)}, missing {sorted(missing)}"
             )
-        stored = _entries(scalars, arrays, prefix)
-        if initial_state is not None:
-            head, expected = f"{prefix}_", vars(initial_state).keys()
-            fields = {k[len(head):]: v for k, v in stored.items() if k.startswith(head)}
-            if fields.keys() != expected:
-                raise ConfigError(
-                    f"checkpoint {prefix} state does not match this version: "
-                    f"unknown fields {sorted(fields.keys() - expected)}, "
-                    f"missing fields {sorted(expected - fields.keys())}"
-                )
         for name, want in wanted.items():
             got = stored[name]
             if type(got) is not type(want):
@@ -223,34 +205,39 @@ def _restore(resume_path, config, system, wavefunction, initial_state, prefix):
                         w and w != g for w, g in zip(want.shape, got.shape)):
                     raise ConfigError(f"checkpoint entry '{name}' has shape {got.shape}, "
                                       f"the configured run's is {want.shape}")
-        if stored["step"] < 0:
-            raise ValueError(f"entry 'step' must be an integer >= 0, got {stored['step']!r}")
+        step = stored["step"]
+        if step < 0:
+            raise ValueError(f"entry 'step' must be an integer >= 0, got {step!r}")
+        if stored.get(head + "step", step) != step:
+            raise ConfigError(f"checkpoint has {head}step {stored[head + 'step']}, "
+                              f"but step {step}")
         ensemble = dataclasses.replace(
             fresh, **{k: stored[k] for k in wanted.keys() & vars(fresh).keys()}
+        )
+        opt_state = None if initial_state is None else dataclasses.replace(
+            initial_state, **{field: stored[head + field] for field in vars(initial_state)}
         )
     except KeyError as exc:
         raise ConfigError(f"checkpoint lacks the entry {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"checkpoint is malformed: {exc}") from exc
-
-    try:
-        opt_state = dataclasses.replace(initial_state, **fields) if prefix else None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"checkpoint {prefix} state is malformed: {exc}") from exc
-    return stored["step"], stored["theta"], ensemble, opt_state
+    wavefunction.set_theta(stored["theta"])
+    return step, ensemble, opt_state
 
 
-def _step(step, config, system, wavefunction, ensemble, theta, opt_state, update):
+def _step(step, config, wavefunction, ensemble, opt_state, update):
     """One optimizer step: sample, assemble, update, refresh the amplitudes.
 
-    Returns (theta', state', wssr diagnostics or None, the trace record's
-    energy fields). The batch is dropped once assemble has turned its
+    Returns (state', wssr diagnostics or None, the trace record's energy
+    fields), with theta' set in wavefunction; a step that fails leaves the
+    theta it started from. The batch is dropped once assemble has turned its
     log-derivatives into O, and the bundle once the update returns.
     """
+    theta = wavefunction.theta
     batch = sample_batch(
         ensemble,
         wavefunction,
-        system,
+        wavefunction.system,
         n_samples=config.sampler.samples_per_step or config.sampler.walkers,
         burn_in_steps=config.sampler.burn_in,
         thinning=config.sampler.thinning,
@@ -274,10 +261,14 @@ def _step(step, config, system, wavefunction, ensemble, theta, opt_state, update
     if not np.all(np.isfinite(theta_next)):
         raise NumericalAbort(f"non-finite parameters at step {step}")
     wavefunction.set_theta(theta_next)
-    ensemble.log_abs = np.asarray(
-        wavefunction.log_abs_batch(ensemble.positions), dtype=np.float64
-    )
-    return theta_next, opt_state_next, diag, energy_fields
+    try:
+        ensemble.log_abs = np.asarray(
+            wavefunction.log_abs_batch(ensemble.positions), dtype=np.float64
+        )
+    except BaseException:
+        wavefunction.set_theta(theta)
+        raise
+    return opt_state_next, diag, energy_fields
 
 
 def run(config, resume_path=None):
@@ -297,17 +288,13 @@ def run(config, resume_path=None):
     checkpoint_path = os.path.join(out_dir, CHECKPOINT_FILENAME)
 
     _keep_heap_resident()
-    system = build_system(config.system)
     seed = config.run.seed
-    wavefunction = build_wavefunction(config.wavefunction, system, seed)
-    opt_state, prefix, update = _optimizer(config, wavefunction.n_params)
+    wavefunction = build_wavefunction(config.wavefunction, build_system(config.system), seed)
+    opt_state, update = _optimizer(config, wavefunction.n_params)
 
     records = []
     if resume_path is not None:
-        start_step, theta, ensemble, opt_state = _restore(
-            resume_path, config, system, wavefunction, opt_state, prefix
-        )
-        wavefunction.set_theta(theta)
+        start_step, ensemble, opt_state = _restore(resume_path, config, wavefunction, opt_state)
         if os.path.exists(trace_path):
             try:
                 # keep rows by step, not position: a trace begun by a resume
@@ -317,9 +304,8 @@ def run(config, resume_path=None):
                 raise ConfigError(f"cannot resume into {trace_path}: {exc}") from exc
     else:
         start_step = 0
-        theta = wavefunction.theta.copy()
         ensemble = WalkerEnsemble.create(
-            system,
+            wavefunction.system,
             wavefunction,
             config.sampler.walkers,
             seed=seed,
@@ -337,8 +323,8 @@ def run(config, resume_path=None):
             t0 = time.perf_counter()
             acc0, prop0 = ensemble.accepted, ensemble.proposed
             try:
-                theta, opt_state, diag, energy_fields = _step(
-                    step, config, system, wavefunction, ensemble, theta, opt_state, update
+                opt_state, diag, energy_fields = _step(
+                    step, config, wavefunction, ensemble, opt_state, update
                 )
             except (NumericalError, MemoryError) as exc:
                 # Drop the traceback, and with it the failed step's arrays,
@@ -346,10 +332,7 @@ def run(config, resume_path=None):
                 # run can be resumed from the last good point.
                 exc.__traceback__ = None
                 reason = f"out of memory: {exc}" if isinstance(exc, MemoryError) else exc
-                _snapshot(
-                    checkpoint_path, step - 1, config, system, theta, ensemble,
-                    opt_state, prefix,
-                )
+                _snapshot(checkpoint_path, step - 1, config, wavefunction, ensemble, opt_state)
                 aborted = True
                 message = f"aborted at step {step}: {reason}"
                 step = step - 1
@@ -370,9 +353,7 @@ def run(config, resume_path=None):
             records.append(record)
 
             if (every and step % every == 0) or step == k_max:
-                _snapshot(
-                    checkpoint_path, step, config, system, theta, ensemble, opt_state, prefix
-                )
+                _snapshot(checkpoint_path, step, config, wavefunction, ensemble, opt_state)
 
     energies = [rec.raw_energy for rec in records]
     smoothed = float("nan")

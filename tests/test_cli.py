@@ -450,7 +450,19 @@ class TestRunCommand:
         write_checkpoint(partial, scalars, arrays, rng_states)
         code = main(["run", "--config", str(config), "--steps", "5", "--resume", str(partial)])
         assert code == 2
-        assert f"checkpoint lacks the entry '{entry}'" in capsys.readouterr().err
+        assert f"unknown [], missing ['{entry}']" in capsys.readouterr().err
+
+    def test_resume_from_checkpoint_lacking_its_optimizer_exits_2(self, tmp_path, capsys):
+        # the identity entries are read before the key set is compared
+        config = write_config(tmp_path)
+        assert main(["run", "--config", str(config)]) == 0
+        scalars, arrays, rng_states = read_checkpoint(tmp_path / "artifacts" / "checkpoint.bin")
+        del scalars["optimizer"]
+        partial = tmp_path / "partial.bin"
+        write_checkpoint(partial, scalars, arrays, rng_states)
+        code = main(["run", "--config", str(config), "--steps", "5", "--resume", str(partial)])
+        assert code == 2
+        assert "checkpoint lacks the entry 'optimizer'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("damage", ["rng_state", "step"])
     def test_resume_from_checkpoint_of_wrong_types_exits_2(self, tmp_path, capsys, damage):
@@ -484,7 +496,7 @@ class TestRunCommand:
         write_checkpoint(older, scalars, arrays, rng_states)
         code = main(["run", "--config", str(config), "--steps", "5", "--resume", str(older)])
         assert code == 2
-        assert "unknown fields ['obar']" in capsys.readouterr().err
+        assert "unknown ['wssr_obar'], missing ['wssr_sigma']" in capsys.readouterr().err
 
 
     def test_resume_of_a_wssr_history_wider_than_its_budget_exits_2(self, tmp_path, capsys):
@@ -495,7 +507,7 @@ class TestRunCommand:
         assert arrays["wssr_u_prev"].shape == (1, 1)
         for entry in ("wssr_u_prev", "wssr_sigma", "wssr_lbar"):
             arrays[entry] = np.concatenate([arrays[entry]] * 2, axis=-1)
-        scalars["wssr"]["r_max"] = 1
+        scalars["wssr_r_max"] = 1
         damaged = tmp_path / "damaged.bin"
         write_checkpoint(damaged, scalars, arrays, rng_states)
         code = main(["run", "--config", str(config), "--optimizer", "wssr",
@@ -509,13 +521,17 @@ class TestRunCommand:
     def test_resume_from_a_malformed_optimizer_section_exits_2_naming_it(
         self, tmp_path, capsys, damage, entry
     ):
-        # The CRC is valid; only the optimizer state inside is wrong.
+        # The CRC is valid; only the optimizer state inside is wrong. The
+        # scalars case is the layout before every field of the state was a
+        # flat entry: its scalars in a table under the optimizer's name.
         name = entry.split("_")[0]
         config = write_config(tmp_path)
         assert main(["run", "--config", str(config), "--optimizer", name]) == 0
         scalars, arrays, rng_states = read_checkpoint(tmp_path / "artifacts" / "checkpoint.bin")
+        expected = f"checkpoint entry '{entry}'"
         if damage == "scalars":
-            scalars[entry] = 5
+            scalars[entry] = {key: scalars.pop(f"{entry}_{key}") for key in ("r_max", "step")}
+            expected = "unknown ['wssr'], missing ['wssr_r_max', 'wssr_step']"
         elif damage == "rows":
             u_prev = arrays[entry]
             arrays[entry] = np.concatenate([u_prev, np.zeros((3, u_prev.shape[1]))])
@@ -526,17 +542,17 @@ class TestRunCommand:
         code = main(["run", "--config", str(config), "--optimizer", name,
                      "--steps", "5", "--resume", str(damaged)])
         assert code == 2
-        assert f"checkpoint entry '{entry}'" in capsys.readouterr().err
+        assert expected in capsys.readouterr().err
 
     @pytest.mark.parametrize("key, value", [("r_max", 7.5), ("step", 1.5)])
     def test_resume_from_a_mistyped_optimizer_scalar_exits_2_naming_it(
         self, tmp_path, capsys, key, value
     ):
-        # The CRC is valid; a scalar of the wssr section has a type the run never writes.
+        # The CRC is valid; a scalar of the wssr state has a type the run never writes.
         config = write_config(tmp_path)
         assert main(["run", "--config", str(config), "--optimizer", "wssr"]) == 0
         scalars, arrays, rng_states = read_checkpoint(tmp_path / "artifacts" / "checkpoint.bin")
-        scalars["wssr"][key] = value
+        scalars[f"wssr_{key}"] = value
         damaged = tmp_path / "damaged.bin"
         write_checkpoint(damaged, scalars, arrays, rng_states)
         code = main(["run", "--config", str(config), "--optimizer", "wssr",
@@ -550,16 +566,20 @@ class TestRunCommand:
 class TestInspectCommand:
     def test_prints_summary(self, tmp_path, capsys):
         config = write_config(tmp_path)
-        main(["run", "--config", str(config)])
+        main(["run", "--config", str(config), "--optimizer", "wssr"])
         capsys.readouterr()
         code = main(
             ["inspect", "--ckpt", str(tmp_path / "artifacts" / "checkpoint.bin")]
         )
-        out = capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
         assert code == 0
-        assert "step = 3" in out
-        assert "optimizer = sgd" in out
-        assert "rng streams: 1" in out
+        assert "step = 3" in lines
+        assert "optimizer = wssr" in lines
+        assert "wssr_step = 3" in lines
+        assert "array wssr_u_prev: shape (1, 1), dtype float64" in lines
+        assert "rng streams: 1" in lines
+        # one flat "key = value" line per scalar
+        assert not any(line.startswith(" ") or line.endswith(":") for line in lines)
 
     def test_corrupt_checkpoint_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.bin"

@@ -161,6 +161,20 @@ class TestResumeDeterminism:
         assert [r.step for r in records] == [1, 2, 3, 4]
         assert strip_wall(records) == strip_wall(read_trace(full.trace_path))
 
+    def test_resume_past_a_row_cut_inside_its_step_field(self, tmp_path):
+        # A row cut short before its first comma has no step to compare; a
+        # last line without its newline is dropped unread.
+        full = run(helium_config(tmp_path, steps=4, sub="full"))
+        cfg = helium_config(tmp_path, steps=3)
+        run(cfg)
+        with open(tmp_path / "out" / "trace.csv", "a", encoding="utf-8") as fh:
+            fh.write("1")
+        longer = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, steps=4))
+        resumed = run(longer, resume_path=str(tmp_path / "out" / "checkpoint.bin"))
+        assert resumed.exit_code == 0
+        records = read_trace(resumed.trace_path)
+        assert strip_wall(records) == strip_wall(read_trace(full.trace_path))
+
     def test_resume_into_a_fresh_out_dir_keeps_rows_by_step(self, tmp_path):
         # A trace begun by a resume into a fresh out_dir starts past step 1.
         # Resume into one twice, the second time from a kept copy of an
@@ -183,19 +197,27 @@ class TestResumeDeterminism:
         assert strip_wall(records) == strip_wall(read_trace(full.trace_path)[4:])
 
     def test_checkpoint_optimizer_section_names(self, tmp_path):
+        # every field of the optimizer state, scalar or array, is a flat
+        # "<optimizer>_<field>" entry
         run(helium_config(tmp_path, name="wssr", steps=2, sub="wssr"))
         scalars, arrays, _ = read_checkpoint(tmp_path / "wssr" / "checkpoint.bin")
-        assert sorted(scalars["wssr"]) == ["r_max", "step"]
-        assert scalars["wssr"]["step"] == 2
-        assert [k for k in arrays if k.startswith("wssr_")] == [
+        assert sorted(k for k in scalars if k.startswith("wssr")) == ["wssr_r_max", "wssr_step"]
+        assert scalars["wssr_step"] == 2
+        assert [k for k in arrays if k.startswith("wssr")] == [
             "wssr_u_prev", "wssr_sigma", "wssr_lbar",
         ]
 
+        run(helium_config(tmp_path, name="rssr", steps=2, sub="rssr"))
+        scalars, arrays, _ = read_checkpoint(tmp_path / "rssr" / "checkpoint.bin")
+        assert sorted(k for k in {**scalars, **arrays} if k.startswith("rssr")) == [
+            "rssr_lbar", "rssr_r_max", "rssr_sigma", "rssr_step", "rssr_u_prev",
+        ]
+        assert not any(k.startswith("wssr") for k in {**scalars, **arrays})
+
         run(helium_config(tmp_path, name="spring", steps=2, sub="spring"))
         scalars, arrays, _ = read_checkpoint(tmp_path / "spring" / "checkpoint.bin")
-        assert scalars["spring"] == {}
-        assert [k for k in arrays if k.startswith("spring_")] == ["spring_prev_update"]
-        assert "wssr" not in scalars
+        assert not any(k.startswith("spring") for k in scalars)
+        assert [k for k in arrays if k.startswith("spring")] == ["spring_prev_update"]
 
     def test_resume_rejects_per_walker_rng_streams(self, tmp_path):
         result = run(hydrogen_config(tmp_path))
@@ -218,13 +240,44 @@ class TestResumeDeterminism:
             with pytest.raises(ConfigError, match=match):
                 run(helium_config(tmp_path, name="wssr", steps=4), resume_path=str(stale))
 
-        scalars["wssr"]["delta"] = 0.95
-        resume_fails(r"unknown fields \['delta'\]")
-        del scalars["wssr"]["delta"]
+        scalars["wssr_delta"] = 0.95
+        resume_fails(r"unknown \['wssr_delta'\], missing \[\]")
+        del scalars["wssr_delta"]
         lbar = arrays.pop("wssr_lbar")
-        resume_fails(r"missing fields \['lbar'\]")
+        resume_fails(r"unknown \[\], missing \['wssr_lbar'\]")
         arrays["wssr_lbar"] = lbar[:-1]
         resume_fails("malformed")
+
+    @pytest.mark.parametrize("name", ["wssr", "rssr"])
+    def test_resume_refuses_an_optimizer_step_other_than_the_step(self, tmp_path, name):
+        # The per-step seeds follow the optimizer's own step, so a resume
+        # from such a checkpoint would leave the straight run's trajectory.
+        result = run(helium_config(tmp_path, name=name, steps=2))
+        scalars, arrays, rng_states = read_checkpoint(result.checkpoint_path)
+        assert scalars["step"] == scalars[f"{name}_step"] == 2
+        scalars[f"{name}_step"] = 7
+        crafted = tmp_path / "crafted.bin"
+        write_checkpoint(crafted, scalars, arrays, rng_states)
+        with pytest.raises(ConfigError, match=f"checkpoint has {name}_step 7, but step 2") as exc:
+            run(helium_config(tmp_path, name=name, steps=4), resume_path=str(crafted))
+        assert exc.value.exit_code == 2
+
+    @pytest.mark.parametrize("table, entry", [
+        ("arrays", "foo"), ("scalars", "bar"), ("scalars", "theta"),
+    ])
+    def test_resume_refuses_an_unknown_entry(self, tmp_path, table, entry):
+        # a scalar named like an array is a second entry of that name
+        result = run(helium_config(tmp_path, name="wssr", steps=2))
+        scalars, arrays, rng_states = read_checkpoint(result.checkpoint_path)
+        if table == "arrays":
+            arrays[entry] = np.zeros(3)
+        else:
+            scalars[entry] = 1
+        crafted = tmp_path / "crafted.bin"
+        write_checkpoint(crafted, scalars, arrays, rng_states)
+        with pytest.raises(ConfigError, match=rf"unknown \['{entry}'\], missing \[\]") as exc:
+            run(helium_config(tmp_path, name="wssr", steps=4), resume_path=str(crafted))
+        assert exc.value.exit_code == 2
 
     def test_resume_rejects_optimizer_mismatch(self, tmp_path):
         cfg = helium_config(tmp_path, name="wssr", steps=2)

@@ -19,15 +19,6 @@ def _load_script(name, directory=SCRIPTS):
     return module
 
 
-def test_warm_start_demo_warm_beats_cold(capsys):
-    assert _load_script("warm_start_demo").main(["--trials", "2"]) == 0
-    rows = capsys.readouterr().out.splitlines()[2:]
-    assert len(rows) == 4  # one row per drift size
-    for row in rows:
-        _, warm, cold, _ = (float(x) for x in row.split())
-        assert warm < cold
-
-
 def test_compare_optimizers_runs_every_rule(tmp_path, capsys):
     names = ("sgd", "sr", "minsr", "spring", "wssr", "rssr")
     argv = ["--steps", "2", "--optimizers", ",".join(names), "--out", str(tmp_path)]

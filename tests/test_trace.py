@@ -135,6 +135,16 @@ class TestTraceFile:
         with pytest.raises(ValueError, match="expected 11 columns, got 2"):
             read_trace(path, 8)
 
+    def test_read_drops_a_last_row_cut_inside_its_step_field(self, tmp_path):
+        # "1" may be the start of step 11: it has no step to compare
+        path = tmp_path / "trace.csv"
+        records = [make_record(k) for k in range(1, 11)]
+        TraceWriter(path, records).close()
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write("1")
+        assert read_trace(path, 10) == records
+        assert read_trace(path) == records
+
     def test_read_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "other.csv"
         path.write_text("a,b,c\n1,2,3\n")
