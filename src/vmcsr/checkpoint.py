@@ -17,6 +17,13 @@ and int64 so the byte layout is unambiguous.
 
 Writes go to a sibling temp file and are renamed into place, so a crash
 mid-write never clobbers the previous snapshot.
+
+A read checks the size, the magic and the version, then the CRC32 of the
+whole file in one streamed pass, and only then parses the header and
+the payload: a damaged file is refused before any of its bytes is
+parsed, so a CRC mismatch is reported ahead of any fault it could have
+caused. A manifest entry must name a string, a dtype of the two above
+and a shape of JSON integers >= 0.
 """
 
 import json
@@ -32,6 +39,7 @@ from .errors import CorruptChecksum, VersionMismatch
 MAGIC = b"WSSR"
 FORMAT_VERSION = 1
 _DTYPE_CODES = {"float64": "<f8", "int64": "<i8"}
+_BLOCK = 1 << 20
 
 
 def write_checkpoint(path, scalars, arrays, rng_states):
@@ -74,16 +82,17 @@ def write_checkpoint(path, scalars, arrays, rng_states):
 def read_checkpoint(path):
     """Inverse of write_checkpoint: (scalars, arrays, rng_states).
 
-    Streams the file as write_checkpoint streams it: the header, then
-    each array read straight into its own buffer, with a running CRC32,
-    so the payload is held once.
+    Checks the size, the magic and the version, then the CRC32 of the
+    whole file in one streamed pass through a fixed block, and only when
+    it matches parses the header and reads each array straight into its
+    own buffer. So no parser sees an unverified byte, and the payload is
+    held once.
 
     Raises CorruptChecksum for anything structurally wrong (bad magic,
-    truncation, CRC mismatch, malformed header, an array entry that is not
-    float64 or int64 or has a negative dimension) and VersionMismatch for
-    a well-formed file written by a different format version. A CRC
-    mismatch is reported before any fault of the header or the payload,
-    since damage can garble either.
+    truncation, CRC mismatch, malformed header, an array entry whose name
+    is not a string, whose dtype is not float64 or int64, or whose
+    dimensions are not integers >= 0) and VersionMismatch for a file
+    written by a different format version.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -97,86 +106,70 @@ def read_checkpoint(path):
             raise VersionMismatch(
                 f"checkpoint format version {version}, expected {FORMAT_VERSION}"
             )
-        body = _CrcReader(fh, head, end=size - 4)
-        try:
-            contents, fault = _read_body(body, header_len), None
-        except CorruptChecksum as exc:
-            contents, fault = None, exc
-        body.skip_to_end()
-        (stored_crc,) = struct.unpack("<I", fh.read(4))
-    if stored_crc != body.crc:
-        raise CorruptChecksum(
-            f"checkpoint CRC mismatch: stored {stored_crc:#010x}, "
-            f"computed {body.crc:#010x}"
-        )
-    if fault is not None:
-        raise fault
-    return contents
+        fh.seek(0)
+        computed = _crc32(fh, size - 4)
+        (stored,) = struct.unpack("<I", fh.read(4))
+        if stored != computed:
+            raise CorruptChecksum(
+                f"checkpoint CRC mismatch: stored {stored:#010x}, computed {computed:#010x}"
+            )
+        fh.seek(16)
+        return _parse(fh, header_len, size - 4)
 
 
-class _CrcReader:
-    """Reads a checkpoint's body, up to its CRC trailer at byte `end`,
-    keeping the running CRC32 of every byte read, `head` included."""
-
-    _BLOCK = 1 << 20
-
-    def __init__(self, fh, head, end):
-        self.fh, self.crc, self.end = fh, zlib.crc32(head), end
-        self.offset = len(head)
-
-    def read_into(self, buffer):
-        """Fill buffer (any writable contiguous array) with the next bytes;
-        the caller has checked that they lie before the trailer."""
-        nbytes = memoryview(buffer).nbytes
-        if self.fh.readinto(buffer) != nbytes:
-            raise CorruptChecksum("checkpoint truncated mid-payload")
-        self.crc = zlib.crc32(buffer, self.crc)
-        self.offset += nbytes
-
-    def skip_to_end(self):
-        """Fold every byte left before the trailer into the CRC."""
-        while self.offset < self.end:
-            block = self.fh.read(min(self._BLOCK, self.end - self.offset))
-            if not block:
-                raise CorruptChecksum("checkpoint truncated mid-payload")
-            self.crc = zlib.crc32(block, self.crc)
-            self.offset += len(block)
+def _crc32(fh, nbytes):
+    """CRC32 of fh's next nbytes, read through one fixed block."""
+    block = memoryview(bytearray(_BLOCK))
+    crc = 0
+    while nbytes:
+        got = fh.readinto(block[: min(_BLOCK, nbytes)])
+        if not got:
+            raise CorruptChecksum("checkpoint truncated while it was read")
+        crc = zlib.crc32(block[:got], crc)
+        nbytes -= got
+    return crc
 
 
-def _read_body(body, header_len):
-    """(scalars, arrays, rng_states) from the header and payload."""
-    if body.offset + header_len > body.end:
+def _parse(fh, header_len, end):
+    """(scalars, arrays, rng_states) from a verified file, read from byte
+    16 up to its CRC trailer at byte `end`."""
+    offset = 16 + header_len
+    if offset > end:
         raise CorruptChecksum("checkpoint header overruns file")
-    header_bytes = bytearray(header_len)
-    body.read_into(header_bytes)
     try:
-        header = json.loads(header_bytes.decode("utf-8"))
+        header = json.loads(fh.read(header_len).decode("utf-8"))
         manifest = header["arrays"]
         scalars = header["scalars"]
         rng_states = header["rng_states"]
         if not (isinstance(scalars, dict) and isinstance(manifest, list)
                 and isinstance(rng_states, list)):
             raise ValueError("scalars must be an object, arrays and rng_states lists")
-    except (ValueError, KeyError, TypeError, UnicodeDecodeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise CorruptChecksum(f"malformed checkpoint header: {exc}") from exc
 
     arrays = {}
     for entry in manifest:
         try:
-            name = entry["name"]
-            code = entry["dtype"]
-            shape = tuple(int(s) for s in entry["shape"])
-        except (KeyError, TypeError, ValueError) as exc:
+            name, code, shape = entry["name"], entry["dtype"], entry["shape"]
+        except (KeyError, TypeError) as exc:
             raise CorruptChecksum(f"malformed array manifest: {exc}") from exc
-        if code not in _DTYPE_CODES.values() or any(s < 0 for s in shape):
+        # a bool is a JSON true or false, not a dimension
+        if not (isinstance(name, str) and code in _DTYPE_CODES.values()
+                and isinstance(shape, list)
+                and all(type(s) is int and s >= 0 for s in shape)):
             raise CorruptChecksum(
-                f"malformed array manifest for {name!r}: dtype {code!r}, shape {list(shape)}"
+                f"malformed array manifest for {name!r}: dtype {code!r}, shape {shape!r}"
             )
-        dtype = np.dtype(code)
-        if body.offset + math.prod(shape) * dtype.itemsize > body.end:
+        nbytes = math.prod(shape) * np.dtype(code).itemsize
+        if offset + nbytes > end:
             raise CorruptChecksum(f"array payload for {name!r} overruns file")
-        arrays[name] = np.empty(shape, dtype=dtype)
-        body.read_into(arrays[name])
-    if body.offset != body.end:
+        try:
+            arrays[name] = np.empty(shape, dtype=code)
+        except ValueError as exc:  # a zero-size shape with a dimension numpy cannot hold
+            raise CorruptChecksum(f"malformed array manifest for {name!r}: {exc}") from exc
+        if fh.readinto(arrays[name]) != nbytes:
+            raise CorruptChecksum("checkpoint truncated mid-payload")
+        offset += nbytes
+    if offset != end:
         raise CorruptChecksum("trailing bytes after array payload")
     return scalars, arrays, rng_states

@@ -156,7 +156,8 @@ def _restore(resume_path, config, wavefunction, initial_state):
     not an int), and every array the fresh dtype and shape, where a 0
     takes any length. Then the step must be >= 0, an optimizer state's
     own step must equal it, and the ensemble and the optimizer state
-    check their own ranges. Hyperparameters always come from config.
+    check their own ranges, and last its one RNG state must be a PCG64
+    state. Hyperparameters always come from config.
     """
     try:
         scalars, arrays, rng_states = ckpt.read_checkpoint(resume_path)
@@ -178,7 +179,6 @@ def _restore(resume_path, config, wavefunction, initial_state):
     stored = {**scalars, **arrays}
     head = f"{config.optimizer.name}_"
     try:
-        fresh.rng.bit_generator.state = rng_states[0]
         for entry, got, want in (
             ("optimizer", scalars["optimizer"], config.optimizer.name),
             ("seed", scalars["seed"], config.run.seed),
@@ -221,6 +221,13 @@ def _restore(resume_path, config, wavefunction, initial_state):
         raise ConfigError(f"checkpoint lacks the entry {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"checkpoint is malformed: {exc}") from exc
+    try:
+        ensemble.rng.bit_generator.state = rng_states[0]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(
+            f"checkpoint is malformed: RNG state is not a PCG64 state "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
     wavefunction.set_theta(stored["theta"])
     return step, ensemble, opt_state
 

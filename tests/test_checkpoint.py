@@ -39,9 +39,22 @@ def sample_payload():
 
 def write_sealed(path, header, payload=b""):
     """A checkpoint with a valid CRC, whatever its header says."""
-    header = json.dumps(header).encode()
+    write_raw(path, json.dumps(header).encode(), payload)
+
+
+def write_raw(path, header, payload=b"", crc_flip=0):
+    """A checkpoint of these header bytes, its CRC xor-ed with crc_flip."""
     body = MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(header)) + header + payload
-    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body) ^ crc_flip))
+
+
+# a header nested past any recursion limit, and one whose only dimension is
+# infinite: under a wrong CRC neither may reach a parser
+NESTED_HEADER = b"[" * 100_000 + b"]" * 100_000
+INFINITE_DIM_HEADER = json.dumps({
+    "scalars": {}, "arrays": [{"name": "x", "dtype": "<f8", "shape": [float("inf")]}],
+    "rng_states": [],
+}).encode()
 
 
 class TestRoundTrip:
@@ -144,6 +157,20 @@ class TestCorruptionDetection:
         with pytest.raises(CorruptChecksum, match="CRC"):
             read_checkpoint(path)
 
+    @pytest.mark.parametrize("header", [NESTED_HEADER, INFINITE_DIM_HEADER],
+                             ids=["nested-100000-deep", "infinite-dim"])
+    def test_wrong_crc_fails_before_a_header_no_parse_survives(self, tmp_path, header):
+        path = tmp_path / "damaged.ckpt"
+        write_raw(path, header, bytes(8), crc_flip=1)
+        with pytest.raises(CorruptChecksum, match="CRC"):
+            read_checkpoint(path)
+
+    def test_sealed_header_nested_past_the_recursion_limit(self, tmp_path):
+        path = tmp_path / "crafted.ckpt"
+        write_raw(path, NESTED_HEADER)
+        with pytest.raises(CorruptChecksum, match="malformed checkpoint header"):
+            read_checkpoint(path)
+
     def test_sealed_bytes_past_the_manifest_are_refused(self, tmp_path):
         path = tmp_path / "crafted.ckpt"
         write_sealed(path, {"scalars": {}, "arrays": [], "rng_states": []}, bytes(8))
@@ -181,8 +208,16 @@ class TestCorruptionDetection:
             {"name": "x", "dtype": "<f4", "shape": [2]},
             {"name": "x", "dtype": "<f8", "shape": [-1]},
             {"name": "x", "dtype": "<f8", "shape": [2**62, 4]},
+            {"name": "x", "dtype": "<f8", "shape": [1.5]},
+            {"name": "x", "dtype": "<f8", "shape": [True]},
+            {"name": "x", "dtype": "<f8", "shape": ["1"]},
+            {"name": "x", "dtype": "<f8", "shape": [float("inf")]},
+            {"name": ["x"], "dtype": "<f8", "shape": [1]},
+            {"name": "x", "dtype": "<f8", "shape": [0, 2**70]},
         ],
-        ids=["object-dtype", "float32-dtype", "negative-dim", "int64-overflowing-size"],
+        ids=["object-dtype", "float32-dtype", "negative-dim", "int64-overflowing-size",
+             "float-dim", "bool-dim", "string-dim", "infinite-dim", "list-name",
+             "zero-size-beside-an-unindexable-dim"],
     )
     def test_manifest_outside_the_written_formats(self, tmp_path, entry):
         path = tmp_path / "crafted.ckpt"

@@ -70,16 +70,42 @@ def write_config(tmp_path):
 
 def write_sealed(path, entry):
     """A checkpoint with one array entry and a valid CRC, whatever the entry says."""
-    header = json.dumps({"scalars": {}, "arrays": [entry], "rng_states": []}).encode()
-    body = MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(header)) + header + bytes(8)
-    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+    write_raw(path, json.dumps({"scalars": {}, "arrays": [entry], "rng_states": []}).encode())
 
 
 MALFORMED_ENTRIES = pytest.mark.parametrize(
     "entry",
-    [{"name": "x", "dtype": "|O", "shape": [1]}, {"name": "x", "dtype": "<f8", "shape": [-1]}],
-    ids=["object-dtype", "negative-dim"],
+    [{"name": "x", "dtype": "|O", "shape": [1]}, {"name": "x", "dtype": "<f8", "shape": [-1]},
+     {"name": "x", "dtype": "<f8", "shape": [1.5]}, {"name": "x", "dtype": "<f8", "shape": [True]},
+     {"name": "x", "dtype": "<f8", "shape": ["1"]},
+     {"name": "x", "dtype": "<f8", "shape": [float("inf")]},
+     {"name": ["x"], "dtype": "<f8", "shape": [1]},
+     {"name": "x", "dtype": "<f8", "shape": [0, 2**70]}],
+    ids=["object-dtype", "negative-dim", "float-dim", "bool-dim", "string-dim", "infinite-dim",
+         "list-name", "zero-size-beside-an-unindexable-dim"],
 )
+
+
+def write_raw(path, header, crc_flip=0):
+    """A checkpoint of these header bytes and 8 payload bytes, its CRC
+    xor-ed with crc_flip."""
+    body = MAGIC + struct.pack("<IQ", FORMAT_VERSION, len(header)) + header + bytes(8)
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body) ^ crc_flip))
+
+
+# a header nested past any recursion limit, and one whose only dimension is
+# infinite: sealed, the first is malformed; under a wrong CRC neither may
+# reach a parser
+NESTED_HEADER = b"[" * 100_000 + b"]" * 100_000
+INFINITE_DIM_HEADER = json.dumps({
+    "scalars": {}, "arrays": [{"name": "x", "dtype": "<f8", "shape": [float("inf")]}],
+    "rng_states": [],
+}).encode()
+UNPARSABLE_FILES = pytest.mark.parametrize("header, crc_flip, message", [
+    (NESTED_HEADER, 0, "error: malformed checkpoint header"),
+    (NESTED_HEADER, 1, "error: checkpoint CRC mismatch"),
+    (INFINITE_DIM_HEADER, 1, "error: checkpoint CRC mismatch"),
+], ids=["sealed-nested-header", "nested-header-wrong-crc", "infinite-dim-wrong-crc"])
 
 
 class TestRunCommand:
@@ -257,6 +283,16 @@ class TestRunCommand:
         code = main(["run", "--config", str(write_config(tmp_path)), "--resume", str(crafted)])
         assert code == 2
         assert "malformed array manifest" in capsys.readouterr().err
+
+    @UNPARSABLE_FILES
+    def test_resume_from_an_unparsable_file_exits_2(
+        self, tmp_path, capsys, header, crc_flip, message
+    ):
+        crafted = tmp_path / "crafted.bin"
+        write_raw(crafted, header, crc_flip)
+        code = main(["run", "--config", str(write_config(tmp_path)), "--resume", str(crafted)])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_resume_from_missing_checkpoint_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path)
@@ -594,6 +630,13 @@ class TestInspectCommand:
         write_sealed(crafted, entry)
         assert main(["inspect", "--ckpt", str(crafted)]) == 2
         assert "malformed array manifest" in capsys.readouterr().err
+
+    @UNPARSABLE_FILES
+    def test_unparsable_file_exits_2(self, tmp_path, capsys, header, crc_flip, message):
+        crafted = tmp_path / "crafted.bin"
+        write_raw(crafted, header, crc_flip)
+        assert main(["inspect", "--ckpt", str(crafted)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         code = main(["inspect", "--ckpt", str(tmp_path / "none.bin")])

@@ -227,6 +227,27 @@ class TestResumeDeterminism:
         with pytest.raises(ConfigError, match="2 RNG streams"):
             run(hydrogen_config(tmp_path), resume_path=str(two_streams))
 
+    @pytest.mark.parametrize("damage", [
+        "no-state", "no-inc", "other-generator", "state-past-128-bits", "not-a-dict",
+    ])
+    def test_resume_rejects_a_malformed_rng_state(self, tmp_path, damage):
+        # numpy's state setter raises KeyError for a missing field, which
+        # must not read as a missing checkpoint entry
+        result = run(hydrogen_config(tmp_path))
+        scalars, arrays, (state,) = read_checkpoint(result.checkpoint_path)
+        state = {
+            "no-state": {k: v for k, v in state.items() if k != "state"},
+            "no-inc": {**state, "state": {"state": state["state"]["state"]}},
+            "other-generator": {**state, "bit_generator": "MT19937"},
+            "state-past-128-bits": {**state, "state": {**state["state"], "state": 2**300}},
+            "not-a-dict": [state],
+        }[damage]
+        crafted = tmp_path / "crafted.bin"
+        write_checkpoint(crafted, scalars, arrays, [state])
+        with pytest.raises(ConfigError, match="checkpoint is malformed: RNG state") as exc:
+            run(hydrogen_config(tmp_path), resume_path=str(crafted))
+        assert exc.value.exit_code == 2
+
     def test_resume_rejects_mismatched_optimizer_state(self, tmp_path):
         # Checkpoints once carried wssr hyperparameters such as delta; the
         # state now holds only what evolves, and a resume refuses (exit 2)
