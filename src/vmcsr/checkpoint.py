@@ -22,8 +22,9 @@ A read checks the size, the magic and the version, then the CRC32 of the
 whole file in one streamed pass, and only then parses the header and
 the payload: a damaged file is refused before any of its bytes is
 parsed, so a CRC mismatch is reported ahead of any fault it could have
-caused. A manifest entry must name a string, a dtype of the two above
-and a shape of JSON integers >= 0.
+caused. No JSON object may repeat a key. A manifest entry must name a
+string no other entry names, a dtype of the two above and a shape of
+JSON integers >= 0.
 """
 
 import json
@@ -89,10 +90,11 @@ def read_checkpoint(path):
     held once.
 
     Raises CorruptChecksum for anything structurally wrong (bad magic,
-    truncation, CRC mismatch, malformed header, an array entry whose name
-    is not a string, whose dtype is not float64 or int64, or whose
-    dimensions are not integers >= 0) and VersionMismatch for a file
-    written by a different format version.
+    truncation, CRC mismatch, malformed header, a JSON object that
+    repeats a key, an array entry whose name is not a string or is named
+    twice, whose dtype is not float64 or int64, or whose dimensions are
+    not integers >= 0) and VersionMismatch for a file written by a
+    different format version.
     """
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
@@ -137,7 +139,7 @@ def _parse(fh, header_len, end):
     if offset > end:
         raise CorruptChecksum("checkpoint header overruns file")
     try:
-        header = json.loads(fh.read(header_len).decode("utf-8"))
+        header = json.loads(fh.read(header_len).decode("utf-8"), object_pairs_hook=_unique_keys)
         manifest = header["arrays"]
         scalars = header["scalars"]
         rng_states = header["rng_states"]
@@ -160,6 +162,8 @@ def _parse(fh, header_len, end):
             raise CorruptChecksum(
                 f"malformed array manifest for {name!r}: dtype {code!r}, shape {shape!r}"
             )
+        if name in arrays:
+            raise CorruptChecksum(f"array manifest names {name!r} twice")
         nbytes = math.prod(shape) * np.dtype(code).itemsize
         if offset + nbytes > end:
             raise CorruptChecksum(f"array payload for {name!r} overruns file")
@@ -173,3 +177,10 @@ def _parse(fh, header_len, end):
     if offset != end:
         raise CorruptChecksum("trailing bytes after array payload")
     return scalars, arrays, rng_states
+
+
+def _unique_keys(pairs):
+    """A JSON object as a dict, refusing a key it repeats."""
+    if len({key for key, _ in pairs}) < len(pairs):
+        raise ValueError("a JSON object repeats a key")
+    return dict(pairs)

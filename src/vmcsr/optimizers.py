@@ -193,37 +193,28 @@ def spd_factorize(t):
         raise NotPositiveDefinite(str(exc)) from exc
 
 
-def _regularized_solve(matrix, rhs, mode, eps):
-    """Solve the regularized system for rhs, regularizing matrix in place.
+def _regularized_solve(matrix, rhs, shift, rtol=None):
+    """Solve (matrix + shift I) x = rhs, regularizing matrix in place.
 
     matrix is the caller's own freshly built symmetric array (S or T) and
-    is overwritten. 'diagonal_shift' adds eps to the diagonal and
-    'diagonal_scale' multiplies it by (1 + eps); both are then
-    Cholesky-factored in place. 'pseudo_inverse' inverts only the
-    eigenvalues with |lam| >= eps * |lam_max| and zeroes the rest.
+    is overwritten. The shifted matrix is Cholesky-factored in place;
+    with a cutoff rtol it is instead pseudo-solved, inverting only the
+    eigenvalues with |lam| >= rtol * |lam_max| and zeroing the rest.
 
     Raises:
-      NotPositiveDefinite: a diagonal mode left the matrix indefinite.
+      NotPositiveDefinite: the shifted matrix is not positive definite.
     """
-    if mode == "pseudo_inverse":
+    matrix[np.diag_indices_from(matrix)] += shift
+    if rtol is not None:
         eigvals, eigvecs = np.linalg.eigh(matrix)
         lam_max = float(np.max(np.abs(eigvals))) if eigvals.size else 0.0
         if lam_max == 0.0:
             return np.zeros_like(rhs)
-        inv = np.where(np.abs(eigvals) >= eps * lam_max, 1.0, 0.0)
+        inv = np.where(np.abs(eigvals) >= rtol * lam_max, 1.0, 0.0)
         inv = np.divide(inv, eigvals, out=np.zeros_like(eigvals), where=inv > 0.0)
         return eigvecs @ (inv * (eigvecs.T @ rhs))
-    diagonal = np.diag_indices_from(matrix)
-    if mode == "diagonal_shift":
-        matrix[diagonal] += eps
-    else:
-        matrix[diagonal] *= 1.0 + eps
-    try:
-        factor = spd_factorize(matrix)
-    except NotPositiveDefinite as exc:
-        raise _indefinite(mode, eps) from exc
     _, cho_solve, _ = dense_cholesky()
-    return cho_solve(factor, rhs)
+    return cho_solve(spd_factorize(matrix), rhs)
 
 
 def _indefinite(mode, eps):
@@ -235,16 +226,16 @@ def full_sr_update(theta, bundle, eta, options=SrOptions()):
     """Covariance-preconditioned step: S_reg x = gradient with S = O O^T.
 
     options.reg_mode picks the regularization: 'diagonal_shift' adds
-    reg_eps * I, 'diagonal_scale' multiplies the diagonal by
-    (1 + reg_eps), 'pseudo_inverse' inverts only eigenvalues at least
+    reg_eps * I, 'diagonal_scale' adds reg_eps * D for D = diag(S),
+    'pseudo_inverse' inverts only eigenvalues at least
     reg_eps * |lam_max| in magnitude and zeroes the rest.
 
     The solve runs on O's smaller side. With no more parameters than
     samples it forms S. Otherwise it takes the batch-sized dual through
     (O O^T + eps I)^-1 O = O (O^T O + eps I)^-1, the minsr solve with
     tikhonov_eps = reg_eps. The pseudo-inverse uses f(O O^T) O =
-    O f(O^T O), whose nonzero spectra, and so the cutoff, agree. The
-    diagonal scale solves with Ohat = D^-1/2 O for D = diag(S), since
+    O f(O^T O), whose nonzero spectra, and so the cutoff, agree. On
+    either side the diagonal scale solves with Ohat = D^-1/2 O, since
     S + eps D = D^1/2 (Ohat Ohat^T + eps I) D^1/2; it scales
     bundle.o_matrix in place, which then holds Ohat. At reg_eps = 0 a
     diagonal mode's S has rank at most batch < n_params, so the dual
@@ -258,12 +249,9 @@ def full_sr_update(theta, bundle, eta, options=SrOptions()):
     theta = np.asarray(theta, dtype=np.float64)
     mode, eps = options.reg_mode, options.reg_eps
     o = bundle.o_matrix
-    if o.shape[0] <= o.shape[1]:
-        return theta - eta * _regularized_solve(s_matrix(bundle), bundle.gradient, mode, eps)
-    if mode == "pseudo_inverse":
-        x = _regularized_solve(t_matrix(bundle), bundle.l_vector, mode, eps)
-        return theta - eta * 2.0 * (o @ x)
-    if eps == 0.0:
+    primal = o.shape[0] <= o.shape[1]
+    shift, rtol = (0.0, eps) if mode == "pseudo_inverse" else (eps, None)
+    if rtol is None and eps == 0.0 and not primal:
         raise _indefinite(mode, eps)
     scale = 1.0
     if mode == "diagonal_scale":
@@ -272,17 +260,22 @@ def full_sr_update(theta, bundle, eta, options=SrOptions()):
             raise _indefinite(mode, eps)
         scale = 1.0 / np.sqrt(d)
         o *= scale[:, None]
-    x = _dual_solve(t_matrix(bundle), eps, bundle.l_vector)
-    return theta - eta * 2.0 * (scale * (o @ x))
+    gram, rhs = (s_matrix, scale * bundle.gradient) if primal else (t_matrix, bundle.l_vector)
+    try:
+        x = _regularized_solve(gram(bundle), rhs, shift, rtol)
+    except NotPositiveDefinite as exc:
+        raise _indefinite(mode, eps) from exc
+    return theta - (eta * (scale * x) if primal else eta * 2.0 * (scale * (o @ x)))
 
 
 def _dual_solve(t, eps, rhs):
     """(T + eps I)^-1 rhs with T overwritten, or the eigenvalue
     pseudo-solve when eps = 0 (T is singular whenever the batch exceeds
     the rank)."""
-    if eps > 0.0:
-        return _regularized_solve(t, rhs, "diagonal_shift", eps)
-    return _regularized_solve(t, rhs, "pseudo_inverse", PSEUDO_SOLVE_RTOL)
+    try:
+        return _regularized_solve(t, rhs, eps, None if eps > 0.0 else PSEUDO_SOLVE_RTOL)
+    except NotPositiveDefinite as exc:
+        raise _indefinite("diagonal_shift", eps) from exc
 
 
 def minsr_update(theta, bundle, eta, options=MinsrOptions()):
@@ -349,7 +342,6 @@ class WssrState:
     sigma: np.ndarray
     lbar: np.ndarray
     r_max: int
-    step: int = 0
 
     def __post_init__(self):
         if self.u_prev.ndim != 2 or self.sigma.ndim != 1 or self.lbar.ndim != 1:
@@ -392,7 +384,7 @@ def _per_step_seed(rng_seed, step):
 
 
 def wssr_step(theta, bundle, eta, state, options=WssrOptions(), rng_seed=0,
-              *, sketch=False):
+              *, step=0, sketch=False):
     """One step of the warm-started low-rank preconditioned descent.
 
     The current batch columns are appended to the carried history with
@@ -409,14 +401,17 @@ def wssr_step(theta, bundle, eta, state, options=WssrOptions(), rng_seed=0,
     was binding at r_max (never beyond the parameter count).  delta,
     r_reg, sigma_floor and eps_grow come from options.
 
-    Two routes. The first step, and any step whose block is the whole
-    row space of ohat (requested == m), where iterating could only
-    reproduce the exact factors, take them from the eigendecomposition of
-    the Gram matrix of ohat's smaller side (gram_svd). Every other step
-    makes one ssi_svd call from a start block of Gaussian columns seeded
-    per step. wssr puts u_prev first and widens it to the working rank
-    (requested is never below u_prev's width, since r_max never is), then
-    runs at most SSI_MAX_ITERS iterations. With sketch=True (rssr, the
+    Two routes. The first step (the history is empty: u_prev has no
+    columns, and after any step it keeps at least the leading mode), and
+    any step whose block is the whole row space of ohat (requested == m),
+    where iterating could only reproduce the exact factors, take them
+    from the eigendecomposition of the Gram matrix of ohat's smaller side
+    (gram_svd). Every other step makes one ssi_svd call from a start
+    block of Gaussian columns seeded by (rng_seed, step), where step is
+    the number of steps completed before this one. wssr puts u_prev
+    first and widens it to the working rank (requested is never below
+    u_prev's width, since r_max never is), then runs at most
+    SSI_MAX_ITERS iterations. With sketch=True (rssr, the
     cold-restart ablation) the block is Gaussian columns alone,
     SKETCH_OVERSAMPLE wider than requested where ohat allows, and the
     budget is one pass: the randomized range finder of Halko, Martinsson
@@ -440,10 +435,10 @@ def wssr_step(theta, bundle, eta, state, options=WssrOptions(), rng_seed=0,
     lhat = np.concatenate([sq_old * state.lbar, sq_new * bundle.l_vector])
 
     requested = min(state.r_max, m, ohat.shape[1])
-    if requested == m or state.step == 0:
+    if requested == m or r == 0:
         factors, iterations = gram_svd(ohat, requested), 0
     else:
-        rng = np.random.default_rng(_per_step_seed(rng_seed, state.step))
+        rng = np.random.default_rng(_per_step_seed(rng_seed, step))
         if sketch:
             block = rng.standard_normal((m, min(requested + SKETCH_OVERSAMPLE, min(ohat.shape))))
             budget = 1
@@ -479,7 +474,6 @@ def wssr_step(theta, bundle, eta, state, options=WssrOptions(), rng_seed=0,
         sigma=sigma,
         lbar=factors.v[:r_eff, :] @ lhat,
         r_max=next_r_max,
-        step=state.step + 1,
     )
     diagnostics = WssrDiagnostics(
         effective_rank=r_eff,

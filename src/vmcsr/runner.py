@@ -66,30 +66,34 @@ def _optimizer(config, n_params):
     """The configured update rule: (initial state, update).
 
     This is the one place that names the optimizers. update(theta, bundle,
-    eta, state, seed) returns (theta', state', wssr diagnostics or None).
+    eta, state, step) returns (theta', state', wssr diagnostics or None),
+    where step is the run's step, 1-indexed.
     The rules are looked up in this module's globals at call time, so a
     replacement of one of those names (a tracer, a test spy) sees every
     call. Stateless rules have no state. Each rule gets its options
     section of config; rssr is wssr with one pass from a fresh Gaussian
-    block in place of the warm-started subspace iteration.
+    block in place of the warm-started subspace iteration; both seed a
+    step's Gaussian columns from the run's seed and the steps completed
+    before it.
     """
     name = config.optimizer.name
     if name == "sgd":
-        return None, lambda theta, bundle, eta, state, seed: (
+        return None, lambda theta, bundle, eta, state, step: (
             sgd_update(theta, bundle, eta), None, None)
     if name == "sr":
-        return None, lambda theta, bundle, eta, state, seed: (
+        return None, lambda theta, bundle, eta, state, step: (
             full_sr_update(theta, bundle, eta, config.sr), None, None)
     if name == "minsr":
-        return None, lambda theta, bundle, eta, state, seed: (
+        return None, lambda theta, bundle, eta, state, step: (
             minsr_update(theta, bundle, eta, config.minsr), None, None)
     if name == "spring":
         initial = SpringState(prev_update=np.zeros(n_params))
-        return initial, lambda theta, bundle, eta, state, seed: (
+        return initial, lambda theta, bundle, eta, state, step: (
             *spring_update(theta, bundle, eta, state, config.spring), None)
     initial = WssrState.initial(n_params, config.wssr.rank_init)
-    return initial, lambda theta, bundle, eta, state, seed: wssr_step(
-        theta, bundle, eta, state, config.wssr, rng_seed=seed, sketch=name == "rssr")
+    return initial, lambda theta, bundle, eta, state, step: wssr_step(
+        theta, bundle, eta, state, config.wssr, rng_seed=config.run.seed, step=step - 1,
+        sketch=name == "rssr")
 
 
 def _keep_heap_resident():
@@ -154,10 +158,10 @@ def _restore(resume_path, config, wavefunction, initial_state):
     run's. Its entries are exactly the layout's, none unknown and none
     missing. Every scalar has the JSON type the run writes (a bool is
     not an int), and every array the fresh dtype and shape, where a 0
-    takes any length. Then the step must be >= 0, an optimizer state's
-    own step must equal it, and the ensemble and the optimizer state
-    check their own ranges, and last its one RNG state must be a PCG64
-    state. Hyperparameters always come from config.
+    takes any length. Then the step must be >= 0, the ensemble and the
+    optimizer state check their own ranges, and last its one RNG state
+    must be a PCG64 state whose counters are JSON integers.
+    Hyperparameters always come from config.
     """
     try:
         scalars, arrays, rng_states = ckpt.read_checkpoint(resume_path)
@@ -177,7 +181,6 @@ def _restore(resume_path, config, wavefunction, initial_state):
     )
     wanted = _layout(0, config, wavefunction, fresh, initial_state)
     stored = {**scalars, **arrays}
-    head = f"{config.optimizer.name}_"
     try:
         for entry, got, want in (
             ("optimizer", scalars["optimizer"], config.optimizer.name),
@@ -208,21 +211,23 @@ def _restore(resume_path, config, wavefunction, initial_state):
         step = stored["step"]
         if step < 0:
             raise ValueError(f"entry 'step' must be an integer >= 0, got {step!r}")
-        if stored.get(head + "step", step) != step:
-            raise ConfigError(f"checkpoint has {head}step {stored[head + 'step']}, "
-                              f"but step {step}")
         ensemble = dataclasses.replace(
             fresh, **{k: stored[k] for k in wanted.keys() & vars(fresh).keys()}
         )
-        opt_state = None if initial_state is None else dataclasses.replace(
-            initial_state, **{field: stored[head + field] for field in vars(initial_state)}
-        )
+        opt_state = None if initial_state is None else dataclasses.replace(initial_state, **{
+            field: stored[f"{config.optimizer.name}_{field}"] for field in vars(initial_state)})
     except KeyError as exc:
         raise ConfigError(f"checkpoint lacks the entry {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"checkpoint is malformed: {exc}") from exc
+    rng_state = rng_states[0]
     try:
-        ensemble.rng.bit_generator.state = rng_states[0]
+        # numpy's setter would floor a float and take a bool as an integer
+        counters = (rng_state["state"]["state"], rng_state["state"]["inc"],
+                    rng_state["has_uint32"], rng_state["uinteger"])
+        if not all(type(c) is int for c in counters):
+            raise TypeError(f"its counters must be integers, got {counters!r}")
+        ensemble.rng.bit_generator.state = rng_state
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(
             f"checkpoint is malformed: RNG state is not a PCG64 state "
@@ -258,7 +263,7 @@ def _step(step, config, wavefunction, ensemble, opt_state, update):
     if not np.all(np.isfinite(bundle.gradient)):
         raise NumericalAbort(f"non-finite log-derivatives at step {step}")
     eta = config.optimizer.eta(step - 1)
-    theta_next, opt_state_next, diag = update(theta, bundle, eta, opt_state, config.run.seed)
+    theta_next, opt_state_next, diag = update(theta, bundle, eta, opt_state, step)
     energy_fields = {
         "raw_energy": bundle.raw_loss,
         "clipped_energy": bundle.loss,

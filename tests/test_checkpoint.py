@@ -236,3 +236,18 @@ class TestCorruptionDetection:
         write_sealed(path, header)
         with pytest.raises(CorruptChecksum, match="malformed checkpoint header"):
             read_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "header, payload",
+        [(b'{"scalars": {}, "scalars": {"step": 1}, "arrays": [], "rng_states": []}', b""),
+         (json.dumps({"scalars": {}, "arrays": [{"name": "x", "dtype": "<f8", "shape": [1]}] * 2,
+                      "rng_states": []}).encode(), struct.pack("<2d", 1.0, 2.0))],
+        ids=["json-key", "array-name"],
+    )
+    def test_a_name_given_twice(self, tmp_path, header, payload):
+        # a dict keeps the later of two equal names, so a reader that
+        # merged them would hide the duplicate from every check after it
+        path = tmp_path / "crafted.ckpt"
+        write_raw(path, header, payload)
+        with pytest.raises(CorruptChecksum, match="repeats a key|twice"):
+            read_checkpoint(path)

@@ -553,6 +553,7 @@ class TestRunCommand:
 
     @pytest.mark.parametrize("damage, entry", [
         ("scalars", "wssr"), ("rows", "wssr_u_prev"), ("shape", "spring_prev_update"),
+        ("pre-change", "wssr_step"), ("pre-change", "rssr_step"),
     ])
     def test_resume_from_a_malformed_optimizer_section_exits_2_naming_it(
         self, tmp_path, capsys, damage, entry
@@ -560,14 +561,19 @@ class TestRunCommand:
         # The CRC is valid; only the optimizer state inside is wrong. The
         # scalars case is the layout before every field of the state was a
         # flat entry: its scalars in a table under the optimizer's name.
+        # The pre-change case is the layout before the run's step became
+        # the only step count: the low-rank state's own copy of it.
         name = entry.split("_")[0]
         config = write_config(tmp_path)
         assert main(["run", "--config", str(config), "--optimizer", name]) == 0
         scalars, arrays, rng_states = read_checkpoint(tmp_path / "artifacts" / "checkpoint.bin")
         expected = f"checkpoint entry '{entry}'"
         if damage == "scalars":
-            scalars[entry] = {key: scalars.pop(f"{entry}_{key}") for key in ("r_max", "step")}
-            expected = "unknown ['wssr'], missing ['wssr_r_max', 'wssr_step']"
+            scalars[entry] = {"r_max": scalars.pop(f"{entry}_r_max")}
+            expected = "unknown ['wssr'], missing ['wssr_r_max']"
+        elif damage == "pre-change":
+            scalars[entry] = scalars["step"]
+            expected = f"unknown ['{entry}'], missing []"
         elif damage == "rows":
             u_prev = arrays[entry]
             arrays[entry] = np.concatenate([u_prev, np.zeros((3, u_prev.shape[1]))])
@@ -580,7 +586,7 @@ class TestRunCommand:
         assert code == 2
         assert expected in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [("r_max", 7.5), ("step", 1.5)])
+    @pytest.mark.parametrize("key, value", [("r_max", 7.5)])
     def test_resume_from_a_mistyped_optimizer_scalar_exits_2_naming_it(
         self, tmp_path, capsys, key, value
     ):
@@ -611,7 +617,6 @@ class TestInspectCommand:
         assert code == 0
         assert "step = 3" in lines
         assert "optimizer = wssr" in lines
-        assert "wssr_step = 3" in lines
         assert "array wssr_u_prev: shape (1, 1), dtype float64" in lines
         assert "rng streams: 1" in lines
         # one flat "key = value" line per scalar

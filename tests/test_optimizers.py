@@ -170,8 +170,9 @@ class TestFullSr:
         bundle = raw_bundle(rng.standard_normal((4, 10)), rng.standard_normal(10))
         theta = np.zeros(4)
         eps = 0.2
-        got = full_sr_update(theta, bundle, 1.0, SrOptions("diagonal_scale", eps))
+        # read S first: the update scales bundle.o_matrix in place
         s = s_matrix(bundle)
+        got = full_sr_update(theta, bundle, 1.0, SrOptions("diagonal_scale", eps))
         s_reg = s + eps * np.diag(np.diag(s))
         expected = -np.linalg.solve(s_reg, bundle.gradient)
         np.testing.assert_allclose(got, expected, atol=1e-10)
@@ -443,7 +444,7 @@ class TestWssrState:
         assert state.sigma.shape == (0,)
         assert state.lbar.shape == (0,)
         assert state.obar.shape == (7, 0)
-        assert state.r_max == 4 and state.step == 0
+        assert state.r_max == 4
 
     def test_obar_is_the_product_of_the_kept_factors(self):
         rng = np.random.default_rng(13)
@@ -470,8 +471,8 @@ class TestWssrState:
         # wssr_step never carries more vectors than its next block holds
         u, _ = qr_orthonormalize(np.random.default_rng(12).standard_normal((6, 3)))
         with pytest.raises(ValueError, match="history rank 3 exceeds r_max 2"):
-            WssrState(u_prev=u, sigma=np.ones(3), lbar=np.zeros(3), r_max=2, step=1)
-        WssrState(u_prev=u, sigma=np.ones(3), lbar=np.zeros(3), r_max=3, step=1)
+            WssrState(u_prev=u, sigma=np.ones(3), lbar=np.zeros(3), r_max=2)
+        WssrState(u_prev=u, sigma=np.ones(3), lbar=np.zeros(3), r_max=3)
 
 
 class TestWssrStep:
@@ -662,7 +663,7 @@ class TestWssrStep:
         assert state.u_prev.shape == (m, 64) and state.r_max == 71
 
         bundle = raw_bundle(rng.standard_normal((m, n)), rng.standard_normal(n))
-        _, state2, diag = wssr_step(theta, bundle, 0.01, state, rng_seed=5)
+        _, state2, diag = wssr_step(theta, bundle, 0.01, state, rng_seed=5, step=1)
         assert diag.ssi_iterations >= 1 and diag.r_max == 71
         [(rank, block)] = blocks
         extra = np.random.default_rng(optimizers._per_step_seed(5, 1)).standard_normal((m, 7))
@@ -727,7 +728,7 @@ class TestWssrStep:
             bundle = raw_bundle(rng.standard_normal((m, n)), rng.standard_normal(n))
             theta, state, diag = wssr_step(theta, bundle, 0.01, state, sketch=sketch)
             iterations.append(diag.ssi_iterations)
-        assert state.step == 4 and state.r_max < m
+        assert state.r_max < m
         assert calls == [((m, n), 64)]
         assert iterations[0] == 0
         assert all((i == 1) if sketch else (i >= 1) for i in iterations[1:])
@@ -754,7 +755,7 @@ class TestWssrStep:
             bundle = raw_bundle(rng.standard_normal((m, n)), rng.standard_normal(n))
             prev = state
             theta, state, _ = wssr_step(
-                theta, bundle, 0.01, state, rng_seed=seed, sketch=sketch)
+                theta, bundle, 0.01, state, rng_seed=seed, step=step, sketch=sketch)
             if step == 0:
                 assert calls == []
                 continue
@@ -863,7 +864,6 @@ class TestRssr:
             sigma=np.array([6.0, 3.0]),
             lbar=rng.standard_normal(r),
             r_max=r,
-            step=1,
         )
         z, _ = qr_orthonormalize(rng.standard_normal((n, r)))
         o = w @ (np.diag([5.0, 2.5]) @ z.T) + 1e-5 * rng.standard_normal((m, n))
@@ -871,10 +871,12 @@ class TestRssr:
         theta = np.zeros(m)
         eta = 0.01
 
-        # the same history at step 0 takes the exact (Gram) route
+        # the same history under r_max = m takes the exact (Gram) route,
+        # and its cut keeps the same r modes
         options = WssrOptions(delta=0.5)
-        t_exact, _, _ = wssr_step(
-            theta, bundle, eta, dataclasses.replace(state, step=0), options)
+        t_exact, _, diag = wssr_step(
+            theta, bundle, eta, dataclasses.replace(state, r_max=m), options)
+        assert diag.effective_rank == r
         ohat = np.concatenate(
             [math.sqrt(0.5) * state.obar, math.sqrt(0.5) * o], axis=1
         )
