@@ -383,8 +383,8 @@ def _per_step_seed(rng_seed, step):
     return int(np.random.SeedSequence((int(rng_seed), int(step))).generate_state(1)[0])
 
 
-def wssr_step(theta, bundle, eta, state, options=WssrOptions(), rng_seed=0,
-              *, step=0, sketch=False):
+def wssr_step(theta, bundle, eta, state, options=WssrOptions(), *, rng_seed, step,
+              sketch=False):
     """One step of the warm-started low-rank preconditioned descent.
 
     The current batch columns are appended to the carried history with
@@ -407,8 +407,10 @@ def wssr_step(theta, bundle, eta, state, options=WssrOptions(), rng_seed=0,
     where iterating could only reproduce the exact factors, take them
     from the eigendecomposition of the Gram matrix of ohat's smaller side
     (gram_svd). Every other step makes one ssi_svd call from a start
-    block of Gaussian columns seeded by (rng_seed, step), where step is
-    the number of steps completed before this one. wssr puts u_prev
+    block of Gaussian columns seeded by (rng_seed, step): the run's seed
+    and the number of steps completed before this one. Both are required
+    keywords, so a caller that loops names each step and no two steps
+    draw the same columns. wssr puts u_prev
     first and widens it to the working rank (requested is never below
     u_prev's width, since r_max never is), then runs at most
     SSI_MAX_ITERS iterations. With sketch=True (rssr, the

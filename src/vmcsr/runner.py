@@ -74,7 +74,7 @@ def _optimizer(config, n_params):
     section of config; rssr is wssr with one pass from a fresh Gaussian
     block in place of the warm-started subspace iteration; both seed a
     step's Gaussian columns from the run's seed and the steps completed
-    before it.
+    before it, which wssr_step requires and only this function passes.
     """
     name = config.optimizer.name
     if name == "sgd":

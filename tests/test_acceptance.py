@@ -371,7 +371,8 @@ def test_criterion_06_history_averaging_recursion():
     for _ in range(3):
         o = rng.standard_normal((n_params, 20))
         l = rng.standard_normal(20)
-        theta, state, _ = wssr_step(theta, raw_bundle(o, l), 0.01, state, options)
+        theta, state, _ = wssr_step(
+            theta, raw_bundle(o, l), 0.01, state, options, rng_seed=0, step=0)
         s_ref = delta * s_ref + (1.0 - delta) * (o @ o.T)
         g_ref = delta * g_ref + (1.0 - delta) * (o @ l)
     np.testing.assert_allclose(state.obar @ state.obar.T, s_ref, atol=1e-10)
@@ -410,7 +411,7 @@ def test_criterion_07_method_reduction_identities():
     theta3 = rng.standard_normal(5)
     state3 = WssrState.initial(5, rank_init=5)
     via_wssr, _, diag = wssr_step(
-        theta3, raw_bundle(o3, l3), 0.2, state3, WssrOptions(delta=0.0))
+        theta3, raw_bundle(o3, l3), 0.2, state3, WssrOptions(delta=0.0), rng_seed=0, step=0)
     assert diag.effective_rank == 5
     oracle = full_sr_update(
         theta3, raw_bundle(o3, l3 / 2.0), 0.2, SrOptions("pseudo_inverse", 1e-12)

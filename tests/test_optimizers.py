@@ -451,7 +451,7 @@ class TestWssrState:
         o = rng.standard_normal((6, 10))
         state = WssrState.initial(6, rank_init=4)
         _, state, _ = wssr_step(np.zeros(6), raw_bundle(o, rng.standard_normal(10)),
-                                0.01, state)
+                                0.01, state, rng_seed=0, step=0)
         assert state.sigma.shape == (state.u_prev.shape[1],)
         np.testing.assert_array_equal(state.obar, state.u_prev * state.sigma)
 
@@ -482,7 +482,8 @@ class TestWssrStep:
         l = rng.standard_normal(12)
         bundle = raw_bundle(o, l)
         state = WssrState.initial(5, rank_init=5)
-        _, state1, diag = wssr_step(np.zeros(5), bundle, 0.01, state, WssrOptions(delta=0.95))
+        _, state1, diag = wssr_step(np.zeros(5), bundle, 0.01, state, WssrOptions(delta=0.95),
+                                    rng_seed=0, step=0)
 
         s_bar = state1.obar @ state1.obar.T
         np.testing.assert_allclose(s_bar, 0.05 * (o @ o.T), atol=1e-10)
@@ -505,7 +506,7 @@ class TestWssrStep:
             ohat_bytes = 8 * m * (state.u_prev.shape[1] + batch)
             tracemalloc.start()
             try:
-                theta, state, diag = wssr_step(theta, bundle, 0.01, state)
+                theta, state, diag = wssr_step(theta, bundle, 0.01, state, rng_seed=0, step=step)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -520,11 +521,12 @@ class TestWssrStep:
         theta = np.zeros(5)
         s_ref = np.zeros((5, 5))
         g_ref = np.zeros(5)
-        for seed in (20, 21, 22):
+        for step, seed in enumerate((20, 21, 22)):
             step_rng = np.random.default_rng(seed)
             o = step_rng.standard_normal((5, 12))
             l = step_rng.standard_normal(12)
-            theta, state, _ = wssr_step(theta, raw_bundle(o, l), 0.01, state, options)
+            theta, state, _ = wssr_step(
+                theta, raw_bundle(o, l), 0.01, state, options, rng_seed=0, step=step)
             s_ref = delta * s_ref + (1.0 - delta) * (o @ o.T)
             g_ref = delta * g_ref + (1.0 - delta) * (o @ l)
         np.testing.assert_allclose(state.obar @ state.obar.T, s_ref, atol=1e-10)
@@ -536,7 +538,8 @@ class TestWssrStep:
         l = rng.standard_normal(12)
         theta = rng.standard_normal(5)
         state = WssrState.initial(5, rank_init=5)
-        got, _, diag = wssr_step(theta, raw_bundle(o, l), 0.2, state, WssrOptions(delta=0.0))
+        got, _, diag = wssr_step(theta, raw_bundle(o, l), 0.2, state, WssrOptions(delta=0.0),
+                                 rng_seed=0, step=0)
         assert diag.effective_rank == 5
 
         # At full rank the complement branch vanishes and the step is the
@@ -555,7 +558,8 @@ class TestWssrStep:
         theta = np.zeros(2)
         state = WssrState.initial(2, rank_init=2)
         options = WssrOptions(delta=0.0, r_reg=0.1, sigma_floor=1e-3)
-        got, _, diag = wssr_step(theta, raw_bundle(o, l), 0.01, state, options)
+        got, _, diag = wssr_step(theta, raw_bundle(o, l), 0.01, state, options,
+                                 rng_seed=0, step=0)
         assert diag.effective_rank == 1  # s^2 = (50, 2), cutoff at 5
         np.testing.assert_allclose(
             got, -0.01 * np.array([0.0, 1.0]) / 1e-3, atol=1e-10
@@ -570,7 +574,8 @@ class TestWssrStep:
             state = WssrState.initial(m, rank_init=4)
             options = WssrOptions(r_reg=1e-3)
             theta = np.zeros(m)
-            theta1, state1, diag = wssr_step(theta, raw_bundle(o, l), 1.0, state, options)
+            theta1, state1, diag = wssr_step(
+                theta, raw_bundle(o, l), 1.0, state, options, rng_seed=0, step=0)
 
             u = state1.u_prev
             sig = state1.sigma
@@ -592,9 +597,10 @@ class TestWssrStep:
         options = WssrOptions(r_reg=1e-6, eps_grow=0.5)
         theta = np.zeros(8)
         seen = [state.r_max]
-        for _ in range(6):
+        for step in range(6):
             bundle = raw_bundle(rng.standard_normal((8, 12)), rng.standard_normal(12))
-            theta, state, diag = wssr_step(theta, bundle, 0.01, state, options)
+            theta, state, diag = wssr_step(
+                theta, bundle, 0.01, state, options, rng_seed=0, step=step)
             assert diag.effective_rank >= 1
             assert state.r_max >= seen[-1]
             if state.r_max > seen[-1]:
@@ -609,7 +615,7 @@ class TestWssrStep:
         state = WssrState.initial(8, rank_init=2)
         bundle = raw_bundle(rng.standard_normal((8, 12)), rng.standard_normal(12))
         _, state, _ = wssr_step(np.zeros(8), bundle, 0.01, state,
-                                WssrOptions(r_reg=1e-6, eps_grow=1e308))
+                                WssrOptions(r_reg=1e-6, eps_grow=1e308), rng_seed=0, step=0)
         assert state.r_max == 8
 
     def test_truncation_blocks_growth(self):
@@ -619,11 +625,12 @@ class TestWssrStep:
         u = rng.standard_normal(6)
         state = WssrState.initial(6, rank_init=2)
         theta = np.zeros(6)
-        for _ in range(3):
+        for step in range(3):
             o = np.outer(u, rng.standard_normal(9))
             o += 1e-9 * rng.standard_normal(o.shape)
             theta, state, diag = wssr_step(theta, raw_bundle(o, rng.standard_normal(9)),
-                                           0.01, state, WssrOptions(r_reg=1e-6))
+                                           0.01, state, WssrOptions(r_reg=1e-6),
+                                           rng_seed=0, step=step)
             assert diag.effective_rank == 1
         assert state.r_max == 2
 
@@ -632,11 +639,37 @@ class TestWssrStep:
         state = WssrState.initial(6, rank_init=3)
         theta = np.zeros(6)
         bundle = raw_bundle(rng.standard_normal((6, 10)), rng.standard_normal(10))
-        theta, state, diag0 = wssr_step(theta, bundle, 0.01, state)
+        theta, state, diag0 = wssr_step(theta, bundle, 0.01, state, rng_seed=0, step=0)
         assert diag0.ssi_iterations == 0
         bundle2 = raw_bundle(rng.standard_normal((6, 10)), rng.standard_normal(10))
-        _, _, diag1 = wssr_step(theta, bundle2, 0.01, state)
+        _, _, diag1 = wssr_step(theta, bundle2, 0.01, state, rng_seed=0, step=1)
         assert diag1.ssi_iterations >= 1
+
+    @pytest.mark.parametrize("missing", ["rng_seed", "step"])
+    def test_seed_and_step_have_no_default(self, missing):
+        rng = np.random.default_rng(20)
+        bundle = raw_bundle(rng.standard_normal((6, 10)), rng.standard_normal(10))
+        given = {"rng_seed": 0, "step": 0}
+        del given[missing]
+        with pytest.raises(TypeError, match=missing):
+            wssr_step(np.zeros(6), bundle, 0.01, WssrState.initial(6, rank_init=3), **given)
+
+    @pytest.mark.parametrize("sketch", [False, True], ids=["wssr", "rssr"])
+    def test_each_step_draws_its_own_columns(self, sketch):
+        # from one warm state, steps 1 and 2 widen the block with different
+        # Gaussian columns, and a replay of step 1 draws the same ones
+        rng = np.random.default_rng(26)
+        m, n = 40, 12
+        state = WssrState.initial(m, rank_init=4)
+        theta, state, _ = wssr_step(
+            np.zeros(m), raw_bundle(rng.standard_normal((m, n)), rng.standard_normal(n)),
+            0.01, state, rng_seed=5, step=0, sketch=sketch)
+        bundle = raw_bundle(rng.standard_normal((m, n)), rng.standard_normal(n))
+        first, second, replay = (
+            wssr_step(theta, bundle, 0.01, state, rng_seed=5, step=step, sketch=sketch)[0]
+            for step in (1, 2, 1))
+        assert not np.array_equal(first, second)
+        np.testing.assert_array_equal(first, replay)
 
     def test_widened_warm_block_goes_to_ssi_unorthonormalized(self, monkeypatch):
         # criterion 9's shape: random data keeps the rank cut binding, so
@@ -659,7 +692,7 @@ class TestWssrStep:
         state = WssrState.initial(m, rank_init=64)
         theta, state, _ = wssr_step(
             np.zeros(m), raw_bundle(rng.standard_normal((m, n)), rng.standard_normal(n)),
-            0.01, state, rng_seed=5)
+            0.01, state, rng_seed=5, step=0)
         assert state.u_prev.shape == (m, 64) and state.r_max == 71
 
         bundle = raw_bundle(rng.standard_normal((m, n)), rng.standard_normal(n))
@@ -681,7 +714,7 @@ class TestWssrStep:
         theta = np.zeros(m)
         state = WssrState.initial(m, rank_init=m)
         bundle = raw_bundle(rng.standard_normal((m, n)), rng.standard_normal(n))
-        theta, state, _ = wssr_step(theta, bundle, 0.01, state, sketch=sketch)
+        theta, state, _ = wssr_step(theta, bundle, 0.01, state, rng_seed=0, step=0, sketch=sketch)
         bundle2 = raw_bundle(rng.standard_normal((m, n)), rng.standard_normal(n))
 
         calls = []
@@ -691,14 +724,14 @@ class TestWssrStep:
             return gram_svd(ohat, rank)
 
         monkeypatch.setattr(optimizers, "gram_svd", spy)
-        got, _, diag = wssr_step(theta, bundle2, 0.01, state, sketch=sketch)
+        got, _, diag = wssr_step(theta, bundle2, 0.01, state, rng_seed=0, step=1, sketch=sketch)
         assert calls == [((m, state.sigma.size + n), m)]
         assert diag.ssi_iterations == 0
 
         # the subspace-iteration update on the same full-width block
         monkeypatch.setattr(optimizers, "gram_svd", lambda ohat, rank: ssi_svd(
             ohat, rank, max_iters=SSI_MAX_ITERS, residual_tol=SSI_RESIDUAL_TOL)[0])
-        want, _, _ = wssr_step(theta, bundle2, 0.01, state, sketch=sketch)
+        want, _, _ = wssr_step(theta, bundle2, 0.01, state, rng_seed=0, step=1, sketch=sketch)
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-10)
 
     @pytest.mark.parametrize("sketch", [False, True], ids=["wssr", "rssr"])
@@ -724,9 +757,10 @@ class TestWssrStep:
         theta = np.zeros(m)
         state = WssrState.initial(m, rank_init=64)
         iterations = []
-        for _ in range(4):
+        for step in range(4):
             bundle = raw_bundle(rng.standard_normal((m, n)), rng.standard_normal(n))
-            theta, state, diag = wssr_step(theta, bundle, 0.01, state, sketch=sketch)
+            theta, state, diag = wssr_step(
+                theta, bundle, 0.01, state, rng_seed=0, step=step, sketch=sketch)
             iterations.append(diag.ssi_iterations)
         assert state.r_max < m
         assert calls == [((m, n), 64)]
@@ -830,10 +864,11 @@ class TestRssr:
         b2 = shared_left_space_bundle(w, [3.5, 2.2, 0.9], 9, seed=31)
         state = WssrState.initial(12, rank_init=3)
         options = WssrOptions(delta=0.6)
-        theta, state, _ = wssr_step(np.zeros(12), b1, 0.01, state, options)
+        theta, state, _ = wssr_step(np.zeros(12), b1, 0.01, state, options, rng_seed=0, step=0)
 
-        t_ssi, _, diag_ssi = wssr_step(theta, b2, 0.01, state, options)
-        t_rnd, _, diag_rnd = wssr_step(theta, b2, 0.01, state, options, sketch=True)
+        t_ssi, _, diag_ssi = wssr_step(theta, b2, 0.01, state, options, rng_seed=0, step=0)
+        t_rnd, _, diag_rnd = wssr_step(
+            theta, b2, 0.01, state, options, rng_seed=0, step=0, sketch=True)
         np.testing.assert_allclose(t_ssi, t_rnd, atol=1e-8)
         assert diag_ssi.ssi_iterations >= 1 and diag_rnd.ssi_iterations == 1
 
@@ -847,9 +882,9 @@ class TestRssr:
         def rollout(seed):
             theta = np.zeros(7)
             state = WssrState.initial(7, rank_init=3)
-            for b in bundles:
+            for step, b in enumerate(bundles):
                 theta, state, _ = wssr_step(
-                    theta, b, 0.01, state, rng_seed=seed, sketch=True)
+                    theta, b, 0.01, state, rng_seed=seed, step=step, sketch=True)
             return theta
 
         np.testing.assert_array_equal(rollout(5), rollout(5))
@@ -875,7 +910,8 @@ class TestRssr:
         # and its cut keeps the same r modes
         options = WssrOptions(delta=0.5)
         t_exact, _, diag = wssr_step(
-            theta, bundle, eta, dataclasses.replace(state, r_max=m), options)
+            theta, bundle, eta, dataclasses.replace(state, r_max=m), options,
+            rng_seed=0, step=0)
         assert diag.effective_rank == r
         ohat = np.concatenate(
             [math.sqrt(0.5) * state.obar, math.sqrt(0.5) * o], axis=1
@@ -887,7 +923,7 @@ class TestRssr:
         bound = 10.0 * tail * eta / options.sigma_floor * max(1.0, np.linalg.norm(lhat))
         for seed in range(20):
             t_sketch, _, _ = wssr_step(
-                theta, bundle, eta, state, options, rng_seed=seed, sketch=True)
+                theta, bundle, eta, state, options, rng_seed=seed, step=0, sketch=True)
             assert np.linalg.norm(t_sketch - t_exact) <= bound
 
 
